@@ -17,11 +17,8 @@ from .norms import (
     PNorm,
     TangentDecomposition,
     ZeroVectorError,
-    eval_norm,
     finite_diff_gradient,
-    make_norm,
     norm_from_json,
-    normal_map,
     tangent_decompose,
     validate_norm,
 )
@@ -58,7 +55,6 @@ from .sticks import (
     euclid_monotonicity,
     flip_chain_verify,
     holder_ratio,
-    point_at,
     segment_point_distance,
     select_special_stick,
     strip_experiment,

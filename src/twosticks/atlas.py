@@ -45,9 +45,6 @@ class SiteSet:
         if not np.all(np.isfinite(self.sites)):
             raise ValueError("sites must be finite")
 
-    def to_dict(self) -> dict:
-        return {"sites": self.sites.tolist(), "norm": self.norm.descriptor()}
-
 
 def nearest_point(sites: SiteSet, x) -> NearestResult:
     """Exhaustive nearest-site query; `unique` is False on ties within 1e-12."""
@@ -81,19 +78,6 @@ class RayFamily:
         starts = np.array([s.start for s in self.sticks])
         ends = np.array([s.end for s in self.sticks])
         return starts, ends
-
-    def to_dict(self) -> dict:
-        return {"length": self.length,
-                "site_index": list(self.site_index),
-                "sticks": [s.to_dict() for s in self.sticks],
-                "skipped": [list(entry) for entry in self.skipped]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RayFamily":
-        return RayFamily(sticks=[Stick.from_dict(s) for s in d["sticks"]],
-                         length=float(d["length"]),
-                         site_index=[int(i) for i in d["site_index"]],
-                         skipped=[tuple(e) for e in d.get("skipped", [])])
 
 
 def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:

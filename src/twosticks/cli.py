@@ -1,11 +1,11 @@
 """Command-line driver: certify constants, run stick/strip experiments, emit reports.
 
 Subcommands: certify, sticks, strip, sharpness, atlas, onev.  Every run is
-deterministic for a fixed --seed, embeds its full configuration in the
-output, and uses the exit-code contract
+deterministic for a fixed --seed, embeds its full configuration (less the
+output paths) in the output, and uses the exit-code contract
 
     0  success
-    1  configuration error
+    1  configuration error (bad flag, --config or --tolerance; unwritable output)
     2  degenerate estimate (no informative samples / generation failed)
     3  theorem-bound violation witnessed
 
@@ -29,7 +29,7 @@ from .convexity import (DegenerateSampleError, estimate_balanced, estimate_doubl
                         estimate_lambda, estimate_uniform_constants,
                         onev_default_grid, onev_scan)
 from .norms import EuclideanNorm, Norm, PNorm
-from .reporting import write_csv, write_json
+from .reporting import to_jsonable, write_csv, write_json
 from .sharpness import sharpness_curve
 from .sticks import (PreconditionError, euclid_interp_bound_residual,
                      euclid_lipschitz_ratio, euclid_monotonicity, holder_ratio,
@@ -62,13 +62,67 @@ def parse_tolerances(items) -> dict:
         if "=" not in item:
             raise ValueError(f"bad --tolerance {item!r}; expected name=value")
         key, _, value = item.partition("=")
-        tol[key.strip()] = float(value)
+        key = key.strip()
+        if key not in DEFAULT_TOLERANCES:
+            raise ValueError(f"unknown tolerance {key!r}; expected one of "
+                             f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
+        tol[key] = float(value)
     return tol
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "config"}
+    # Output paths are left out so that the same run written to two places
+    # gives the same bytes.
+    skip = {"func", "config", "out", "csv"}
     return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def _typed_value(action: argparse.Action, value):
+    """A --config scalar checked and converted as the same flag's text would be."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {action.dest!r}: expected a scalar, got {value!r}")
+    try:
+        typed = (action.type or str)(str(value))
+    except ValueError as exc:
+        raise ValueError(f"config key {action.dest!r}: {exc}") from None
+    if action.choices is not None and typed not in action.choices:
+        raise ValueError(f"config key {action.dest!r}: {typed!r} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return typed
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 overrides) -> None:
+    """Override the parsed flags of `args.command` with a JSON config object.
+
+    Keys are the subcommand's option names (dashes or underscores); values
+    are checked like the flags' own text, lists for repeatable flags, null
+    only for optional flags whose default is unset.  A "command" key, as in
+    an embedded config, must name this subcommand.
+    """
+    if not isinstance(overrides, dict):
+        raise ValueError("config must be a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions
+               if a.dest not in ("help", "config")}
+    for key, value in overrides.items():
+        dest = key.replace("-", "_")
+        if dest == "command":
+            if value != args.command:
+                raise ValueError(f"config is for {value!r}, not {args.command!r}")
+            continue
+        action = actions.get(dest)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if value is None and action.default is None and not action.required:
+            typed = None
+        elif isinstance(action, argparse._AppendAction):
+            if not isinstance(value, list):
+                raise ValueError(f"config key {key!r}: expected a list, got {value!r}")
+            typed = [_typed_value(action, v) for v in value]
+        else:
+            typed = _typed_value(action, value)
+        setattr(args, dest, typed)
 
 
 def _random_family(norm: Norm, rng: np.random.Generator, n_sites: int,
@@ -229,7 +283,7 @@ def cmd_atlas(args) -> int:
     norm = parse_norm(args.norm, args.dim)
     rng = np.random.default_rng(args.seed)
     family = _random_family(norm, rng, args.sites, args.queries, args.length, args.box)
-    payload = family.to_dict()
+    payload = to_jsonable(family)
     payload["norm"] = norm.descriptor()
     write_json(args.out, payload, config=_config_dict(args))
     if args.csv:
@@ -251,7 +305,7 @@ def cmd_onev(args) -> int:
         if p <= 1.0:
             raise ValueError("--p must exceed 1")
         scan = onev_scan(p, grid)
-        results[repr(float(p))] = scan.to_dict()
+        results[repr(float(p))] = to_jsonable(scan)
         violated |= scan.inf_double_ratio <= 2.0
     write_json(args.out, {"results": results}, config=_config_dict(args))
     print(f"onev: p={args.p} -> {args.out}")
@@ -262,18 +316,22 @@ def cmd_onev(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, norm: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, out: str, norm: bool = True) -> None:
+    """Flags shared by the subcommands; `norm` adds the norm and the rng seed."""
     if norm:
         sub.add_argument("--norm", required=True,
                          help="norm spec: euclidean | p:<value>")
         sub.add_argument("--dim", type=int, default=3, help="ambient dimension")
-    sub.add_argument("--seed", type=int, default=0, help="rng seed")
-    sub.add_argument("--samples", type=int, default=100000, help="sample count")
-    sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                     help="override a named tolerance (repeatable)")
-    sub.add_argument("--out", default=None, help="output path")
+        sub.add_argument("--seed", type=int, default=0, help="rng seed")
+    sub.add_argument("--out", default=out, help=f"output path (default {out})")
     sub.add_argument("--config", default=None,
                      help="JSON config file; overrides flags")
+
+
+def _add_tolerance(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                     help="override a named tolerance (repeatable): "
+                          + ", ".join(sorted(DEFAULT_TOLERANCES)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,16 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     cert = subs.add_parser("certify", help="estimate convexity/doubling/balance constants")
-    _add_common(cert)
+    _add_common(cert, "certify.json")
+    cert.add_argument("--samples", type=int, default=100000, help="sample count")
     cert.add_argument("--r", type=float, default=0.25, help="sampling radius")
     cert.add_argument("--mode", choices=("full", "tangent"), default="tangent")
     cert.add_argument("--balanced-bound", type=float, default=0.5)
     cert.add_argument("--uniform-p", type=float, default=None)
     cert.add_argument("--uniform-q", type=float, default=2.0)
-    cert.set_defaults(func=cmd_certify, default_out="certify.json")
+    cert.set_defaults(func=cmd_certify)
 
     stk = subs.add_parser("sticks", help="pairwise endpoint-bound checks on a ray family")
-    _add_common(stk)
+    _add_common(stk, "sticks.csv")
+    _add_tolerance(stk)
     stk.add_argument("--sites", type=int, default=4)
     stk.add_argument("--queries", type=int, default=40)
     stk.add_argument("--length", type=float, default=1.0)
@@ -301,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     stk.add_argument("--pairs", type=int, default=None, help="cap on sampled pairs")
     stk.add_argument("--q", type=float, default=None, help="smoothness exponent")
     stk.add_argument("--p-exp", type=float, default=None, help="convexity exponent")
-    stk.set_defaults(func=cmd_sticks, default_out="sticks.csv")
+    stk.set_defaults(func=cmd_sticks)
 
     strp = subs.add_parser("strip", help="strip-confinement experiment")
-    _add_common(strp)
+    _add_common(strp, "strip.csv")
+    _add_tolerance(strp)
     strp.add_argument("--count", type=int, default=100)
     strp.add_argument("--lambda", dest="lam", type=float, required=True,
                       help="certified geometric-convexity constant at radius 1")
@@ -313,33 +374,33 @@ def build_parser() -> argparse.ArgumentParser:
     strp.add_argument("--rho", type=float, default=0.36)
     strp.add_argument("--big-r", type=float, default=0.05,
                       help="balanced-condition radius (endpoint gap cap)")
-    strp.set_defaults(func=cmd_strip, default_out="strip.csv")
+    strp.set_defaults(func=cmd_strip)
 
     shp = subs.add_parser("sharpness", help="Hölder-exponent sharpness curve")
-    _add_common(shp, norm=False)
+    _add_common(shp, "sharpness.csv", norm=False)
     shp.add_argument("--p", type=float, required=True)
     shp.add_argument("--points", type=int, default=40)
     shp.add_argument("--param-min", type=float, default=None)
     shp.add_argument("--param-max", type=float, default=None)
-    shp.set_defaults(func=cmd_sharpness, default_out="sharpness.csv")
+    shp.set_defaults(func=cmd_sharpness)
 
     atl = subs.add_parser("atlas", help="build and export a distance-ray family")
-    _add_common(atl)
+    _add_common(atl, "atlas.json")
     atl.add_argument("--sites", type=int, default=5)
     atl.add_argument("--queries", type=int, default=50)
     atl.add_argument("--length", type=float, default=1.0)
     atl.add_argument("--box", type=float, default=2.0)
     atl.add_argument("--csv", default=None, help="also export sticks as CSV")
-    atl.set_defaults(func=cmd_atlas, default_out="atlas.json")
+    atl.set_defaults(func=cmd_atlas)
 
     onv = subs.add_parser("onev", help="scan the scalar p-norm profile ratios")
-    _add_common(onv, norm=False)
+    _add_common(onv, "onev.json", norm=False)
     onv.add_argument("--p", type=float, action="append", required=True,
                      help="exponent (repeatable)")
     onv.add_argument("--points", type=int, default=100000)
     onv.add_argument("--z-min", type=float, default=1e-6)
     onv.add_argument("--z-max", type=float, default=1e6)
-    onv.set_defaults(func=cmd_onev, default_out="onev.json")
+    onv.set_defaults(func=cmd_onev)
 
     return parser
 
@@ -351,20 +412,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage; map to the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for key, value in overrides.items():
-            setattr(args, key.replace("-", "_"), value)
-    if args.out is None:
-        args.out = args.default_out
     try:
+        if args.config:
+            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            _apply_config(parser, args, overrides)
         return args.func(args)
     except (ValueError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateSampleError as exc:
         print(f"degenerate estimate: {exc}", file=sys.stderr)

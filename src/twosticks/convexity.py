@@ -24,16 +24,13 @@ together with the witnessing pair, and carry no proof.
 
 from __future__ import annotations
 
-import datetime as _dt
-import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm as _gauss
-from scipy.stats import qmc
 
 from .gap import gap
 from .norms import Norm, ZeroVectorError, ZERO_THRESHOLD, as_vector
@@ -66,26 +63,34 @@ class ModulusResult:
     converged: bool
     iterations: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma, "t": self.t,
-            "maximizer_y": [float(v) for v in self.maximizer_y],
-            "normal_at_y": [float(v) for v in self.normal_at_y],
-            "kkt_residual": self.kkt_residual,
-            "kkt_multiplier": self.kkt_multiplier,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+
+def _primes(count: int) -> list:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def _halton_directions(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the Euclidean sphere."""
+    """Deterministic low-discrepancy directions on the Euclidean sphere.
+
+    Points 1..count of the unscrambled Halton sequence (point 0 is the
+    origin): coordinate j is the radical inverse of the point's index in the
+    j-th prime base, its digits mirrored about the radix point.  The points
+    are mapped through the Gaussian quantile and normalized.
+    """
     if dim == 1:
         return np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count]
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(1)  # skip the all-zeros point
-    u = sampler.random(count)
-    g = _gauss.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    u = np.zeros((count, dim))
+    for j, base in enumerate(_primes(dim)):
+        index, scale = np.arange(1, count + 1), 1.0 / base
+        while np.any(index > 0):
+            u[:, j] += (index % base) * scale
+            index, scale = index // base, scale / base
+    g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
     nrm = np.sqrt(np.sum(g * g, axis=-1))
     nrm[nrm < 1e-12] = 1.0
     return g / nrm[:, None]
@@ -145,7 +150,7 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
 
 
 def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
-            kkt_tol: float = 1e-7, polish: bool = True) -> ModulusResult:
+            kkt_tol: float = 1e-7) -> ModulusResult:
     """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
 
     Starts come from a deterministic low-discrepancy set, so the result is
@@ -199,15 +204,14 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
         np.clip(step, None, t, out=step)
         # The BFGS polish finishes the job; the ascent only has to land in
         # the right basin, so a loose step floor is enough.
-        if np.all(step < (1e-9 if polish else 1e-13) * t):
+        if np.all(step < 1e-9 * t):
             iterations = it + 1
             break
 
-    if polish:
-        for row in np.argsort(f)[::-1][:2]:
-            yp, fp = _polish_on_sphere(norm, x, t, y[row], n_of_x)
-            if fp > f[row]:
-                y[row], f[row] = yp, fp
+    for row in np.argsort(f)[::-1][:2]:
+        yp, fp = _polish_on_sphere(norm, x, t, y[row], n_of_x)
+        if fp > f[row]:
+            y[row], f[row] = yp, fp
 
     # First start within 1e-9 of the best value, in start order.
     best_val = float(np.max(f))
@@ -219,7 +223,7 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     grad = norm.normal(x + y_best) - n_of_x
     alpha = float(np.dot(grad, y_best)) / t
     kkt = float(np.linalg.norm(grad - alpha * n_of_y)) / (1.0 + float(np.linalg.norm(grad)))
-    converged = bool(kkt <= kkt_tol and alpha >= -1e-9 and iterations <= max_iter)
+    converged = bool(kkt <= kkt_tol and alpha >= -1e-9)
     return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
                          kkt_residual=kkt, kkt_multiplier=alpha, converged=converged,
                          iterations=iterations)
@@ -326,23 +330,6 @@ class ConstantsReport:
     b_hat: Optional[float] = None
     q: Optional[float] = None
     worst_witnesses: list = field(default_factory=list)
-    timestamp: str = ""
-
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat()
-
-    def to_dict(self) -> dict:
-        return {
-            "norm": self.norm, "mode": self.mode, "samples": self.samples,
-            "seed": self.seed, "lambda_hat": self.lambda_hat, "r": self.r,
-            "t_hat": self.t_hat, "k_hat": self.k_hat, "a_hat": self.a_hat,
-            "p": self.p, "b_hat": self.b_hat, "q": self.q,
-            "worst_witnesses": self.worst_witnesses, "timestamp": self.timestamp,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _unit_vectors(norm: Norm, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -596,9 +583,6 @@ class OnevScanResult:
     infinity_limit: float       # observed limit as |z| -> inf (exact: 2^p)
     argmin_z: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def onev_scan(p: float, z_grid: Optional[np.ndarray] = None) -> OnevScanResult:
     """Scan g(2z)/g(z) and g(z)/g(-z) over a grid; the scan is its own oracle.
@@ -655,9 +639,6 @@ class TransferReport:
     max_violation: float
     passed: bool
     witnesses: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def transfer_check(norm: Norm, lam: float, r: float, t_const: float,

@@ -176,42 +176,21 @@ class PluginNorm(Norm):
         return {"kind": "plugin", "name": self.name, "dim": self.dim}
 
 
-def make_norm(kind: str, dim: int, p: Optional[float] = None,
-              func: Optional[Callable] = None, name: str = "plugin") -> Norm:
-    if kind == "euclidean":
-        return EuclideanNorm(dim)
-    if kind == "p_norm":
-        if p is None:
-            raise ValueError("p_norm requires p")
-        return PNorm(p, dim)
-    if kind == "plugin":
-        if func is None:
-            raise ValueError("plugin norm requires an evaluation callable")
-        return PluginNorm(func, dim, name)
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
 def norm_from_json(text) -> Norm:
     """Rebuild a norm from its JSON descriptor (plugins cannot round-trip)."""
     d = json.loads(text) if isinstance(text, str) else dict(text)
     kind = d.get("kind")
-    if kind == "euclidean":
-        return EuclideanNorm(int(d["dim"]))
-    if kind == "p_norm":
-        return PNorm(float(d["p"]), int(d["dim"]))
+    required = {"euclidean": ("dim",), "p_norm": ("p", "dim")}
     if kind == "plugin":
         raise ValueError("plugin norms carry a callable and cannot be deserialized")
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def eval_norm(norm: Norm, x) -> np.ndarray:
-    """||x||, vectorized over leading axes."""
-    return norm.value(x)
-
-
-def normal_map(norm: Norm, x) -> np.ndarray:
-    """N(x) = grad ||x||, vectorized over leading axes; x must be nonzero."""
-    return norm.normal(x)
+    if kind not in required:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    missing = [key for key in required[kind] if key not in d]
+    if missing:
+        raise ValueError(f"{kind} requires {', '.join(missing)}")
+    if kind == "euclidean":
+        return EuclideanNorm(int(d["dim"]))
+    return PNorm(float(d["p"]), int(d["dim"]))
 
 
 @dataclass
@@ -255,7 +234,7 @@ def tangent_decompose(norm: Norm, x, y) -> TangentDecomposition:
 
 
 def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
-    """Centered-difference gradient of the norm; O(step^2) oracle for `normal_map`."""
+    """Centered-difference gradient of the norm; O(step^2) oracle for `Norm.normal`."""
     x = as_vector(x, norm.dim)
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -297,10 +276,6 @@ class NormValidationReport:
         return max(self.homogeneity, self.symmetry, self.triangle,
                    self.support_identity, self.support_inequality,
                    self.normal_scale_invariance)
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        return d
 
 
 def validate_norm(norm: Norm, samples: int = 1000, seed: int = 0) -> NormValidationReport:

@@ -5,17 +5,21 @@ exact binary value, so identical runs produce identical bytes.  CSV files
 use '.' decimals and no locale; an optional leading '# config: ...' comment
 embeds the generating configuration.  JSON reports carry their full config
 and an ISO-8601 timestamp (the one field excluded from the determinism
-contract).
+contract).  `to_jsonable` is the one serializer: report dataclasses, norms
+and numpy values all pass through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .norms import Norm
 
 
 def fmt(value) -> str:
@@ -30,7 +34,16 @@ def fmt(value) -> str:
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy containers to plain JSON types."""
+    """Recursively convert dataclasses, norms and numpy containers to plain JSON types.
+
+    A dataclass becomes the dict of its fields, walked one level at a time
+    (`dataclasses.asdict` would deep-copy every array first); a norm becomes
+    its descriptor.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Norm):
+        return obj.descriptor()
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -57,16 +70,10 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable],
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_json(path, payload: dict, config: Optional[dict] = None,
-               timestamp: bool = True) -> None:
+def write_json(path, payload: dict, config: Optional[dict] = None) -> None:
     doc = to_jsonable(payload)
     if config is not None:
         doc["config"] = to_jsonable(config)
-    if timestamp and "timestamp" not in doc:
-        doc["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    doc.setdefault("timestamp", _dt.datetime.now(_dt.timezone.utc).isoformat())
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

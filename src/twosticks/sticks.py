@@ -65,6 +65,7 @@ class Stick:
         return float(norm.value(self.end - self.start))
 
     def point_at(self, t: float) -> np.ndarray:
+        """Affine interpolation (1-t)*start + t*end; t outside [0, 1] extrapolates."""
         return (1.0 - t) * self.start + t * self.end
 
     def reversed(self) -> "Stick":
@@ -75,20 +76,6 @@ class Stick:
 
     def scaled(self, factor: float) -> "Stick":
         return Stick(factor * self.start, factor * self.end)
-
-    def to_dict(self) -> dict:
-        return {"start": [float(v) for v in self.start],
-                "end": [float(v) for v in self.end]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Stick":
-        return Stick(np.asarray(d["start"], dtype=float),
-                     np.asarray(d["end"], dtype=float))
-
-
-def point_at(stick: Stick, t: float) -> np.ndarray:
-    """Affine interpolation (1-t)*start + t*end; t outside [0, 1] extrapolates."""
-    return stick.point_at(t)
 
 
 def two_sticks_check(norm: Norm, l: Stick, m: Stick) -> bool:
@@ -312,13 +299,6 @@ class StripReport:
     l_star: np.ndarray
     lambda_star: np.ndarray
     t_star: float
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        for key in ("ybar", "normal_ybar", "l_star", "lambda_star"):
-            d[key] = [float(v) for v in d[key]]
-        d["lambda"] = d.pop("lam")
-        return d
 
 
 def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float,

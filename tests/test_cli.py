@@ -1,0 +1,128 @@
+"""Command-line boundary: input checks, exit codes and the determinism contract."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twosticks
+from twosticks import cli
+
+STRIP = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
+         "--count", "2"]
+STICKS = ["sticks", "--norm", "p:3", "--dim", "3", "--queries", "20", "--pairs", "30"]
+CERTIFY = ["certify", "--norm", "euclidean", "--dim", "2", "--samples", "200"]
+ONEV = ["onev", "--p", "1.5", "--p", "3", "--points", "200"]
+
+
+def write_config(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestConfig:
+    def test_value_is_typed_like_the_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"samples": "abc"})
+        code = cli.main(CERTIFY + ["--config", cfg, "--out", str(tmp_path / "c.json")])
+        assert code == cli.EXIT_CONFIG
+        assert "samples" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sampels": 5})
+        code = cli.main(CERTIFY + ["--config", cfg, "--out", str(tmp_path / "c.json")])
+        assert code == cli.EXIT_CONFIG
+        assert "sampels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "diagonal"},           # not one of the flag's choices
+        {"samples": 2.5},               # int flag given a fraction
+        {"samples": True},              # JSON true is not a count
+        {"samples": [200]},             # list for a single-valued flag
+        {"samples": None},              # null for a flag with a default
+        {"command": "strip"},           # config written by another subcommand
+    ])
+    def test_bad_values_rejected(self, tmp_path, doc):
+        cfg = write_config(tmp_path, doc)
+        code = cli.main(CERTIFY + ["--config", cfg, "--out", str(tmp_path / "c.json")])
+        assert code == cli.EXIT_CONFIG
+
+    def test_values_override_flags_with_their_types(self, tmp_path):
+        cfg = write_config(tmp_path, {"samples": "300", "mode": "full", "balanced-bound": 0.25})
+        out = tmp_path / "c.json"
+        assert cli.main(CERTIFY + ["--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        config = json.loads(out.read_text(encoding="utf-8"))["config"]
+        assert config["samples"] == 300
+        assert config["mode"] == "full"
+        assert config["balanced_bound"] == 0.25
+
+    def test_embedded_config_reruns_to_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        cli.main(STICKS + ["--tolerance", "lipb=1e-8", "--out", str(first)])
+        header = first.read_text(encoding="utf-8").splitlines()[0]
+        assert header.startswith("# config: ")
+        cfg = write_config(tmp_path, json.loads(header[len("# config: "):]))
+        cli.main(["sticks", "--norm", "euclidean", "--config", cfg, "--out", str(second)])
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        code = cli.main(CERTIFY + ["--config", str(tmp_path / "absent.json")])
+        assert code == cli.EXIT_CONFIG
+
+
+class TestBoundary:
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
+        code = cli.main(STRIP + ["--tolerance", "chek=1", "--out", str(tmp_path / "s.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert "chek" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        code = cli.main(CERTIFY + ["--out", str(tmp_path / "nodir" / "c.json")])
+        assert code == cli.EXIT_CONFIG
+        assert "nodir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        STRIP + ["--samples", "5"],
+        STICKS + ["--samples", "5"],
+        CERTIFY + ["--tolerance", "check=1"],
+        ONEV + ["--seed", "1"],
+        ONEV + ["--tolerance", "check=1"],
+        ["sharpness", "--p", "3", "--seed", "1"],
+        ["atlas", "--norm", "p:3", "--samples", "5"],
+    ])
+    def test_flags_a_subcommand_ignores_are_rejected(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly proceeds writes its default --out here
+        assert cli.main(argv) == cli.EXIT_CONFIG
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("argv", [STRIP, STICKS], ids=["strip", "sticks"])
+    def test_same_config_same_bytes(self, tmp_path, argv):
+        first, second = tmp_path / "first.csv", tmp_path / "sub" / "second.csv"
+        second.parent.mkdir()
+        assert cli.main(argv + ["--out", str(first)]) == cli.EXIT_OK
+        assert cli.main(argv + ["--out", str(second)]) == cli.EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_json_reports_differ_only_in_timestamp(self, tmp_path):
+        docs = []
+        for name in ("first.json", "second.json"):
+            assert cli.main(ONEV + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
+            doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            assert isinstance(doc.pop("timestamp"), str)
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert "out" not in docs[0]["config"]
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(twosticks.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, twosticks.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,8 @@
 """Modulus of geometric convexity, constant estimators, duality, transfer."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,8 @@ from twosticks import (
     modulus_grid,
     transfer_check,
 )
-from twosticks.convexity import TransferWindowError
+from twosticks.convexity import TransferWindowError, _halton_directions
+from twosticks.reporting import to_jsonable
 
 
 def unit(norm, seed):
@@ -142,6 +146,23 @@ class TestModulus:
             modulus_grid(PNorm(2, 5), np.ones(5) / PNorm(2, 5).value(np.ones(5)), 0.3)
 
 
+class TestHaltonDirections:
+    def test_matches_scipy_construction(self):
+        # The reference is the unscrambled SciPy Halton sequence with its
+        # all-zeros first point skipped, mapped through the Gaussian quantile.
+        from scipy.stats import norm as gauss
+        from scipy.stats import qmc
+
+        for dim in range(2, 6):
+            for count in (4, 8, 36, 68):
+                sampler = qmc.Halton(d=dim, scramble=False)
+                sampler.fast_forward(1)
+                g = gauss.ppf(np.clip(sampler.random(count), 1e-12, 1.0 - 1e-12))
+                want = g / np.sqrt(np.sum(g * g, axis=-1))[:, None]
+                np.testing.assert_allclose(_halton_directions(dim, count), want,
+                                           rtol=0, atol=1e-14)
+
+
 class TestLambdaEstimator:
     def test_euclid_full_matches_planar_oracle(self):
         norm = EuclideanNorm(3)
@@ -180,12 +201,12 @@ class TestLambdaEstimator:
             estimate_lambda(PNorm(3, 1), 0.5, "full", samples=200, seed=0)
 
     def test_report_round_trip(self):
-        import json
         rep = estimate_lambda(EuclideanNorm(2), 0.3, "full", samples=500, seed=7)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(to_jsonable(rep)))
+        assert set(doc) == {f.name for f in dataclasses.fields(rep)}
         assert doc["lambda_hat"] == rep.lambda_hat
         assert doc["norm"] == {"kind": "euclidean", "dim": 2}
-        assert "timestamp" in doc
+        assert doc["worst_witnesses"] == rep.worst_witnesses
 
 
 class TestDoublingEstimator:

@@ -9,11 +9,8 @@ from twosticks import (
     PluginNorm,
     PNorm,
     ZeroVectorError,
-    eval_norm,
     finite_diff_gradient,
-    make_norm,
     norm_from_json,
-    normal_map,
     tangent_decompose,
     validate_norm,
 )
@@ -29,15 +26,15 @@ def random_unit(norm, seed=None):
 
 class TestEvalNorm:
     def test_pythagorean(self):
-        assert eval_norm(EuclideanNorm(2), [3.0, 4.0]) == pytest.approx(5.0, abs=0)
+        assert EuclideanNorm(2).value([3.0, 4.0]) == pytest.approx(5.0, abs=0)
 
     def test_p3_by_direct_summation(self):
         # |1|^3 + |-2|^3 = 9
-        assert eval_norm(PNorm(3, 2), [1.0, -2.0]) == pytest.approx(9.0 ** (1 / 3), rel=1e-15)
+        assert PNorm(3, 2).value([1.0, -2.0]) == pytest.approx(9.0 ** (1 / 3), rel=1e-15)
 
     def test_zero_vector(self):
         for norm in (EuclideanNorm(3), PNorm(1.5, 3), PNorm(4, 3)):
-            assert eval_norm(norm, np.zeros(3)) == 0.0
+            assert norm.value(np.zeros(3)) == 0.0
 
     def test_batched_matches_rows(self):
         norm = PNorm(2.5, 4)
@@ -54,11 +51,11 @@ class TestEvalNorm:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eval_norm(EuclideanNorm(3), [1.0, 2.0])
+            EuclideanNorm(3).value([1.0, 2.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            eval_norm(EuclideanNorm(2), [np.nan, 0.0])
+            EuclideanNorm(2).value([np.nan, 0.0])
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
@@ -69,11 +66,11 @@ class TestEvalNorm:
 
 class TestNormalMap:
     def test_euclidean_direction(self):
-        np.testing.assert_allclose(normal_map(EuclideanNorm(2), [3.0, 4.0]),
+        np.testing.assert_allclose(EuclideanNorm(2).normal([3.0, 4.0]),
                                    [0.6, 0.8], atol=1e-15)
 
     def test_p3_closed_form(self):
-        got = normal_map(PNorm(3, 2), [1.0, -2.0])
+        got = PNorm(3, 2).normal([1.0, -2.0])
         want = np.array([1.0, -4.0]) / 9.0 ** (2 / 3)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
@@ -87,35 +84,35 @@ class TestNormalMap:
                 x = np.where(np.abs(x) < 0.05, 0.05, x)
                 x = x / norm.value(x)
                 fd = finite_diff_gradient(norm, x, 1e-6)
-                np.testing.assert_allclose(normal_map(norm, x), fd, atol=1e-8)
+                np.testing.assert_allclose(norm.normal(x), fd, atol=1e-8)
 
     def test_support_identity(self):
         for norm in (EuclideanNorm(4), PNorm(1.5, 4), PNorm(4, 4)):
             x = RNG.standard_normal((100, 4))
-            n = normal_map(norm, x)
+            n = norm.normal(x)
             np.testing.assert_allclose(np.sum(x * n, axis=-1), norm.value(x), rtol=1e-12)
 
     def test_positive_homogeneity(self):
         norm = PNorm(3, 3)
         x = random_unit(norm, 11)
-        base = normal_map(norm, x)
+        base = norm.normal(x)
         for t in (0.5, 2.0, 7.0, 10.0):
-            np.testing.assert_allclose(normal_map(norm, t * x), base, atol=1e-9)
+            np.testing.assert_allclose(norm.normal(t * x), base, atol=1e-9)
 
     def test_odd_symmetry(self):
         norm = PNorm(1.7, 3)
         x = RNG.standard_normal(3)
-        np.testing.assert_allclose(normal_map(norm, -x), -normal_map(norm, x), atol=1e-14)
+        np.testing.assert_allclose(norm.normal(-x), -norm.normal(x), atol=1e-14)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroVectorError):
-            normal_map(PNorm(2.5, 2), np.zeros(2))
+            PNorm(2.5, 2).normal(np.zeros(2))
 
     def test_support_inequality_random(self):
         for norm in (EuclideanNorm(3), PNorm(1.5, 3), PNorm(4, 3)):
             x = RNG.standard_normal((200, 3))
             y = RNG.standard_normal((200, 3))
-            n = normal_map(norm, x)
+            n = norm.normal(x)
             assert np.all(np.sum(y * n, axis=-1) <= norm.value(y) + 1e-9)
 
 
@@ -127,13 +124,13 @@ class TestFiniteDiff:
     def test_p4_agreement(self):
         norm = PNorm(4, 2)
         fd = finite_diff_gradient(norm, [1.0, 1.0], 1e-5)
-        np.testing.assert_allclose(fd, normal_map(norm, [1.0, 1.0]), atol=1e-8)
+        np.testing.assert_allclose(fd, norm.normal([1.0, 1.0]), atol=1e-8)
 
     def test_p2_is_euclidean(self):
         p2, euc = PNorm(2, 3), EuclideanNorm(3)
         x = RNG.standard_normal(3)
         np.testing.assert_allclose(finite_diff_gradient(p2, x, 1e-6),
-                                   normal_map(euc, x), atol=1e-9)
+                                   euc.normal(x), atol=1e-9)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
@@ -160,7 +157,7 @@ class TestTangentDecompose:
         assert dec.alpha == pytest.approx(1.0, abs=1e-12)
         assert dec.epsilon == pytest.approx(1.0, abs=1e-12)  # ||(0,1)||_3 = 1
         # x_perp really is tangent: <x_perp, N(x)> = 0
-        assert abs(np.dot(dec.x_perp, normal_map(norm, [1.0, 0.0]))) < 1e-12
+        assert abs(np.dot(dec.x_perp, norm.normal([1.0, 0.0]))) < 1e-12
 
     def test_reconstruction_random(self):
         norm = PNorm(2.3, 4)
@@ -174,7 +171,7 @@ class TestTangentDecompose:
             assert err <= 1e-9 * (1.0 + float(norm.value(y)))
             if dec.x_perp is not None:
                 assert abs(float(norm.value(dec.x_perp)) - 1.0) < 1e-12
-                assert abs(np.dot(dec.x_perp, normal_map(norm, x))) < 1e-12
+                assert abs(np.dot(dec.x_perp, norm.normal(x))) < 1e-12
 
     def test_requires_unit_x(self):
         with pytest.raises(ValueError):
@@ -217,11 +214,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             norm_from_json('{"kind": "plugin", "dim": 2, "name": "f"}')
 
-    def test_make_norm(self):
-        assert isinstance(make_norm("euclidean", 2), EuclideanNorm)
-        assert make_norm("p_norm", 3, p=2.5).p == 2.5
-        with pytest.raises(ValueError):
-            make_norm("p_norm", 3)
+    def test_missing_fields_rejected(self):
+        assert isinstance(norm_from_json({"kind": "euclidean", "dim": 2}), EuclideanNorm)
+        assert norm_from_json({"kind": "p_norm", "p": 2.5, "dim": 3}).p == 2.5
+        with pytest.raises(ValueError, match="p_norm requires p"):
+            norm_from_json({"kind": "p_norm", "dim": 3})
+        with pytest.raises(ValueError, match="p_norm requires dim"):
+            norm_from_json('{"kind": "p_norm", "p": 3.0}')
+        with pytest.raises(ValueError, match="euclidean requires dim"):
+            norm_from_json({"kind": "euclidean"})
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            norm_from_json({"kind": "sup", "dim": 2})
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,7 +23,6 @@ from twosticks import (
     holder_ratio,
     modulus,
     modulus_grid,
-    point_at,
     segment_point_distance,
     select_special_stick,
     strip_experiment,
@@ -83,12 +82,12 @@ class TestPredicate:
 class TestPointAt:
     def test_endpoints(self):
         l = Stick([1.0, 2.0], [3.0, 4.0])
-        np.testing.assert_array_equal(point_at(l, 0.0), l.start)
-        np.testing.assert_array_equal(point_at(l, 1.0), l.end)
+        np.testing.assert_array_equal(l.point_at(0.0), l.start)
+        np.testing.assert_array_equal(l.point_at(1.0), l.end)
 
     def test_midpoint(self):
         l = Stick([0.0, 0.0], [2.0, 0.0])
-        np.testing.assert_allclose(point_at(l, 0.5), [1.0, 0.0])
+        np.testing.assert_allclose(l.point_at(0.5), [1.0, 0.0])
 
     def test_sub_stick_reparametrization(self):
         # reversing a stick maps parameter t to 1 - t
