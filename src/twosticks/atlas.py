@@ -49,7 +49,7 @@ class SiteSet:
 def nearest_point(sites: SiteSet, x) -> NearestResult:
     """Exhaustive nearest-site query; `unique` is False on ties within 1e-12."""
     x = as_vector(x, sites.norm.dim)
-    dists = sites.norm.value(sites.sites - x)
+    dists = sites.norm._value(sites.sites - x)
     idx = int(np.argmin(dists))
     dmin = float(dists[idx])
     unique = int(np.count_nonzero(dists <= dmin + TIE_TOL)) == 1
@@ -168,18 +168,18 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         tries += 1
         x0 = rng.standard_normal(n) * 0.1
         e = rng.standard_normal(n)
-        e = e / float(norm.value(e))
+        e = e / float(norm._value(e))
         spread = delta * rng.uniform(0.5, 4.0)
         ebar = e + spread * rng.standard_normal(n)
-        ebar = ebar / float(norm.value(ebar))
+        ebar = ebar / float(norm._value(ebar))
 
         # Both sites at distance tau from x0, so x0 sits on their bisector
         # and the nearby queries can fall on either side of it.
         tau = rng.uniform(0.42, 0.58)
         xi1 = rng.standard_normal(n)
-        xi1 = xi1 / float(norm.value(xi1)) * 0.4 * delta * rng.uniform(0.0, 1.0)
+        xi1 = xi1 / float(norm._value(xi1)) * 0.4 * delta * rng.uniform(0.0, 1.0)
         xi2 = rng.standard_normal(n)
-        xi2 = xi2 / float(norm.value(xi2)) * 0.4 * delta * rng.uniform(0.0, 1.0)
+        xi2 = xi2 / float(norm._value(xi2)) * 0.4 * delta * rng.uniform(0.0, 1.0)
         q1 = x0 + xi1
         q2 = x0 + xi2
 
@@ -190,10 +190,10 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         l, m = family.sticks
         if not two_sticks_check(norm, l, m):
             continue
-        if float(norm.value(l.end - m.end)) > endpoint_gap_max:
+        if float(norm._value(l.end - m.end)) > endpoint_gap_max:
             continue
         endpoints_clear = all(
-            float(norm.value(p - x0)) > rho * (1.0 + 1e-9)
+            float(norm._value(p - x0)) > rho * (1.0 + 1e-9)
             for p in (l.start, l.end, m.start, m.end))
         if not endpoints_clear:
             continue

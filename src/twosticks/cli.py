@@ -7,7 +7,7 @@ output paths) in the output, and uses the exit-code contract
     0  success
     1  configuration error (bad flag, --config or --tolerance; unwritable output)
     2  degenerate estimate (no informative samples / generation failed)
-    3  theorem-bound violation witnessed
+    3  theorem bound violated, or a solve it rests on did not converge
 
 so CI can gate directly on violations.  CSV output uses '.' decimals and
 round-trip-exact float text; JSON reports carry an ISO-8601 timestamp,
@@ -179,6 +179,8 @@ def cmd_certify(args) -> int:
 def cmd_sticks(args) -> int:
     norm = parse_norm(args.norm, args.dim)
     tol = parse_tolerances(args.tolerance)
+    if args.pairs is not None and args.pairs < 1:
+        raise ValueError("--pairs must be >= 1")
     rng = np.random.default_rng(args.seed)
     family = _random_family(norm, rng, args.sites, args.queries, args.length, args.box)
     sticks = family.sticks
@@ -231,6 +233,8 @@ def cmd_strip(args) -> int:
         raise ValueError("--lambda must exceed 2 (geometric convexity)")
     if args.k < 1.0:
         raise ValueError("--k must be >= 1")
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     try:
         configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
                                        seed=args.seed, endpoint_gap_max=args.big_r)
@@ -240,7 +244,7 @@ def cmd_strip(args) -> int:
     header = ["index", "delta", "kappa", "bound", "projection",
               "promise_lhs", "promise_rhs", "axya", "passed"]
     rows = []
-    failures = 0
+    failures = unconverged = 0
     opts = {"n_starts": 8, "max_iter": 80}
     for idx, (l, m, x0) in enumerate(configs):
         rep = strip_experiment(norm, l, m, x0, args.delta, args.rho, args.lam,
@@ -250,8 +254,10 @@ def cmd_strip(args) -> int:
                      rep.promise_lhs, rep.promise_rhs, rep.axya_value,
                      rep.passed and rep.axya_ok])
         failures += not (rep.passed and rep.axya_ok)
+        unconverged += not rep.converged
     write_csv(args.out, header, rows, config=_config_dict(args))
-    print(f"strip: {len(rows)} configurations, {failures} failures -> {args.out}")
+    print(f"strip: {len(rows)} configurations, {failures} failures "
+          f"({unconverged} on a solve that did not converge) -> {args.out}")
     return EXIT_VIOLATION if failures else EXIT_OK
 
 

@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .gap import gap
-from .norms import Norm, ZeroVectorError, ZERO_THRESHOLD, as_vector
+from .gap import _gap
+from .norms import Norm, ZeroVectorError, ZERO_THRESHOLD, _value_and_normal, as_vector
 
 # Ratio denominators below 1e-12 * (1 + ||x||) are excluded: along
 # positively-parallel directions both sides vanish and 0/0 says nothing.
@@ -96,17 +96,6 @@ def _halton_directions(dim: int, count: int) -> np.ndarray:
     return g / nrm[:, None]
 
 
-def _normal_safe(norm: Norm, z: np.ndarray) -> np.ndarray:
-    """Batched normal map with zero rows replaced by e1 (callers mask them)."""
-    v = norm.value(z)
-    bad = v < ZERO_THRESHOLD
-    if np.any(bad):
-        e1 = np.zeros(norm.dim)
-        e1[0] = 1.0
-        z = np.where(bad[..., None], e1, z)
-    return norm.normal(z)
-
-
 def _coarse_directions(dim: int) -> np.ndarray:
     """Cheap quasi-uniform direction sweep used to seed the multi-start."""
     if dim == 2:
@@ -127,32 +116,33 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
     """BFGS refinement of a sphere maximizer via the parametrization y = t*u/||u||."""
 
     def neg(u: np.ndarray):
-        nu = float(norm.value(u))
+        vu = norm._value(u)
+        nu = float(vu)
         if nu < ZERO_THRESHOLD:
             return 0.0, np.zeros_like(u)
         y = t * u / nu
         z = x + y
-        val = float(norm.value(z) - np.dot(z, n_of_x))
-        g = _normal_safe(norm, z) - n_of_x
-        n_of_u = norm.normal(u)
+        vz, n_of_z = _value_and_normal(norm, z)
+        val = float(vz - np.dot(z, n_of_x))
+        g = n_of_z - n_of_x
+        n_of_u = norm._normal(u, vu)
         grad_u = (t / nu) * (g - (float(np.dot(u, g)) / nu) * n_of_u)
         return -val, -grad_u
 
     res = minimize(neg, y0, jac=True, method="BFGS",
                    options={"gtol": 1e-12, "maxiter": 200})
     u = res.x
-    nu = float(norm.value(u))
+    nu = float(norm._value(u))
     if nu < ZERO_THRESHOLD:
         return y0, -np.inf
     y = t * u / nu
     z = x + y
-    return y, float(norm.value(z) - np.dot(z, n_of_x))
+    return y, float(norm._value(z) - np.dot(z, n_of_x))
 
 
 def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
             kkt_tol: float = 1e-7) -> ModulusResult:
     """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
-
     Starts come from a deterministic low-discrepancy set, so the result is
     reproducible.  The leading candidates are polished by BFGS on the
     scale-invariant parametrization y = t*u/||u||.  The first start within
@@ -164,34 +154,32 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     t = float(t)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if float(norm.value(x)) < ZERO_THRESHOLD:
-        raise ZeroVectorError("modulus needs x != 0")
+    n_of_x = norm.normal(x)
     n = norm.dim
     k = max(4, int(n_starts)) if n > 1 else 2
 
     u = _halton_directions(n, k)
-    n_of_x = norm.normal(x)
 
     def objective(yy: np.ndarray) -> np.ndarray:
         z = x + yy
-        return norm.value(z) - np.sum(z * n_of_x, axis=-1)
+        return norm._value(z) - np.sum(z * n_of_x, axis=-1)
 
     if 2 <= n <= 3:
         # Seed with the best directions of a coarse sweep so the global
         # basin is always represented among the starts.
         sweep = _coarse_directions(n)
-        y_sweep = t * sweep / norm.value(sweep)[:, None]
+        y_sweep = t * sweep / norm._value(sweep)[:, None]
         top = np.argsort(objective(y_sweep))[::-1][:4]
         u = np.vstack([sweep[top], u])
         k = u.shape[0]
-    y = t * u / norm.value(u)[:, None]
+    y = t * u / norm._value(u)[:, None]
     f = objective(y)
     step = np.full(k, 0.3 * t)
     iterations = max_iter
     for it in range(max_iter):
-        grad = _normal_safe(norm, x + y) - n_of_x
+        grad = _value_and_normal(norm, x + y)[1] - n_of_x
         cand = y + step[:, None] * grad
-        nc = norm.value(cand)
+        nc = norm._value(cand)
         ok = nc > ZERO_THRESHOLD
         cand = np.where(ok[:, None], cand, y)
         nc = np.where(ok, nc, t)
@@ -243,9 +231,9 @@ def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusRe
     n_of_x = norm.normal(x)
 
     def h_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = t * u / norm.value(u)[..., None]
+        y = t * u / norm._value(u)[..., None]
         z = x + y
-        return norm.value(z) - np.sum(z * n_of_x, axis=-1), y
+        return norm._value(z) - np.sum(z * n_of_x, axis=-1), y
 
     if n == 1:
         u = np.array([[1.0], [-1.0]])
@@ -334,11 +322,11 @@ class ConstantsReport:
 
 def _unit_vectors(norm: Norm, rng: np.random.Generator, count: int) -> np.ndarray:
     v = rng.standard_normal((count, norm.dim))
-    nv = norm.value(v)
+    nv = norm._value(v)
     bad = nv < 1e-12
     if np.any(bad):
         v[bad] = np.eye(norm.dim)[0]
-        nv = norm.value(v)
+        nv = norm._value(v)
     return v / nv[:, None]
 
 
@@ -354,7 +342,7 @@ def _sample_displacements(norm: Norm, rng: np.random.Generator, x: np.ndarray,
         v = v - np.sum(v * n_of_x, axis=-1)[:, None] * x
     elif mode != "full":
         raise ValueError("mode must be 'full' or 'tangent'")
-    nv = norm.value(v)
+    nv = norm._value(v)
     good = nv > 1e-12
     nv = np.where(good, nv, 1.0)
     y = mags[:, None] * v / nv[:, None]
@@ -373,8 +361,8 @@ def _doubling_ratios(norm: Norm, r: float, mode: str, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
     y, good = _sample_displacements(norm, rng, x, r, mode)
-    h1 = gap(norm, x, x + y)
-    h2 = gap(norm, x, x + 2.0 * y)
+    h1 = _gap(norm, x, x + y)
+    h2 = _gap(norm, x, x + 2.0 * y)
     ok = good & (h1 > FLOOR_SCALE * 2.0) & np.isfinite(h2)
     if not np.any(ok):
         raise DegenerateSampleError("no informative samples: every h(x, x+y) fell below the floor")
@@ -414,8 +402,8 @@ def estimate_balanced(norm: Norm, bound: float, mode: str = "full",
     rng = np.random.default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
     y, good = _sample_displacements(norm, rng, x, bound, mode)
-    h_plus = gap(norm, x, x + y)
-    h_minus = gap(norm, x, x - y)
+    h_plus = _gap(norm, x, x + y)
+    h_minus = _gap(norm, x, x - y)
     ok = good & (h_minus > FLOOR_SCALE * 2.0) & (h_plus >= 0.0)
     if not np.any(ok):
         raise DegenerateSampleError("no informative samples: every h(x, x-y) fell below the floor")
@@ -448,12 +436,12 @@ def estimate_uniform_constants(norm: Norm, p: float, q: float,
     w = rng.standard_normal((half, norm.dim))
     s = 10.0 ** rng.uniform(-3.0, math.log10(2.0), size=half)
     ebar = e + s[:, None] * w
-    nb = norm.value(ebar)
+    nb = norm._value(ebar)
     good = nb > 1e-12
     ebar = np.where(good[:, None], ebar, e + np.eye(norm.dim)[0])
-    ebar = ebar / norm.value(ebar)[:, None]
-    d = norm.value(e - ebar)
-    num = 2.0 - norm.value(e + ebar)
+    ebar = ebar / norm._value(ebar)[:, None]
+    d = norm._value(e - ebar)
+    num = 2.0 - norm._value(e + ebar)
     ok = d > 1e-6
     if not np.any(ok):
         raise DegenerateSampleError("no informative unit pairs for the convexity constant")
@@ -464,11 +452,11 @@ def estimate_uniform_constants(norm: Norm, p: float, q: float,
     x = _unit_vectors(norm, rng, half)
     w2 = rng.standard_normal((half, norm.dim))
     s2 = 10.0 ** rng.uniform(-3.0, 0.0, size=half)
-    nw = norm.value(w2)
+    nw = norm._value(w2)
     nw = np.where(nw > 1e-12, nw, 1.0)
     y = s2[:, None] * w2 / nw[:, None]
-    ny = norm.value(y)
-    smooth = norm.value(x + y) + norm.value(x - y) - 2.0
+    ny = norm._value(y)
+    smooth = norm._value(x + y) + norm._value(x - y) - 2.0
     okb = ny > 1e-6
     b_ratios = smooth[okb] / ny[okb] ** q
     ib = int(np.argmax(b_ratios))
@@ -521,14 +509,14 @@ def duality_residual(norm: Norm, x, z, lam: float, r: float) -> float:
         raise ValueError("duality needs Lambda > 2")
     x = as_vector(x, norm.dim)
     z = as_vector(z, norm.dim)
-    nx = float(norm.value(x))
+    nx = float(norm._value(x))
     if nx < ZERO_THRESHOLD:
         raise ZeroVectorError("duality needs x != 0")
-    sep = float(norm.value(z - x))
+    sep = float(norm._value(z - x))
     if sep > 2.0 * r * nx * (1.0 + 1e-12):
         raise ValueError(f"||z - x|| = {sep!r} exceeds the certified radius 2*r*||x||")
-    lhs = float(gap(norm, x, z))
-    rhs = lam / (lam - 2.0) * float(gap(norm, z, x))
+    lhs = float(_gap(norm, x, z))
+    rhs = lam / (lam - 2.0) * float(_gap(norm, z, x))
     return max(0.0, lhs - rhs)
 
 
@@ -685,7 +673,7 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     v = rng.standard_normal((samples, norm.dim))
     n_of_x = norm.normal(x)
     v = v - np.sum(v * n_of_x, axis=-1)[:, None] * x
-    nv = norm.value(v)
+    nv = norm._value(v)
     good = nv > 1e-12
     nv = np.where(good, nv, 1.0)
     xp = v / nv[:, None]
@@ -693,14 +681,14 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     eps = eps_max * 10.0 ** rng.uniform(-3.0, 0.0, size=samples)
 
     y = alpha[:, None] * x + eps[:, None] * xp
-    h1 = gap(norm, x, x + y)
-    h2 = gap(norm, x, x + 2.0 * y)
-    hm = gap(norm, x, x - y)
+    h1 = _gap(norm, x, x + y)
+    h2 = _gap(norm, x, x + 2.0 * y)
+    hm = _gap(norm, x, x - y)
 
     e_num = eps / (1.0 + 2.0 * alpha)
     e_den = eps / (1.0 + alpha)
-    g_num = norm.value(x + e_num[:, None] * xp) - 1.0
-    g_den = norm.value(x + e_den[:, None] * xp) - 1.0
+    g_num = norm._value(x + e_num[:, None] * xp) - 1.0
+    g_den = norm._value(x + e_den[:, None] * xp) - 1.0
 
     floor = FLOOR_SCALE * 2.0
     usable = good & (h1 > floor) & (g_den > floor)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import Norm, ZERO_THRESHOLD, _check_batch
+from .norms import Norm, ZERO_THRESHOLD, _check_batch, _value_and_normal
 
 
 def gap(norm: Norm, x, y) -> np.ndarray:
@@ -27,16 +27,14 @@ def gap(norm: Norm, x, y) -> np.ndarray:
 
     Rows with ||x|| below the zero threshold return 0 by convention.
     """
-    x = _check_batch(x, norm.dim)
-    y = _check_batch(y, norm.dim)
-    nx = norm.value(x)
+    return _gap(norm, _check_batch(x, norm.dim), _check_batch(y, norm.dim))
+
+
+def _gap(norm: Norm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`gap` on checked arrays."""
+    nx, n_of_x = _value_and_normal(norm, x)
+    val = norm._value(y) - np.sum(y * n_of_x, axis=-1)
     zero = nx < ZERO_THRESHOLD
-    if np.any(zero):
-        e1 = np.zeros(norm.dim)
-        e1[0] = 1.0
-        x = np.where(zero[..., None], e1, x)
-    n_of_x = norm.normal(x)
-    val = norm.value(y) - np.sum(y * n_of_x, axis=-1)
     if np.any(zero):
         val = np.where(zero, 0.0, val)
     return val
@@ -47,10 +45,10 @@ def triangle_equality_residual(norm: Norm, x, y) -> float:
     x = _check_batch(x, norm.dim)
     y = _check_batch(y, norm.dim)
     s = x + y
-    ns = norm.value(s)
+    ns = norm._value(s)
     if np.any(ns < ZERO_THRESHOLD):
         raise ValueError("triangle equality requires x + y != 0")
-    rhs = norm.value(x) + norm.value(y) - gap(norm, s, x) - gap(norm, s, y)
+    rhs = norm._value(x) + norm._value(y) - _gap(norm, s, x) - _gap(norm, s, y)
     out = np.abs(ns - rhs)
     return float(out) if out.ndim == 0 else out
 
@@ -59,10 +57,10 @@ def linearization_identity_residual(norm: Norm, x, y) -> float:
     """| ||y|| - (||x|| + h(x, y) + <y - x, N(x)>) |; zero in exact arithmetic."""
     x = _check_batch(x, norm.dim)
     y = _check_batch(y, norm.dim)
-    nx = norm.value(x)
+    nx = norm._value(x)
     if np.any(nx < ZERO_THRESHOLD):
         raise ValueError("linearization identity requires x != 0")
-    n_of_x = norm.normal(x)
-    rhs = nx + gap(norm, x, y) + np.sum((y - x) * n_of_x, axis=-1)
-    out = np.abs(norm.value(y) - rhs)
+    n_of_x = norm._normal(x, nx)
+    rhs = nx + _gap(norm, x, y) + np.sum((y - x) * n_of_x, axis=-1)
+    out = np.abs(norm._value(y) - rhs)
     return float(out) if out.ndim == 0 else out

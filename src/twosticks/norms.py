@@ -14,6 +14,12 @@ the *normal map* ``N(x)``, is the exterior normal to the norm ball through
 All evaluation routines are vectorized over leading axes: inputs of shape
 ``(..., dim)`` produce values of shape ``(...,)`` and normals of shape
 ``(..., dim)``.  Everything is pure and safe for concurrent use.
+
+Input is checked once, at the boundary: the public ``Norm.value`` and
+``Norm.normal`` check that the last axis has length ``dim`` and that every
+entry is finite, and ``normal`` raises `ZeroVectorError` at the origin.  Each
+class implements only the unchecked kernels ``_value(x)`` and ``_normal(x, v)``
+(with ``v = _value(x)`` nonzero), which take arrays already checked or generated.
 """
 
 from __future__ import annotations
@@ -40,11 +46,7 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
-    return v
+    return _check_batch(v, v.shape[0] if dim is None else dim)
 
 
 def _check_batch(x, dim: int) -> np.ndarray:
@@ -57,7 +59,7 @@ def _check_batch(x, dim: int) -> np.ndarray:
 
 
 class Norm:
-    """Base class; concrete norms implement `value` and usually `normal`."""
+    """Base class; concrete norms implement `_value` and usually `_normal`."""
 
     kind = "abstract"
 
@@ -67,21 +69,27 @@ class Norm:
         self.dim = int(dim)
 
     def value(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """||x|| over the last axis, which must have length `dim`."""
+        return self._value(_check_batch(x, self.dim))
 
     def normal(self, x) -> np.ndarray:
-        """Gradient of the norm at x != 0 (Richardson fallback)."""
+        """Normal map N(x), the gradient of the norm; undefined at x = 0."""
         x = _check_batch(x, self.dim)
-        v = self.value(x)
+        v = self._value(x)
         if np.any(v < ZERO_THRESHOLD):
             raise ZeroVectorError("normal map undefined at the origin")
-        if x.ndim == 1:
-            return _richardson_gradient(self, x)
-        out = np.empty_like(x)
-        flat = x.reshape(-1, self.dim)
-        outf = out.reshape(-1, self.dim)
-        for i in range(flat.shape[0]):
-            outf[i] = _richardson_gradient(self, flat[i])
+        return self._normal(x, v)
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Richardson-extrapolated central differences, one row at a time."""
+        out = np.empty(x.shape)
+        for row, grad in zip(x.reshape(-1, self.dim), out.reshape(-1, self.dim)):
+            h = 1e-5 * (1.0 + float(np.max(np.abs(row))))
+            g1 = _central_difference(self, row, h)
+            grad[:] = (4.0 * _central_difference(self, row, h / 2.0) - g1) / 3.0
         return out
 
     def descriptor(self) -> dict:
@@ -97,15 +105,10 @@ class Norm:
 class EuclideanNorm(Norm):
     kind = "euclidean"
 
-    def value(self, x) -> np.ndarray:
-        x = _check_batch(x, self.dim)
+    def _value(self, x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(x * x, axis=-1))
 
-    def normal(self, x) -> np.ndarray:
-        x = _check_batch(x, self.dim)
-        v = np.sqrt(np.sum(x * x, axis=-1))
-        if np.any(v < ZERO_THRESHOLD):
-            raise ZeroVectorError("normal map undefined at the origin")
+    def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return x / v[..., None]
 
     def descriptor(self) -> dict:
@@ -124,21 +127,16 @@ class PNorm(Norm):
             raise ValueError("p-norm requires 1 < p < inf")
         self.p = p
 
-    def value(self, x) -> np.ndarray:
+    def _value(self, x: np.ndarray) -> np.ndarray:
         # Scale by the max coordinate before powering so that extreme p
         # neither overflows nor underflows.
-        x = _check_batch(x, self.dim)
         a = np.abs(x)
         m = np.max(a, axis=-1)
         safe = np.where(m > 0.0, m, 1.0)
         s = np.sum((a / safe[..., None]) ** self.p, axis=-1) ** (1.0 / self.p)
         return np.where(m > 0.0, safe * s, 0.0)
 
-    def normal(self, x) -> np.ndarray:
-        x = _check_batch(x, self.dim)
-        v = self.value(x)
-        if np.any(v < ZERO_THRESHOLD):
-            raise ZeroVectorError("normal map undefined at the origin")
+    def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = x / v[..., None]
         return np.sign(u) * np.abs(u) ** (self.p - 1.0)
 
@@ -164,16 +162,23 @@ class PluginNorm(Norm):
         self.func = func
         self.name = str(name)
 
-    def value(self, x) -> np.ndarray:
-        x = _check_batch(x, self.dim)
-        if x.ndim == 1:
-            return np.float64(self.func(x))
+    def _value(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(-1, self.dim)
         out = np.array([self.func(row) for row in flat], dtype=float)
         return out.reshape(x.shape[:-1])
 
     def descriptor(self) -> dict:
         return {"kind": "plugin", "name": self.name, "dim": self.dim}
+
+
+def _value_and_normal(norm: Norm, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||z||, N(z)) for checked z, with N(e1) in zero rows; callers mask those."""
+    v = norm._value(z)
+    zero = v < ZERO_THRESHOLD
+    if not np.any(zero):
+        return v, norm._normal(z, v)
+    z = np.where(zero[..., None], np.eye(norm.dim)[0], z)
+    return v, norm._normal(z, norm._value(z))
 
 
 def norm_from_json(text) -> Norm:
@@ -219,16 +224,14 @@ def tangent_decompose(norm: Norm, x, y) -> TangentDecomposition:
     """
     x = as_vector(x, norm.dim)
     y = as_vector(y, norm.dim)
-    nx = float(norm.value(x))
-    if nx < ZERO_THRESHOLD:
-        raise ZeroVectorError("tangent decomposition needs x != 0")
+    n_of_x = norm.normal(x)
+    nx = float(norm._value(x))
     if abs(nx - 1.0) > UNIT_TOL:
         raise ValueError(f"x must be a unit vector (||x|| = {nx!r})")
-    n_of_x = norm.normal(x)
     alpha = float(np.dot(y, n_of_x))
     resid = y - alpha * x
-    eps = float(norm.value(resid))
-    if eps <= 1e-12 * (1.0 + float(norm.value(y))):
+    eps = float(norm._value(resid))
+    if eps <= 1e-12 * (1.0 + float(norm._value(y))):
         return TangentDecomposition(alpha=alpha, epsilon=0.0, x_perp=None)
     return TangentDecomposition(alpha=alpha, epsilon=eps, x_perp=resid / eps)
 
@@ -238,19 +241,14 @@ def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
     x = as_vector(x, norm.dim)
     if step <= 0.0:
         raise ValueError("step must be positive")
-    if float(norm.value(x)) < ZERO_THRESHOLD:
+    if float(norm._value(x)) < ZERO_THRESHOLD:
         raise ZeroVectorError("gradient undefined at the origin")
+    return _central_difference(norm, x, step)
+
+
+def _central_difference(norm: Norm, x: np.ndarray, step: float) -> np.ndarray:
     eye = np.eye(norm.dim) * step
-    fp = norm.value(x[None, :] + eye)
-    fm = norm.value(x[None, :] - eye)
-    return (fp - fm) / (2.0 * step)
-
-
-def _richardson_gradient(norm: Norm, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    h = step * (1.0 + float(np.max(np.abs(x))))
-    g1 = finite_diff_gradient(norm, x, h)
-    g2 = finite_diff_gradient(norm, x, h / 2.0)
-    return (4.0 * g2 - g1) / 3.0
+    return (norm._value(x + eye) - norm._value(x - eye)) / (2.0 * step)
 
 
 @dataclass

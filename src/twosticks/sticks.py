@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .convexity import modulus, ModulusResult
-from .gap import gap
+from .gap import _gap
 from .norms import EuclideanNorm, Norm, as_vector
 
 CHECK_SLACK = 1e-12
@@ -62,7 +62,10 @@ class Stick:
         return self.end - self.start
 
     def length(self, norm: Norm) -> float:
-        return float(norm.value(self.end - self.start))
+        """||end - start||; ValueError unless the stick has the norm's dimension."""
+        if self.dim != norm.dim:
+            raise ValueError(f"dimension mismatch: {self.dim}-d stick, {norm.dim}-d norm")
+        return float(norm._value(self.end - self.start))
 
     def point_at(self, t: float) -> np.ndarray:
         """Affine interpolation (1-t)*start + t*end; t outside [0, 1] extrapolates."""
@@ -83,8 +86,8 @@ def two_sticks_check(norm: Norm, l: Stick, m: Stick) -> bool:
     len_l = l.length(norm)
     len_m = m.length(norm)
     slack = CHECK_SLACK * (1.0 + len_l + len_m)
-    first = float(norm.value(l.end - m.start)) >= len_l - slack
-    second = float(norm.value(m.end - l.start)) >= len_m - slack
+    first = float(norm._value(l.end - m.start)) >= len_l - slack
+    second = float(norm._value(m.end - l.start)) >= len_m - slack
     return first and second
 
 
@@ -141,10 +144,10 @@ def flip_chain_verify(norm: Norm, l: Stick, m: Stick, s: float, t: float) -> Fli
         links.append((label, two_sticks_check(norm, a, b), equal_length_check(norm, a, b)))
 
     slack = CHECK_SLACK * (1.0 + length)
-    first = float(norm.value(m.point_at(s) - l.point_at(t))) \
-        >= float(norm.value(m.point_at(s) - m.point_at(t))) - slack
-    second = float(norm.value(l.point_at(s) - m.point_at(t))) \
-        >= float(norm.value(l.point_at(s) - l.point_at(t))) - slack
+    first = float(norm._value(m.point_at(s) - l.point_at(t))) \
+        >= float(norm._value(m.point_at(s) - m.point_at(t))) - slack
+    second = float(norm._value(l.point_at(s) - m.point_at(t))) \
+        >= float(norm._value(l.point_at(s) - l.point_at(t))) - slack
     return FlipChainReport(s=s, t=t, degenerate=degenerate, links=links,
                            flipa_ok=(first, second))
 
@@ -204,11 +207,11 @@ def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -
     bound ||l1-m1|| <= (C/t) ||l_t-m_t||^(q/p); inf signals a bound
     violation (coincident interior points with distinct endpoints).
     """
+    length = l.length(norm)
     if not (0.0 < t <= 1.0):
         raise PreconditionError("parameters", "need 0 < t <= 1")
     if not (1.0 < q <= p):
         raise ValueError("need 1 < q <= p")
-    length = l.length(norm)
     if length < 1e-12:
         raise DegenerateStickError("sticks must have positive length")
     if not two_sticks_check(norm, l, m):
@@ -217,10 +220,10 @@ def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -
         raise PreconditionError("equal_length", "pair must have equal length")
     scale = 1.0 / length
     lu, mu = l.scaled(scale), m.scaled(scale)
-    num = float(norm.value(lu.end - mu.end))
+    num = float(norm._value(lu.end - mu.end))
     if num == 0.0:
         return 0.0
-    den = float(norm.value(lu.point_at(t) - mu.point_at(t)))
+    den = float(norm._value(lu.point_at(t) - mu.point_at(t)))
     if den < 1e-300:
         return math.inf
     return t * num / den ** (q / p)
@@ -254,10 +257,12 @@ def select_special_stick(norm: Norm, sticks: list, radius: float, **modulus_opts
 
 def segment_point_distance(norm: Norm, stick: Stick, point) -> tuple[float, float]:
     """min_t ||stick(t) - point|| over t in [0, 1]; returns (distance, argmin t)."""
-    point = as_vector(point, stick.dim)
+    if stick.dim != norm.dim:
+        raise ValueError(f"dimension mismatch: {stick.dim}-d stick, {norm.dim}-d norm")
+    point = as_vector(point, norm.dim)
 
     def dist(t: float) -> float:
-        return float(norm.value(stick.point_at(t) - point))
+        return float(norm._value(stick.point_at(t) - point))
 
     res = minimize_scalar(dist, bounds=(0.0, 1.0), method="bounded",
                           options={"xatol": 1e-12})
@@ -276,8 +281,9 @@ class StripReport:
 
     `bound` is the half width K*Lambda^2/(Lambda-2) * kappa*delta of the strip,
     `projection` is <l1 - m1, N(ybar)>, and `passed` requires the projection
-    to stay inside [-bound, bound] and the gap bound promise_lhs <= promise_rhs
-    to hold (both with scaled tolerance).
+    to stay inside [-bound, bound], the gap bound promise_lhs <= promise_rhs
+    to hold (both with scaled tolerance), and `converged`: all three modulus
+    solves behind sigma_e, sigma_ebar and ybar converged.
     """
 
     delta: float
@@ -291,6 +297,7 @@ class StripReport:
     projection: float
     promise_lhs: float
     promise_rhs: float
+    converged: bool
     passed: bool
     sigma_e: float
     sigma_ebar: float
@@ -321,13 +328,12 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     lambda_star of m inside the delta-ball, then the parameter t_star where
     <l(t) - lambda_star, N(e)> crosses zero.
     """
+    length = l.length(norm)
     opts = modulus_opts or {}
     if lam <= 2.0:
         raise PreconditionError("lambda_range", "geometric convexity requires Lambda > 2")
     if k_const < 1.0:
         raise PreconditionError("k_range", "balanced constant K must be >= 1")
-
-    length = l.length(norm)
     if length < 1e-12:
         raise DegenerateStickError("sticks must have positive length")
     if not equal_length_check(norm, l, m):
@@ -347,14 +353,15 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
 
     kappa = 4.0 / (rho - 3.0 * delta)
     width = k_const * lam * lam / (lam - 2.0) * kappa * delta
-    gap_ends = float(norm.value(l.end - m.end))
+    gap_ends = float(norm._value(l.end - m.end))
     if gap_ends > big_r * (1.0 + 1e-12):
         raise PreconditionError("eta_radius", f"||l1 - m1|| = {gap_ends!r} exceeds R = {big_r!r}")
     if width > 1.0 + 1e-12:
         raise PreconditionError("eta_width", f"strip width {width!r} exceeds 1")
 
-    sigma_e = modulus(norm, l.direction(), kappa * delta, **opts).sigma
-    sigma_ebar = modulus(norm, m.direction(), kappa * delta, **opts).sigma
+    mod_e = modulus(norm, l.direction(), kappa * delta, **opts)
+    mod_ebar = modulus(norm, m.direction(), kappa * delta, **opts)
+    sigma_e, sigma_ebar = mod_e.sigma, mod_ebar.sigma
     if sigma_e > sigma_ebar + tol * (1.0 + sigma_ebar):
         if auto_orient:
             l, m = m, l
@@ -368,7 +375,7 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     near_slack = tol * (1.0 + delta)
     if dist_l > delta + near_slack or dist_m > delta + near_slack:
         raise PreconditionError("near", "both sticks must meet the closed delta-ball")
-    if float(norm.value(l.end - x0)) <= rho or float(norm.value(l.start - x0)) <= rho:
+    if float(norm._value(l.end - x0)) <= rho or float(norm._value(l.start - x0)) <= rho:
         raise PreconditionError("notinb", "l's endpoints must lie outside the rho-ball")
 
     e = l.direction()
@@ -383,29 +390,31 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     l_star = l.point_at(t_star)
     if not (-tol <= t_star <= 1.0 + tol):
         raise PreconditionError("lst", f"interior parameter t = {t_star!r} escapes [0, 1]")
-    if float(norm.value(l_star - x0)) > 3.0 * delta + near_slack:
+    if float(norm._value(l_star - x0)) > 3.0 * delta + near_slack:
         raise PreconditionError("lst", "constructed interior point left the 3*delta-ball")
-    if float(norm.value(l_star - lambda_star)) > 4.0 * delta + near_slack:
+    if float(norm._value(l_star - lambda_star)) > 4.0 * delta + near_slack:
         raise PreconditionError("lst", "interior gap exceeded 4*delta")
 
     ymax = modulus(norm, ebar, width, **opts)
     ybar = ymax.maximizer_y
     n_ybar = norm.normal(ybar)
+    converged = mod_e.converged and mod_ebar.converged and ymax.converged
 
-    promise_lhs = float(gap(norm, ebar, m.end - l.start) + gap(norm, ebar, l.end - m.start))
+    promise_lhs = float(_gap(norm, ebar, m.end - l.start) + _gap(norm, ebar, l.end - m.start))
     promise_rhs = lam / (lam - 2.0) * sigma_ebar
     projection = float(np.dot(l.end - m.end, n_ybar))
     axya_value = float(np.dot(ebar, n_ybar))
 
     tol_proj = tol * (1.0 + width)
     tol_prom = tol * (1.0 + abs(promise_lhs) + abs(promise_rhs))
-    passed = bool((-width - tol_proj <= projection <= width + tol_proj)
+    passed = bool(converged and (-width - tol_proj <= projection <= width + tol_proj)
                   and (promise_lhs <= promise_rhs + tol_prom))
     axya_ok = bool(-width - tol_proj <= axya_value <= tol_proj)
 
     return StripReport(delta=delta, rho=rho, kappa=kappa, lam=lam, k_const=k_const,
                        bound=width, ybar=ybar, normal_ybar=n_ybar, projection=projection,
-                       promise_lhs=promise_lhs, promise_rhs=promise_rhs, passed=passed,
+                       promise_lhs=promise_lhs, promise_rhs=promise_rhs,
+                       converged=converged, passed=passed,
                        sigma_e=sigma_e, sigma_ebar=sigma_ebar, axya_value=axya_value,
                        axya_ok=axya_ok, l_star=l_star, lambda_star=lambda_star,
                        t_star=t_star)

@@ -1,0 +1,133 @@
+"""The validation boundary: public entry points check their input, and the
+per-class kernels they delegate to run unchecked, never per inner-loop step."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import twosticks.norms as norms
+from twosticks import (
+    EuclideanNorm,
+    PluginNorm,
+    PNorm,
+    SiteSet,
+    Stick,
+    gap,
+    holder_ratio,
+    modulus,
+    nearest_point,
+    segment_point_distance,
+    two_sticks_check,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+NORMS = {
+    "euclidean": EuclideanNorm(3),
+    "p3": PNorm(3, 3),
+    "plugin": PluginNorm(lambda v: float(np.sqrt(np.sum(v * v))), 3),
+}
+
+X3 = np.array([1.0, 0.0, 0.0])
+STICK3 = Stick([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+STICK2 = Stick([0.0, 0.0], [1.0, 0.0])
+SITES3 = SiteSet(np.eye(3), PNorm(3, 3))
+
+WRONG_DIM = [np.array([1.0, 0.0]), np.ones((4, 2)), np.ones((2, 4))]
+NON_FINITE = [np.array([1.0, np.nan, 0.0]), np.array([[np.inf, 0.0, 0.0]])]
+
+
+def _norm_cases():
+    for name, norm in NORMS.items():
+        yield f"{name}.value", norm.value
+        yield f"{name}.normal", norm.normal
+
+
+# Entry points taking one raw array: (id, call).
+ARRAY_ENTRIES = [
+    *_norm_cases(),
+    ("gap.x", lambda a: gap(PNorm(3, 3), a, X3)),
+    ("gap.y", lambda a: gap(PNorm(3, 3), X3, a)),
+    ("modulus", lambda a: modulus(PNorm(3, 3), a, 1e-3, n_starts=4, max_iter=5)),
+    ("nearest_point", lambda a: nearest_point(SITES3, a)),
+    ("segment_point_distance", lambda a: segment_point_distance(PNorm(3, 3), STICK3, a)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in ARRAY_ENTRIES],
+                         ids=[i for i, _ in ARRAY_ENTRIES])
+@pytest.mark.parametrize("bad", WRONG_DIM + NON_FINITE,
+                         ids=["dim2", "rows2", "rows4", "nan", "inf"])
+def test_raw_array_entry_points_reject_bad_input(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+# Entry points taking sticks; a Stick checks finiteness when it is built.
+STICK_ENTRIES = {
+    "two_sticks_check": lambda l, m: two_sticks_check(PNorm(3, 3), l, m),
+    "holder_ratio": lambda l, m: holder_ratio(PNorm(3, 3), l, m, 0.5, 2.0, 3.0),
+    "segment_point_distance": lambda l, m: segment_point_distance(PNorm(3, 3), l, [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STICK_ENTRIES))
+@pytest.mark.parametrize("pair", [(STICK2, STICK2), (STICK3, STICK2), (STICK2, STICK3)],
+                         ids=["both", "second", "first"])
+def test_stick_entry_points_reject_wrong_dimension(name, pair):
+    with pytest.raises(ValueError):
+        STICK_ENTRIES[name](*pair)
+
+
+def test_stick_length_rejects_wrong_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        STICK2.length(PNorm(3, 3))
+
+
+def test_modulus_check_count_does_not_depend_on_max_iter(monkeypatch):
+    norm = PNorm(3, 3)
+    x = np.array([1.0, 2.0, -0.5])
+    x = x / float(norm.value(x))
+    calls = []
+    real = norms._check_batch
+
+    def counting(x, dim):
+        calls.append(dim)
+        return real(x, dim)
+
+    monkeypatch.setattr(norms, "_check_batch", counting)
+    counts = []
+    for max_iter in (20, 80):
+        calls.clear()
+        modulus(norm, x, 1e-3, n_starts=8, max_iter=max_iter)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_traced_benchmark_wrappers_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    targets = {(defining, attr): getattr(importlib.import_module(defining), attr)
+               for defining, attr, _ in spans.FUNCTIONS}
+    methods = {(cls, attr): vars(cls)[attr]
+               for cls in vars(norms).values()
+               if isinstance(cls, type) and issubclass(cls, norms.Norm)
+               for attr in spans.NORM_METHODS if attr in vars(cls)}
+    assert {attr for _, attr in methods} == set(spans.NORM_METHODS)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (defining, attr), fn in targets.items():
+            assert getattr(sys.modules[defining], attr).__wrapped__ is fn
+        for (cls, attr), fn in methods.items():
+            assert vars(cls)[attr].__wrapped__ is fn
+    finally:
+        tracer.uninstall()
+    for (defining, attr), fn in targets.items():
+        assert getattr(sys.modules[defining], attr) is fn
+    for (cls, attr), fn in methods.items():
+        assert vars(cls)[attr] is fn

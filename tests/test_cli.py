@@ -98,6 +98,21 @@ class TestBoundary:
         monkeypatch.chdir(tmp_path)  # a run that wrongly proceeds writes its default --out here
         assert cli.main(argv) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        STRIP + ["--count", "0"],
+        STRIP + ["--count", "-2"],
+        STICKS + ["--pairs", "0"],
+    ])
+    def test_empty_runs_are_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strip_summary_counts_unconverged_failures(self, tmp_path, capsys):
+        assert cli.main(STRIP + ["--out", str(tmp_path / "s.csv")]) == cli.EXIT_OK
+        assert "0 failures (0 on a solve that did not converge)" in capsys.readouterr().out
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [STRIP, STICKS], ids=["strip", "sticks"])

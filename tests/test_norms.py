@@ -108,6 +108,13 @@ class TestNormalMap:
         with pytest.raises(ZeroVectorError):
             PNorm(2.5, 2).normal(np.zeros(2))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_plugin_fallback_on_a_batch(self, order):
+        # A Fortran-ordered batch of rank 3 must not lose the per-row writes.
+        plugin = PluginNorm(lambda v: float(np.linalg.norm(v)), dim=2)
+        x = np.arange(1.0, 13.0).reshape((2, 3, 2), order=order)
+        np.testing.assert_allclose(plugin.normal(x), EuclideanNorm(2).normal(x), atol=1e-9)
+
     def test_support_inequality_random(self):
         for norm in (EuclideanNorm(3), PNorm(1.5, 3), PNorm(4, 3)):
             x = RNG.standard_normal((200, 3))

@@ -420,3 +420,15 @@ class TestStripExperiment:
             rep = strip_experiment(norm, l, m, x0, 1e-4, 0.36, lam, k_const, 0.05,
                                    modulus_opts=opts, auto_orient=True)
             assert rep.passed and rep.axya_ok
+
+    def test_unconverged_solve_fails_closed(self):
+        norm = PNorm(3, 3)
+        l, m, x0 = generate_strip_pairs(norm, 1, delta=1e-4, rho=0.36, seed=0,
+                                        endpoint_gap_max=0.05)[0]
+        args = (norm, l, m, x0, 1e-4, 0.36, 2.0279, 3.5555, 0.05)
+        opts = {"n_starts": 8, "max_iter": 80}
+        rep = strip_experiment(*args, modulus_opts=opts, auto_orient=True)
+        assert rep.converged and rep.passed
+        # No KKT residual is exactly zero, so no solve counts as converged.
+        rep = strip_experiment(*args, modulus_opts={**opts, "kkt_tol": 0.0}, auto_orient=True)
+        assert not rep.converged and not rep.passed
