@@ -47,6 +47,7 @@ from .convexity import (
 from .sticks import (
     DegenerateStickError,
     FlipChainReport,
+    PairVerdicts,
     PreconditionError,
     Stick,
     StripReport,
@@ -55,21 +56,19 @@ from .sticks import (
     euclid_monotonicity,
     flip_chain_verify,
     holder_ratio,
+    pair_verdicts,
     segment_point_distance,
     select_special_stick,
     strip_experiment,
     two_sticks_check,
 )
 from .atlas import (
-    EndpointModulusTable,
     NearestResult,
     RayFamily,
     SiteSet,
     build_ray_family,
-    endpoint_map_modulus,
     generate_strip_pairs,
     nearest_point,
-    pairwise_two_sticks,
 )
 from .sharpness import (
     SharpnessCurve,
@@ -83,4 +82,23 @@ from .sharpness import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EuclideanNorm", "Norm", "NormValidationReport", "PluginNorm", "PNorm",
+    "TangentDecomposition", "ZeroVectorError", "finite_diff_gradient", "norm_from_json",
+    "tangent_decompose", "validate_norm",
+    "gap", "linearization_identity_residual", "triangle_equality_residual",
+    "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
+    "TransferReport", "duality_residual", "estimate_balanced", "estimate_doubling",
+    "estimate_lambda", "estimate_uniform_constants", "extend_constants",
+    "extend_constants_to", "modulus", "modulus_grid", "onev_default_grid", "onev_f",
+    "onev_g", "onev_scan", "transfer_check",
+    "DegenerateStickError", "FlipChainReport", "PairVerdicts", "PreconditionError",
+    "Stick", "StripReport", "euclid_interp_bound_residual", "euclid_lipschitz_ratio",
+    "euclid_monotonicity", "flip_chain_verify", "holder_ratio", "pair_verdicts",
+    "segment_point_distance", "select_special_stick", "strip_experiment",
+    "two_sticks_check",
+    "NearestResult", "RayFamily", "SiteSet", "build_ray_family", "generate_strip_pairs",
+    "nearest_point",
+    "SharpnessCurve", "SharpnessInstance", "construct_pgt2", "construct_plt2",
+    "holder_exponent", "sharpness_curve", "solve_g",
+]

@@ -3,10 +3,7 @@
 If l0 is a nearest site to l1 and m0 a nearest site to m1, the segments
 [l0, l1] and [m0, m1] automatically satisfy the two-sticks condition; so
 families built by shooting rays from nearest sites toward query points give
-an endless supply of honest two-sticks pairs of a common length.  The
-`endpoint_map_modulus` table measures how tightly close interior points pin
-down the terminal points across such a family - the empirical modulus of
-continuity of the interior-to-endpoint map.
+an endless supply of honest two-sticks pairs of a common length.
 """
 
 from __future__ import annotations
@@ -111,41 +108,6 @@ def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:
                      skipped=skipped)
 
 
-def pairwise_two_sticks(norm: Norm, sticks: list) -> tuple[bool, tuple]:
-    """Exhaustively check all unordered pairs; returns (ok, first offending pair)."""
-    for i in range(len(sticks)):
-        for j in range(i + 1, len(sticks)):
-            if not two_sticks_check(norm, sticks[i], sticks[j]):
-                return False, (i, j)
-    return True, ()
-
-
-def _pair_min_gap(norm: Norm, l: Stick, m: Stick, t: float,
-                  rounds: int = 5, grid: int = 17) -> float:
-    """min over s, u in [t, 1] of ||l_s - m_u||, by grid search plus refinement.
-
-    The objective is convex in (s, u), so shrinking windows around the best
-    cell converge; the result can only overestimate the true minimum, never
-    undershoot it.
-    """
-    cs, cu = 0.5 * (t + 1.0), 0.5 * (t + 1.0)
-    half = 0.5 * (1.0 - t)
-    best = np.inf
-    for _ in range(rounds):
-        ss = np.linspace(max(t, cs - half), min(1.0, cs + half), grid)
-        uu = np.linspace(max(t, cu - half), min(1.0, cu + half), grid)
-        pl = (1.0 - ss)[:, None] * l.start + ss[:, None] * l.end
-        pm = (1.0 - uu)[:, None] * m.start + uu[:, None] * m.end
-        diff = pl[:, None, :] - pm[None, :, :]
-        vals = norm.value(diff)
-        k = int(np.argmin(vals))
-        i, j = divmod(k, grid)
-        best = min(best, float(vals[i, j]))
-        cs, cu = float(ss[i]), float(uu[j])
-        half /= 4.0
-    return best
-
-
 def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
                          seed: int = 0, *, endpoint_gap_max: float = 0.2,
                          max_tries: int = 100000) -> list:
@@ -205,46 +167,3 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
     if len(out) < count:
         raise RuntimeError(f"only {len(out)} admissible configurations in {max_tries} tries")
     return out
-
-
-@dataclass
-class EndpointModulusTable:
-    """Empirical modulus eps(delta0) of the interior-to-endpoint map.
-
-    Row (delta0, eps, pairs): over all pairs owning interior points at
-    parameters >= t within delta0 of each other, eps is the largest terminal
-    gap observed.  Monotone nondecreasing in delta0 by construction.
-    """
-
-    t: float
-    rows: list
-    n_sticks: int
-
-    def epsilons(self) -> np.ndarray:
-        return np.array([row[1] for row in self.rows])
-
-
-def endpoint_map_modulus(family: RayFamily, norm: Norm, t: float,
-                         delta0_grid) -> EndpointModulusTable:
-    """Tabulate eps(delta0) = max terminal gap among pairs whose sticks come
-    within delta0 of each other at parameters >= t."""
-    if len(family) == 0:
-        raise ValueError("empty family")
-    if not (0.0 < t <= 1.0):
-        raise ValueError("need 0 < t <= 1")
-    sticks = family.sticks
-    n = len(sticks)
-    gaps = np.zeros((n, n))
-    ends = np.array([s.end for s in sticks])
-    for i in range(n):
-        for j in range(i + 1, n):
-            gaps[i, j] = _pair_min_gap(norm, sticks[i], sticks[j], t)
-    end_gap = norm.value(ends[:, None, :] - ends[None, :, :])
-
-    rows = []
-    iu = np.triu_indices(n, k=1)
-    for delta0 in sorted(float(d) for d in delta0_grid):
-        mask = gaps[iu] <= delta0
-        eps = float(np.max(end_gap[iu][mask])) if np.any(mask) else 0.0
-        rows.append((delta0, eps, int(np.count_nonzero(mask))))
-    return EndpointModulusTable(t=float(t), rows=rows, n_sticks=n)

@@ -13,11 +13,17 @@ exactly Lipschitz in the Euclidean case, Hölder with exponent q/p for
 p-uniformly convex / q-uniformly smooth norms, and - for geometrically
 convex balanced norms - confined to a strip of width proportional to the
 radius of a small ball both sticks pass through.
+
+`pair_verdicts` is the one array path for these checks: it takes the
+endpoints of a batch of pairs as (pairs, dim) arrays and returns the
+lengths, the two-sticks and equal-length predicates, the Hölder ratio and
+the Euclidean estimates, one entry per pair.  The one-pair functions
+(`two_sticks_check`, `equal_length_check`, `holder_ratio`, `euclid_*`) are
+one-row calls of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +32,7 @@ from scipy.optimize import minimize_scalar
 
 from .convexity import modulus, ModulusResult
 from .gap import _gap
-from .norms import EuclideanNorm, Norm, as_vector
+from .norms import EuclideanNorm, Norm, _check_batch, as_vector
 
 CHECK_SLACK = 1e-12
 
@@ -81,20 +87,190 @@ class Stick:
         return Stick(factor * self.start, factor * self.end)
 
 
+# ---------------------------------------------------------------------------
+# pair verdicts: one array path for a batch of pairs
+# ---------------------------------------------------------------------------
+
+# Parameters over which `pair_verdicts` takes the largest interpolation residual.
+INTERP_TS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@dataclass
+class PairVerdicts:
+    """Per-pair quantities of a batch of pairs l = [l0, l1], m = [m0, m1].
+
+    Every field holds one entry per pair.  `holder_ratio` is None unless q
+    and p were given; the three Euclidean quantities are None unless s was.
+    """
+
+    len_l: np.ndarray
+    len_m: np.ndarray
+    two_sticks: np.ndarray
+    equal_length: np.ndarray
+    holder_ratio: Optional[np.ndarray] = None
+    monotonicity: Optional[np.ndarray] = None
+    interp_residual: Optional[np.ndarray] = None
+    lipschitz_ratio: Optional[np.ndarray] = None
+
+
+def _endpoints(norm: Norm, l0, l1, m0, m1) -> list:
+    """The four endpoint batches as checked (pairs, dim) arrays of one shape."""
+    arrays = [_check_batch(a, norm.dim) for a in (l0, l1, m0, m1)]
+    if arrays[0].ndim != 2 or any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError(f"dimension mismatch: l0, l1, m0, m1 must share one "
+                         f"(pairs, {norm.dim}) shape, got {[a.shape for a in arrays]}")
+    return arrays
+
+
+def _stick_rows(norm: Norm, l: Stick, m: Stick) -> list:
+    """The pair (l, m) as one-row endpoint batches."""
+    return _endpoints(norm, l.start[None], l.end[None], m.start[None], m.end[None])
+
+
+def _point(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """Rows of (1-t) a + t b, in the op order of `Stick.point_at`; t is one
+    scalar or one value per row."""
+    t = np.asarray(t)[..., None]
+    return (1.0 - t) * a + t * b
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a, b>, through the dot kernel `np.dot` uses on two vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _pair_checks(norm: Norm, l0, l1, m0, m1, tol: float = 1e-9) -> PairVerdicts:
+    """Lengths, the two-sticks predicate (1e-12 scaled slack on each
+    inequality) and the equal-length predicate (relative `tol`)."""
+    len_l = norm._value(l1 - l0)
+    len_m = norm._value(m1 - m0)
+    slack = CHECK_SLACK * (1.0 + len_l + len_m)
+    two_sticks = ((norm._value(l1 - m0) >= len_l - slack)
+                  & (norm._value(m1 - l0) >= len_m - slack))
+    equal_length = np.abs(len_l - len_m) <= tol * (1.0 + len_l + len_m)
+    return PairVerdicts(len_l, len_m, two_sticks, equal_length)
+
+
+def _raise_first(n: int, checks: list) -> None:
+    """Raise for the lowest-index pair that fails a check.
+
+    `checks` lists (failed, error) in check order: `failed` masks the n
+    pairs (one bool stands for all of them) and `error(k)` is the exception
+    for pair k, raised for the first check that pair fails.
+    """
+    failed = np.array([np.broadcast_to(bad, (n,)) for bad, _ in checks])
+    hit = np.flatnonzero(failed.any(axis=0))
+    if hit.size:
+        k = int(hit[0])
+        raise checks[int(np.argmax(failed[:, k]))][1](k)
+
+
+def _holder(norm: Norm, l0, l1, m0, m1, length, t, q: float, p: float) -> np.ndarray:
+    """t ||l1-m1|| / ||l_t-m_t||^(q/p) of the pairs scaled to unit length: 0
+    where the terminal points coincide, inf where only the interior ones do."""
+    scale = (1.0 / length)[:, None]
+    l0, l1, m0, m1 = scale * l0, scale * l1, scale * m0, scale * m1
+    num = norm._value(l1 - m1)
+    den = norm._value(_point(l0, l1, t) - _point(m0, m1, t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = t * num / den ** (q / p)
+    return np.where(num == 0.0, 0.0, np.where(den < 1e-300, np.inf, ratio))
+
+
+def _monotonicity(l0, l1, m0, m1) -> np.ndarray:
+    """<l1 - m1, l0 - m0>."""
+    return _dot(l1 - m1, l0 - m0)
+
+
+def _interp_residual(l0, l1, m0, m1, t: float) -> np.ndarray:
+    """max(0, (1-t)^2 |l0-m0|^2 + t^2 |l1-m1|^2 - |l_t-m_t|^2) at one parameter t."""
+    lhs = (1.0 - t) ** 2 * np.sum((l0 - m0) ** 2, axis=-1) \
+        + t ** 2 * np.sum((l1 - m1) ** 2, axis=-1)
+    rhs = np.sum((_point(l0, l1, t) - _point(m0, m1, t)) ** 2, axis=-1)
+    return np.maximum(0.0, lhs - rhs)
+
+
+def _lipschitz(l0, l1, m0, m1, s, t) -> np.ndarray:
+    """t |l1-m1| / (2 |l_s-m_t|): 0 where the terminal points coincide, inf
+    where only l_s and m_t do."""
+    num = np.sqrt(_dot(l1 - m1, l1 - m1))
+    gap_st = _point(l0, l1, s) - _point(m0, m1, t)
+    den = np.sqrt(_dot(gap_st, gap_st))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = t * num / (2.0 * den)
+    return np.where(num == 0.0, 0.0, np.where(den < 1e-300, np.inf, ratio))
+
+
+def pair_verdicts(norm: Norm, l0, l1, m0, m1, t=None, s=None, *,
+                  q: Optional[float] = None, p: Optional[float] = None) -> PairVerdicts:
+    """The verdict quantities of a batch of pairs, one row of each (pairs, dim)
+    endpoint array per pair l = [l0, l1], m = [m0, m1].
+
+    This is the one implementation of the pair formulas; `two_sticks_check`,
+    `equal_length_check`, `holder_ratio` and the `euclid_*` estimates are
+    one-row calls of it or of its parts.  It always gives the lengths and
+    the two-sticks and equal-length predicates.  With q and p it gives the
+    Hölder ratio of `holder_ratio` at t.  With s (Euclidean norm only) it
+    gives the monotonicity <l1-m1, l0-m0>, the largest interpolation residual
+    of `euclid_interp_bound_residual` over INTERP_TS, and the Lipschitz ratio
+    of `euclid_lipschitz_ratio` at (s, t).  `t` and `s` hold one parameter
+    per pair, or one for all pairs.
+
+    Endpoint arrays of another shape raise ValueError.  When a ratio is
+    asked for, the lowest-index pair that fails one of its preconditions
+    raises, with the first it fails in this order: 0 < t <= 1, or
+    0 < t <= s <= 1 given s (PreconditionError "parameters"); given q or p,
+    1 < q <= p (ValueError) and positive length (DegenerateStickError);
+    two-sticks; equal length (PreconditionError).
+    """
+    l0, l1, m0, m1 = _endpoints(norm, l0, l1, m0, m1)
+    v = _pair_checks(norm, l0, l1, m0, m1)
+    holder = q is not None or p is not None
+    if not (holder or s is not None):
+        return v
+    if s is not None and not isinstance(norm, EuclideanNorm):
+        raise ValueError("the Euclidean estimates need the Euclidean norm")
+    n = l0.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    if s is None:
+        params, need = (0.0 < t) & (t <= 1.0), "0 < t <= 1"
+    else:
+        s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
+        params, need = (0.0 < t) & (t <= s) & (s <= 1.0), "0 < t <= s <= 1"
+
+    checks = [(~params, lambda k: PreconditionError("parameters", f"pair {k}: need {need}"))]
+    if holder:
+        exponents_ok = q is not None and p is not None and 1.0 < q <= p
+        checks += [
+            (not exponents_ok, lambda k: ValueError("need 1 < q <= p")),
+            (v.len_l < 1e-12,
+             lambda k: DegenerateStickError(f"pair {k}: sticks must have positive length")),
+        ]
+    checks += [
+        (~v.two_sticks,
+         lambda k: PreconditionError("two_sticks", f"pair {k} fails the two-sticks condition")),
+        (~v.equal_length,
+         lambda k: PreconditionError("equal_length", f"pair {k}: sticks must have equal length")),
+    ]
+    _raise_first(n, checks)
+
+    if holder:
+        v.holder_ratio = _holder(norm, l0, l1, m0, m1, v.len_l, t, q, p)
+    if s is not None:
+        v.monotonicity = _monotonicity(l0, l1, m0, m1)
+        v.interp_residual = np.max([_interp_residual(l0, l1, m0, m1, tt) for tt in INTERP_TS],
+                                   axis=0)
+        v.lipschitz_ratio = _lipschitz(l0, l1, m0, m1, s, t)
+    return v
+
+
 def two_sticks_check(norm: Norm, l: Stick, m: Stick) -> bool:
     """Exact two-sticks predicate with 1e-12 scaled slack on each inequality."""
-    len_l = l.length(norm)
-    len_m = m.length(norm)
-    slack = CHECK_SLACK * (1.0 + len_l + len_m)
-    first = float(norm._value(l.end - m.start)) >= len_l - slack
-    second = float(norm._value(m.end - l.start)) >= len_m - slack
-    return first and second
+    return bool(_pair_checks(norm, *_stick_rows(norm, l, m)).two_sticks[0])
 
 
 def equal_length_check(norm: Norm, l: Stick, m: Stick, tol: float = 1e-9) -> bool:
-    len_l = l.length(norm)
-    len_m = m.length(norm)
-    return abs(len_l - len_m) <= tol * (1.0 + len_l + len_m)
+    return bool(_pair_checks(norm, *_stick_rows(norm, l, m), tol).equal_length[0])
 
 
 @dataclass
@@ -156,28 +332,27 @@ def flip_chain_verify(norm: Norm, l: Stick, m: Stick, s: float, t: float) -> Fli
 # Euclidean estimates
 # ---------------------------------------------------------------------------
 
-def _require_euclid_two_sticks(l: Stick, m: Stick, equal_length: bool = False) -> EuclideanNorm:
+def _euclid_rows(l: Stick, m: Stick, equal_length: bool = False) -> list:
+    """The pair as one-row batches, once it meets the Euclidean two-sticks
+    condition (and, with `equal_length`, has equal lengths)."""
     norm = EuclideanNorm(l.dim)
-    if not two_sticks_check(norm, l, m):
+    rows = _stick_rows(norm, l, m)
+    v = _pair_checks(norm, *rows)
+    if not v.two_sticks[0]:
         raise PreconditionError("two_sticks", "pair fails the Euclidean two-sticks condition")
-    if equal_length and not equal_length_check(norm, l, m):
+    if equal_length and not v.equal_length[0]:
         raise PreconditionError("equal_length", "pair must have equal length")
-    return norm
+    return rows
 
 
 def euclid_monotonicity(l: Stick, m: Stick) -> float:
     """<l1 - m1, l0 - m0>; nonnegative for Euclidean two-sticks pairs."""
-    _require_euclid_two_sticks(l, m)
-    return float(np.dot(l.end - m.end, l.start - m.start))
+    return float(_monotonicity(*_euclid_rows(l, m))[0])
 
 
 def euclid_interp_bound_residual(l: Stick, m: Stick, t: float) -> float:
     """max(0, (1-t)^2 |l0-m0|^2 + t^2 |l1-m1|^2 - |l_t-m_t|^2); zero in theory."""
-    _require_euclid_two_sticks(l, m)
-    lhs = (1.0 - t) ** 2 * float(np.sum((l.start - m.start) ** 2)) \
-        + t ** 2 * float(np.sum((l.end - m.end) ** 2))
-    rhs = float(np.sum((l.point_at(t) - m.point_at(t)) ** 2))
-    return max(0.0, lhs - rhs)
+    return float(_interp_residual(*_euclid_rows(l, m), t)[0])
 
 
 def euclid_lipschitz_ratio(l: Stick, m: Stick, s: float, t: float) -> float:
@@ -187,16 +362,10 @@ def euclid_lipschitz_ratio(l: Stick, m: Stick, s: float, t: float) -> float:
     with distinct terminal points returns inf: that is a bound-violation
     witness (impossible for a true equal-length two-sticks pair).
     """
-    _require_euclid_two_sticks(l, m, equal_length=True)
+    rows = _euclid_rows(l, m, equal_length=True)
     if not (0.0 < t <= s <= 1.0):
         raise PreconditionError("parameters", "need 0 < t <= s <= 1")
-    num = float(np.linalg.norm(l.end - m.end))
-    if num == 0.0:
-        return 0.0
-    den = float(np.linalg.norm(l.point_at(s) - m.point_at(t)))
-    if den < 1e-300:
-        return math.inf
-    return t * num / (2.0 * den)
+    return float(_lipschitz(*rows, s, t)[0])
 
 
 def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -> float:
@@ -205,28 +374,10 @@ def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -
     Sticks are normalized to unit length internally.  The supremum of this
     ratio over admissible pairs estimates the constant C in the endpoint
     bound ||l1-m1|| <= (C/t) ||l_t-m_t||^(q/p); inf signals a bound
-    violation (coincident interior points with distinct endpoints).
+    violation (coincident interior points with distinct endpoints).  The
+    preconditions are those of `pair_verdicts`, checked in its order.
     """
-    length = l.length(norm)
-    if not (0.0 < t <= 1.0):
-        raise PreconditionError("parameters", "need 0 < t <= 1")
-    if not (1.0 < q <= p):
-        raise ValueError("need 1 < q <= p")
-    if length < 1e-12:
-        raise DegenerateStickError("sticks must have positive length")
-    if not two_sticks_check(norm, l, m):
-        raise PreconditionError("two_sticks", "pair fails the two-sticks condition")
-    if not equal_length_check(norm, l, m):
-        raise PreconditionError("equal_length", "pair must have equal length")
-    scale = 1.0 / length
-    lu, mu = l.scaled(scale), m.scaled(scale)
-    num = float(norm._value(lu.end - mu.end))
-    if num == 0.0:
-        return 0.0
-    den = float(norm._value(lu.point_at(t) - mu.point_at(t)))
-    if den < 1e-300:
-        return math.inf
-    return t * num / den ** (q / p)
+    return float(pair_verdicts(norm, *_stick_rows(norm, l, m), t, q=q, p=p).holder_ratio[0])
 
 
 def select_special_stick(norm: Norm, sticks: list, radius: float, **modulus_opts) -> int:

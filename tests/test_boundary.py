@@ -3,11 +3,13 @@ per-class kernels they delegate to run unchecked, never per inner-loop step."""
 
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twosticks
 import twosticks.norms as norms
 from twosticks import (
     EuclideanNorm,
@@ -131,3 +133,12 @@ def test_traced_benchmark_wrappers_resolve(monkeypatch):
         assert getattr(sys.modules[defining], attr) is fn
     for (cls, attr), fn in methods.items():
         assert vars(cls)[attr] is fn
+
+
+def test_package_exports_resolve_to_no_modules():
+    assert len(set(twosticks.__all__)) == len(twosticks.__all__)
+    for name in twosticks.__all__:
+        assert not isinstance(getattr(twosticks, name), types.ModuleType), name
+    namespace = {}
+    exec("from twosticks import *", namespace)
+    assert set(twosticks.__all__) <= set(namespace)

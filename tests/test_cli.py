@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import twosticks
-from twosticks import cli
+from twosticks import cli, norms
 
 STRIP = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
          "--count", "2"]
@@ -109,9 +109,51 @@ class TestBoundary:
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "0"],
+        ["--delta=-1e-4"],
+        ["--delta", "0.3"],
+        ["--delta", "1e-4", "--rho", repr(3.0 * 1e-4)],
+    ], ids=["delta0", "delta-negative", "delta-0.3", "rho-3delta"])
+    def test_strip_delta_and_rho_checked_before_generating(self, flags, tmp_path,
+                                                           monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("generate_strip_pairs called on a rejected configuration")
+
+        monkeypatch.setattr(cli, "generate_strip_pairs", fail)
+        out = tmp_path / "s.csv"
+        assert cli.main(STRIP + flags + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strip_summary_counts_unconverged_failures(self, tmp_path, capsys):
         assert cli.main(STRIP + ["--out", str(tmp_path / "s.csv")]) == cli.EXIT_OK
         assert "0 failures (0 on a solve that did not converge)" in capsys.readouterr().out
+
+
+def test_sticks_summary_says_what_a_violation_is(tmp_path, capsys):
+    assert cli.main(STICKS + ["--out", str(tmp_path / "s.csv")]) == cli.EXIT_OK
+    summary = capsys.readouterr().out
+    assert "non-finite Hölder ratio" in summary and "no constant C is checked" in summary
+
+
+def test_sticks_norm_calls_do_not_grow_with_pairs(tmp_path, monkeypatch):
+    calls = []
+    real = norms.PNorm._value
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(norms.PNorm, "_value", counting)
+    counts = []
+    for pairs in (30, 300):
+        calls.clear()
+        argv = ["sticks", "--norm", "p:3", "--dim", "3", "--queries", "40",
+                "--pairs", str(pairs), "--out", str(tmp_path / f"s{pairs}.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 class TestDeterminism:

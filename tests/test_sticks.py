@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twosticks import (
+    DegenerateStickError,
     EuclideanNorm,
     PNorm,
     PreconditionError,
@@ -23,11 +25,14 @@ from twosticks import (
     holder_ratio,
     modulus,
     modulus_grid,
+    pair_verdicts,
     segment_point_distance,
     select_special_stick,
     strip_experiment,
     two_sticks_check,
 )
+from twosticks import cli
+from twosticks.sticks import INTERP_TS
 
 
 def euclid_family(dim=2, queries=25, seed=0, length=1.0):
@@ -265,6 +270,315 @@ class TestHolder:
         a = holder_ratio(norm, l, m, 0.4, 2.0, 2.0)
         b = holder_ratio(norm, big_l, big_m, 0.4, 2.0, 2.0)
         assert a == pytest.approx(b, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the one-pair bodies that the array path `pair_verdicts`
+# replaced, kept here with their own length and predicate helpers.
+# ---------------------------------------------------------------------------
+
+def oracle_length(norm, stick):
+    return float(norm._value(stick.end - stick.start))
+
+
+def oracle_two_sticks(norm, l, m):
+    len_l = oracle_length(norm, l)
+    len_m = oracle_length(norm, m)
+    slack = 1e-12 * (1.0 + len_l + len_m)
+    first = float(norm._value(l.end - m.start)) >= len_l - slack
+    second = float(norm._value(m.end - l.start)) >= len_m - slack
+    return first and second
+
+
+def oracle_equal_length(norm, l, m, tol=1e-9):
+    len_l = oracle_length(norm, l)
+    len_m = oracle_length(norm, m)
+    return abs(len_l - len_m) <= tol * (1.0 + len_l + len_m)
+
+
+def oracle_holder_ratio(norm, l, m, t, q, p):
+    length = oracle_length(norm, l)
+    if not (0.0 < t <= 1.0):
+        raise PreconditionError("parameters", "need 0 < t <= 1")
+    if not (1.0 < q <= p):
+        raise ValueError("need 1 < q <= p")
+    if length < 1e-12:
+        raise DegenerateStickError("sticks must have positive length")
+    if not oracle_two_sticks(norm, l, m):
+        raise PreconditionError("two_sticks", "pair fails the two-sticks condition")
+    if not oracle_equal_length(norm, l, m):
+        raise PreconditionError("equal_length", "pair must have equal length")
+    scale = 1.0 / length
+    lu, mu = l.scaled(scale), m.scaled(scale)
+    num = float(norm._value(lu.end - mu.end))
+    if num == 0.0:
+        return 0.0
+    den = float(norm._value(lu.point_at(t) - mu.point_at(t)))
+    if den < 1e-300:
+        return math.inf
+    return t * num / den ** (q / p)
+
+
+def oracle_require_euclid(l, m, equal_length=False):
+    norm = EuclideanNorm(l.dim)
+    if not oracle_two_sticks(norm, l, m):
+        raise PreconditionError("two_sticks", "pair fails the Euclidean two-sticks condition")
+    if equal_length and not oracle_equal_length(norm, l, m):
+        raise PreconditionError("equal_length", "pair must have equal length")
+
+
+def oracle_monotonicity(l, m):
+    oracle_require_euclid(l, m)
+    return float(np.dot(l.end - m.end, l.start - m.start))
+
+
+def oracle_interp_residual(l, m, t):
+    oracle_require_euclid(l, m)
+    lhs = (1.0 - t) ** 2 * float(np.sum((l.start - m.start) ** 2)) \
+        + t ** 2 * float(np.sum((l.end - m.end) ** 2))
+    rhs = float(np.sum((l.point_at(t) - m.point_at(t)) ** 2))
+    return max(0.0, lhs - rhs)
+
+
+def oracle_lipschitz_ratio(l, m, s, t):
+    oracle_require_euclid(l, m, equal_length=True)
+    if not (0.0 < t <= s <= 1.0):
+        raise PreconditionError("parameters", "need 0 < t <= s <= 1")
+    num = float(np.linalg.norm(l.end - m.end))
+    if num == 0.0:
+        return 0.0
+    den = float(np.linalg.norm(l.point_at(s) - m.point_at(t)))
+    if den < 1e-300:
+        return math.inf
+    return t * num / (2.0 * den)
+
+
+def cli_exponents(norm):
+    """The (q, p) that `twosticks sticks` uses by default for a p-norm."""
+    return (2.0 if norm.p >= 2.0 else norm.p), max(norm.p, 2.0)
+
+
+def batch(pairs):
+    """Endpoint arrays l0, l1, m0, m1 of a list of stick pairs."""
+    return [np.array([l.start for l, _ in pairs]), np.array([l.end for l, _ in pairs]),
+            np.array([m.start for _, m in pairs]), np.array([m.end for _, m in pairs])]
+
+
+ORACLE_NORMS = ["p:1.5", "p:3", "p:4", "euclidean"]
+
+
+class TestPairVerdictsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from(ORACLE_NORMS), dim=st.integers(2, 4),
+           seed=st.integers(0, 2 ** 32 - 1), length=st.floats(0.25, 4.0))
+    def test_matches_scalar_oracle(self, spec, dim, seed, length):
+        norm = cli.parse_norm(spec, dim)
+        rng = np.random.default_rng(seed)
+        sites = SiteSet(rng.uniform(-2, 2, size=(3, dim)), norm)
+        family = build_ray_family(sites, rng.uniform(-2, 2, size=(8, dim)), length)
+        assume(len(family) >= 2)
+        sticks = family.sticks
+        pairs = [(sticks[i], sticks[j]) for i in range(len(sticks))
+                 for j in range(i + 1, len(sticks))]
+        n = len(pairs)
+        t = rng.uniform(0.05, 1.0, size=n)
+        t[rng.random(n) < 0.1] = 1.0
+        s = np.where(rng.random(n) < 0.2, t, t + (1.0 - t) * rng.random(n))
+
+        # Predicates on admissible pairs and on reversed, swapped and
+        # rescaled partners, most of which fail one of them.
+        mixed = pairs + [(l, m.reversed()) for l, m in pairs] \
+            + [(m.reversed(), l) for l, m in pairs] + [(l, m.scaled(1.5)) for l, m in pairs]
+        v = pair_verdicts(norm, *batch(mixed))
+        assert v.two_sticks.tolist() == [oracle_two_sticks(norm, l, m) for l, m in mixed]
+        assert v.equal_length.tolist() == [oracle_equal_length(norm, l, m) for l, m in mixed]
+        np.testing.assert_allclose(v.len_l, [oracle_length(norm, l) for l, _ in mixed],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(v.len_m, [oracle_length(norm, m) for _, m in mixed],
+                                   rtol=1e-13, atol=0)
+        assert v.holder_ratio is None and v.monotonicity is None
+
+        q, p = cli_exponents(norm) if spec != "euclidean" else (2.0, 2.0)
+        v = pair_verdicts(norm, *batch(pairs), t, q=q, p=p)
+        expect = [oracle_holder_ratio(norm, l, m, tk, q, p) for (l, m), tk in zip(pairs, t)]
+        np.testing.assert_allclose(v.holder_ratio, expect, rtol=1e-13, atol=0)
+        assert v.two_sticks.all() and v.equal_length.all()
+
+        if spec == "euclidean":
+            v = pair_verdicts(norm, *batch(pairs), t, s)
+            np.testing.assert_allclose(
+                v.monotonicity, [oracle_monotonicity(l, m) for l, m in pairs],
+                rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                v.interp_residual,
+                [max(oracle_interp_residual(l, m, tt) for tt in INTERP_TS) for l, m in pairs],
+                rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                v.lipschitz_ratio,
+                [oracle_lipschitz_ratio(l, m, sk, tk) for (l, m), sk, tk in zip(pairs, s, t)],
+                rtol=1e-13, atol=0)
+            assert v.holder_ratio is None
+
+
+E1 = np.array([1.0, 0.0, 0.0])
+ORIGIN = np.zeros(3)
+# One pair (l0, l1, m0, m1) per hypothesis it fails, and no earlier one.
+FAILING_PAIRS = {
+    "two_sticks": (ORIGIN, E1, E1, ORIGIN),            # ||m1 - l0|| = 0 < ||m1 - m0||
+    "equal_length": (ORIGIN, E1, ORIGIN, 2.0 * E1),
+    "degenerate": (E1, E1, E1, E1),
+}
+
+
+def p3_batch(broken):
+    """Ten admissible p3 pairs and t = 0.5, with pair k broken as broken[k] says."""
+    norm = PNorm(3, 3)
+    rng = np.random.default_rng(31)
+    sites = SiteSet(rng.uniform(-2, 2, size=(4, 3)), norm)
+    family = build_ray_family(sites, rng.uniform(-2, 2, size=(12, 3)), 1.0)
+    sticks = family.sticks
+    pairs = [(sticks[i], sticks[i + 1]) for i in range(10)]
+    ends = batch(pairs)
+    t = np.full(10, 0.5)
+    for k, kind in broken.items():
+        if kind == "parameters":
+            t[k] = 1.5
+        else:
+            for arr, row in zip(ends, FAILING_PAIRS[kind]):
+                arr[k] = row
+    return norm, ends, t
+
+
+class TestPairVerdictPreconditions:
+    @pytest.mark.parametrize("first, later", [
+        ("two_sticks", "parameters"),
+        ("equal_length", "degenerate"),
+        ("degenerate", "parameters"),
+        ("parameters", "two_sticks"),
+    ])
+    def test_lowest_index_pair_raises(self, first, later):
+        norm, ends, t = p3_batch({3: first, 6: later})
+        error = DegenerateStickError if first == "degenerate" else PreconditionError
+        with pytest.raises(error, match=r"pair 3\b") as err:
+            pair_verdicts(norm, *ends, t, q=2.0, p=3.0)
+        if first != "degenerate":
+            assert err.value.hypothesis == first
+
+    @pytest.mark.parametrize("pair, t, error, hypothesis", [
+        (FAILING_PAIRS["two_sticks"], 1.5, PreconditionError, "parameters"),
+        (FAILING_PAIRS["degenerate"], 0.0, PreconditionError, "parameters"),
+        ((E1, E1, ORIGIN, E1), 0.5, DegenerateStickError, None),      # also two-sticks, length
+        ((ORIGIN, E1, 2.0 * E1, ORIGIN), 0.5, PreconditionError, "two_sticks"),  # also length
+    ])
+    def test_first_failed_hypothesis_of_a_pair_in_order(self, pair, t, error, hypothesis):
+        norm, ends, ts = p3_batch({})
+        for arr, row in zip(ends, pair):
+            arr[5] = row
+        ts[5] = t
+        with pytest.raises(error, match=r"pair 5\b") as err:
+            pair_verdicts(norm, *ends, ts, q=2.0, p=3.0)
+        if hypothesis is not None:
+            assert err.value.hypothesis == hypothesis
+
+    @pytest.mark.parametrize("bad_t", [0.0, -0.25, 1.0 + 1e-12, math.nan])
+    def test_t_outside_unit_interval(self, bad_t):
+        norm, ends, t = p3_batch({})
+        t[4] = bad_t
+        with pytest.raises(PreconditionError, match=r"pair 4\b") as err:
+            pair_verdicts(norm, *ends, t, q=2.0, p=3.0)
+        assert err.value.hypothesis == "parameters"
+
+    def test_s_below_t_rejected(self):
+        _, family = euclid_family(dim=3, queries=12, seed=32)
+        sticks = family.sticks
+        pairs = [(sticks[0], sticks[k]) for k in range(1, 5)]
+        t = np.full(4, 0.5)
+        s = np.array([0.5, 1.0, 0.4, 0.7])
+        with pytest.raises(PreconditionError, match=r"pair 2\b") as err:
+            pair_verdicts(EuclideanNorm(3), *batch(pairs), t, s)
+        assert err.value.hypothesis == "parameters"
+
+    def test_bad_exponents_and_shapes(self):
+        norm, ends, t = p3_batch({})
+        with pytest.raises(ValueError, match="1 < q <= p"):
+            pair_verdicts(norm, *ends, t, q=3.0, p=2.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pair_verdicts(norm, *ends[:3], ends[3][:, :2], t, q=2.0, p=3.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pair_verdicts(norm, *ends[:3], ends[3][:5], t, q=2.0, p=3.0)
+        with pytest.raises(ValueError, match="Euclidean norm"):
+            pair_verdicts(norm, *ends, t, t, q=2.0, p=3.0)
+
+    def test_predicates_alone_check_nothing(self):
+        norm, ends, _ = p3_batch({2: "two_sticks", 5: "equal_length", 7: "degenerate"})
+        v = pair_verdicts(norm, *ends)
+        assert np.flatnonzero(~v.two_sticks).tolist() == [2]
+        assert np.flatnonzero(~v.equal_length).tolist() == [5]
+        assert v.len_l[7] == 0.0
+
+
+def sticks_csv(path):
+    """(header, rows) of a sticks CSV, every cell as text."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def scalar_draws(norm, seed, sites=4, queries=20, cap=30):
+    """(i, j, l, m, t, s) per pair, drawn one pair at a time as the per-pair loop did."""
+    rng = np.random.default_rng(seed)
+    sticks = cli._random_family(norm, rng, sites, queries, 1.0, 2.0).sticks
+    pairs = [(i, j) for i in range(len(sticks)) for j in range(i + 1, len(sticks))]
+    if len(pairs) > cap:
+        idx = rng.choice(len(pairs), size=cap, replace=False)
+        pairs = [pairs[k] for k in sorted(idx)]
+    out = []
+    for i, j in pairs:
+        t = float(rng.uniform(0.05, 1.0))
+        s = float(rng.uniform(t, 1.0))
+        out.append((i, j, sticks[i], sticks[j], t, s))
+    return out
+
+
+class TestSticksCommand:
+    ARGS = ["sticks", "--dim", "3", "--queries", "20", "--pairs", "30"]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_p3_columns_match_scalar_draws_and_oracle(self, tmp_path, seed):
+        out = tmp_path / "sticks.csv"
+        argv = self.ARGS + ["--norm", "p:3", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        header, rows = sticks_csv(out)
+        assert header == ["i", "j", "holder_ratio", "t", "q", "p", "violated"]
+        norm = PNorm(3, 3)
+        draws = scalar_draws(norm, seed)
+        assert len(rows) == len(draws) == 30
+        for row, (i, j, l, m, t, _) in zip(rows, draws):
+            assert (int(row[0]), int(row[1])) == (i, j)
+            assert float(row[3]) == t
+            expect = oracle_holder_ratio(norm, l, m, t, 2.0, 3.0)
+            assert float(row[2]) == pytest.approx(expect, rel=1e-13, abs=0)
+            assert row[4:] == ["2.0", "3.0", "false"]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_euclidean_columns_match_scalar_draws_and_oracle(self, tmp_path, seed):
+        out = tmp_path / "sticks.csv"
+        argv = self.ARGS + ["--norm", "euclidean", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        header, rows = sticks_csv(out)
+        assert header == ["i", "j", "monotonicity", "interp_residual", "lipschitz_ratio",
+                          "s", "t", "violated"]
+        draws = scalar_draws(EuclideanNorm(3), seed)
+        assert len(rows) == len(draws) == 30
+        for row, (i, j, l, m, t, s) in zip(rows, draws):
+            assert (int(row[0]), int(row[1])) == (i, j)
+            assert (float(row[5]), float(row[6])) == (s, t)
+            expect = [oracle_monotonicity(l, m),
+                      max(oracle_interp_residual(l, m, tt) for tt in INTERP_TS),
+                      oracle_lipschitz_ratio(l, m, s, t)]
+            for cell, value in zip(row[2:5], expect):
+                assert float(cell) == pytest.approx(value, rel=1e-13, abs=0)
+            assert row[7] == "false"
 
 
 class TestSpecialStick:
