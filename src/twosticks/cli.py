@@ -18,7 +18,8 @@ family.  Under the Euclidean norm a pair is violated when its monotonicity,
 interpolation residual or Lipschitz ratio breaks its bound beyond the named
 tolerance.  Under a p-norm a pair is violated only when its Hölder ratio is
 not finite: the constant C of the Hölder estimate is not derived, so no
-ratio is checked against one.
+ratio is checked against one.  `--tolerance` takes only the names a run reads:
+`check` (strip) and `emono`, `lipa`, `lipb` (sticks, Euclidean norm).
 """
 
 from __future__ import annotations
@@ -61,16 +62,17 @@ def parse_norm(spec: str, dim: int) -> Norm:
     raise ValueError(f"unknown norm spec {spec!r}; expected 'euclidean' or 'p:<value>'")
 
 
-def parse_tolerances(items) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
+def parse_tolerances(items, names) -> dict:
+    """The tolerances `names` a run reads, defaults overridden by NAME=VALUE items."""
+    tol = {name: DEFAULT_TOLERANCES[name] for name in names}
     for item in items or []:
         if "=" not in item:
             raise ValueError(f"bad --tolerance {item!r}; expected name=value")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {key!r}; expected one of "
-                             f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
+        if key not in tol:
+            raise ValueError(f"tolerance {key!r} is not read by this run; it reads "
+                             f"{', '.join(names) or 'none'}")
         tol[key] = float(value)
     return tol
 
@@ -183,7 +185,8 @@ def cmd_certify(args) -> int:
 
 def cmd_sticks(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    tol = parse_tolerances(args.tolerance)
+    euclidean = isinstance(norm, EuclideanNorm)
+    tol = parse_tolerances(args.tolerance, ("emono", "lipa", "lipb") if euclidean else ())
     if args.pairs is not None and args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -205,7 +208,7 @@ def cmd_sticks(args) -> int:
     starts, ends = family.endpoints()
     l0, l1, m0, m1 = starts[i], ends[i], starts[j], ends[j]
 
-    if isinstance(norm, EuclideanNorm):
+    if euclidean:
         v = pair_verdicts(norm, l0, l1, m0, m1, t, s)
         scale = 1.0 + np.linalg.norm(l0 - m0, axis=-1)
         bad = ((v.monotonicity < -tol["emono"] * scale)
@@ -232,7 +235,7 @@ def cmd_sticks(args) -> int:
 
 def cmd_strip(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    tol = parse_tolerances(args.tolerance)
+    tol = parse_tolerances(args.tolerance, ("check",))
     if args.lam <= 2.0:
         raise ValueError("--lambda must exceed 2 (geometric convexity)")
     if args.k < 1.0:
@@ -257,7 +260,7 @@ def cmd_strip(args) -> int:
     for idx, (l, m, x0) in enumerate(configs):
         rep = strip_experiment(norm, l, m, x0, args.delta, args.rho, args.lam,
                                args.k, args.big_r, tol=tol["check"],
-                               modulus_opts=opts, auto_orient=True)
+                               modulus_opts=opts)
         rows.append([idx, rep.delta, rep.kappa, rep.bound, rep.projection,
                      rep.promise_lhs, rep.promise_rhs, rep.axya_value,
                      rep.passed and rep.axya_ok])
@@ -287,7 +290,7 @@ def cmd_sharpness(args) -> int:
         grid = np.linspace(xp_lo, xp_hi, args.points) ** (1.0 / args.p)
     curve = sharpness_curve(args.p, grid)
     header = ["parameter", "gap_norm", "m_norm", "ratio"]
-    write_csv(args.out, header, curve.to_rows(), config=_config_dict(args))
+    write_csv(args.out, header, curve.rows, config=_config_dict(args))
     print(f"sharpness: p={args.p} band=[{curve.band[0]!r}, {curve.band[1]!r}] "
           f"exponent={curve.exponent!r} -> {args.out}")
     return EXIT_OK
@@ -342,10 +345,9 @@ def _add_common(sub: argparse.ArgumentParser, out: str, norm: bool = True) -> No
                      help="JSON config file; overrides flags")
 
 
-def _add_tolerance(sub: argparse.ArgumentParser) -> None:
+def _add_tolerance(sub: argparse.ArgumentParser, names: str) -> None:
     sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                     help="override a named tolerance (repeatable): "
-                          + ", ".join(sorted(DEFAULT_TOLERANCES)))
+                     help=f"override a named tolerance (repeatable): {names}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stk = subs.add_parser("sticks", help="pairwise endpoint-bound checks on a ray family")
     _add_common(stk, "sticks.csv")
-    _add_tolerance(stk)
+    _add_tolerance(stk, "emono, lipa, lipb (Euclidean norm only)")
     stk.add_argument("--sites", type=int, default=4)
     stk.add_argument("--queries", type=int, default=40)
     stk.add_argument("--length", type=float, default=1.0)
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     strp = subs.add_parser("strip", help="strip-confinement experiment")
     _add_common(strp, "strip.csv")
-    _add_tolerance(strp)
+    _add_tolerance(strp, "check")
     strp.add_argument("--count", type=int, default=100)
     strp.add_argument("--lambda", dest="lam", type=float, required=True,
                       help="certified geometric-convexity constant at radius 1")

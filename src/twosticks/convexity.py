@@ -140,6 +140,16 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
     return y, float(norm._value(z) - np.dot(z, n_of_x))
 
 
+def _kkt(norm: Norm, x, t: float, y, n_of_x) -> tuple[np.ndarray, float, float]:
+    """(N(y), alpha, residual) at a maximizer y on ||y|| = t: the gradient gap
+    g = N(x+y) - N(x) against alpha N(y), alpha = <g, y>/t, scaled by 1 + ||g||."""
+    n_of_y = norm.normal(y)
+    grad = norm.normal(x + y) - n_of_x
+    alpha = float(np.dot(grad, y)) / t
+    kkt = float(np.linalg.norm(grad - alpha * n_of_y)) / (1.0 + float(np.linalg.norm(grad)))
+    return n_of_y, alpha, kkt
+
+
 def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
             kkt_tol: float = 1e-7) -> ModulusResult:
     """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
@@ -207,10 +217,7 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     y_best = y[best]
     sigma = float(f[best])
 
-    n_of_y = norm.normal(y_best)
-    grad = norm.normal(x + y_best) - n_of_x
-    alpha = float(np.dot(grad, y_best)) / t
-    kkt = float(np.linalg.norm(grad - alpha * n_of_y)) / (1.0 + float(np.linalg.norm(grad)))
+    n_of_y, alpha, kkt = _kkt(norm, x, t, y_best, n_of_x)
     converged = bool(kkt <= kkt_tol and alpha >= -1e-9)
     return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
                          kkt_residual=kkt, kkt_multiplier=alpha, converged=converged,
@@ -284,10 +291,7 @@ def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusRe
     i = int(np.argmax(vals))
     y_best = ys[i] if ys.ndim > 1 else ys
     sigma = float(vals[i])
-    n_of_y = norm.normal(y_best)
-    grad = norm.normal(x + y_best) - n_of_x
-    alpha = float(np.dot(grad, y_best)) / t
-    kkt = float(np.linalg.norm(grad - alpha * n_of_y)) / (1.0 + float(np.linalg.norm(grad)))
+    n_of_y, alpha, kkt = _kkt(norm, x, t, y_best, n_of_x)
     return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
                          kkt_residual=kkt, kkt_multiplier=alpha, converged=True)
 

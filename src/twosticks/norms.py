@@ -95,9 +95,6 @@ class Norm:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 

@@ -175,9 +175,6 @@ class SharpnessCurve:
     rows: list
     band: tuple
 
-    def to_rows(self) -> list:
-        return [(param, g, mn, ratio) for (param, g, mn, ratio) in self.rows]
-
 
 def sharpness_curve(p: float, parameter_grid: Iterable[float]) -> SharpnessCurve:
     """Sweep the construction over a parameter grid and record the ratio band.

@@ -19,7 +19,9 @@ endpoints of a batch of pairs as (pairs, dim) arrays and returns the
 lengths, the two-sticks and equal-length predicates, the Hölder ratio and
 the Euclidean estimates, one entry per pair.  The one-pair functions
 (`two_sticks_check`, `equal_length_check`, `holder_ratio`, `euclid_*`) are
-one-row calls of it.
+one-row calls of it or of its parts.  `_require` alone raises the pair
+hypotheses, in the order parameters, positive length, two-sticks, equal
+length; `_special_index` is the one special-stick rule.
 """
 
 from __future__ import annotations
@@ -151,14 +153,26 @@ def _pair_checks(norm: Norm, l0, l1, m0, m1, tol: float = 1e-9) -> PairVerdicts:
     return PairVerdicts(len_l, len_m, two_sticks, equal_length)
 
 
-def _raise_first(n: int, checks: list) -> None:
-    """Raise for the lowest-index pair that fails a check.
-
-    `checks` lists (failed, error) in check order: `failed` masks the n
-    pairs (one bool stands for all of them) and `error(k)` is the exception
-    for pair k, raised for the first check that pair fails.
-    """
-    failed = np.array([np.broadcast_to(bad, (n,)) for bad, _ in checks])
+def _require(two_sticks, equal_length=None, *, params=None, need: str = "",
+             len_l=None) -> None:
+    """Raise for the lowest-index pair that fails a hypothesis given (True
+    where it holds; `len_l` are the lengths; None is not checked), with the
+    first it fails in this order: `params` (PreconditionError "parameters",
+    constraint text `need`), positive length (DegenerateStickError),
+    two-sticks, equal length (PreconditionError)."""
+    checks = []
+    if params is not None:
+        checks.append((~params, lambda k: PreconditionError("parameters",
+                                                            f"pair {k}: need {need}")))
+    if len_l is not None:
+        checks.append((len_l < 1e-12, lambda k: DegenerateStickError(
+            f"pair {k}: sticks must have positive length")))
+    checks.append((~two_sticks, lambda k: PreconditionError("two_sticks", f"pair {k} fails "
+                                                            "the two-sticks condition")))
+    if equal_length is not None:
+        checks.append((~equal_length, lambda k: PreconditionError("equal_length", f"pair {k}: "
+                                                                  "sticks must have equal length")))
+    failed = np.array([bad for bad, _ in checks])
     hit = np.flatnonzero(failed.any(axis=0))
     if hit.size:
         k = int(hit[0])
@@ -237,22 +251,11 @@ def pair_verdicts(norm: Norm, l0, l1, m0, m1, t=None, s=None, *,
     else:
         s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
         params, need = (0.0 < t) & (t <= s) & (s <= 1.0), "0 < t <= s <= 1"
-
-    checks = [(~params, lambda k: PreconditionError("parameters", f"pair {k}: need {need}"))]
-    if holder:
-        exponents_ok = q is not None and p is not None and 1.0 < q <= p
-        checks += [
-            (not exponents_ok, lambda k: ValueError("need 1 < q <= p")),
-            (v.len_l < 1e-12,
-             lambda k: DegenerateStickError(f"pair {k}: sticks must have positive length")),
-        ]
-    checks += [
-        (~v.two_sticks,
-         lambda k: PreconditionError("two_sticks", f"pair {k} fails the two-sticks condition")),
-        (~v.equal_length,
-         lambda k: PreconditionError("equal_length", f"pair {k}: sticks must have equal length")),
-    ]
-    _raise_first(n, checks)
+    # Bad exponents fail every pair, after pair 0's parameters.
+    if holder and not (q is not None and p is not None and 1.0 < q <= p) and params[:1].all():
+        raise ValueError("need 1 < q <= p")
+    _require(v.two_sticks, v.equal_length, params=params, need=need,
+             len_l=v.len_l if holder else None)
 
     if holder:
         v.holder_ratio = _holder(norm, l0, l1, m0, m1, v.len_l, t, q, p)
@@ -296,34 +299,31 @@ class FlipChainReport:
 def flip_chain_verify(norm: Norm, l: Stick, m: Stick, s: float, t: float) -> FlipChainReport:
     """Verify the derived-pair chain: reversed sticks, tail sticks [l1, l_t] /
     [l_t, l1], and sub-sticks [l_t, l_s], all inherit the two-sticks and
-    equal-length conditions; also check both cross inequalities at (s, t)."""
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise PreconditionError("parameters", "s and t must lie in [0, 1]")
-    if not two_sticks_check(norm, l, m):
-        raise PreconditionError("two_sticks", "input pair fails the two-sticks condition")
-    if not equal_length_check(norm, l, m):
-        raise PreconditionError("equal_length", "input pair must have equal length")
-
+    equal-length conditions; also check both cross inequalities at (s, t).
+    The input pair needs s, t in [0, 1], two-sticks and equal length."""
+    l0, l1, m0, m1 = _stick_rows(norm, l, m)
     length = l.length(norm)
     degenerate = abs(s - t) * length < 1e-12
+    lt, ls, mt, ms = _point(l0, l1, t), _point(l0, l1, s), _point(m0, m1, t), _point(m0, m1, s)
+    # Rows (label, l start, l end, m start, m end) of the derived pairs.
     pairs = [
-        ("original", l, m),
-        ("reversed", l.reversed(), m.reversed()),
-        ("tail_to_t", Stick(l.end, l.point_at(t)), Stick(m.end, m.point_at(t))),
-        ("from_t", Stick(l.point_at(t), l.end), Stick(m.point_at(t), m.end)),
+        ("original", l0, l1, m0, m1),
+        ("reversed", l1, l0, m1, m0),
+        ("tail_to_t", l1, lt, m1, mt),
+        ("from_t", lt, l1, mt, m1),
     ]
     if not degenerate:
-        pairs.append(("t_to_s", l.sub(t, s), m.sub(t, s)))
-
-    links = []
-    for label, a, b in pairs:
-        links.append((label, two_sticks_check(norm, a, b), equal_length_check(norm, a, b)))
+        pairs.append(("t_to_s", lt, ls, mt, ms))
+    labels, *rows = zip(*pairs)
+    v = _pair_checks(norm, *(np.concatenate(r) for r in rows))
+    _require(v.two_sticks[:1], v.equal_length[:1],
+             params=np.array([0.0 <= s <= 1.0 and 0.0 <= t <= 1.0]), need="0 <= s, t <= 1")
+    links = [(label, bool(ts), bool(el))
+             for label, ts, el in zip(labels, v.two_sticks, v.equal_length)]
 
     slack = CHECK_SLACK * (1.0 + length)
-    first = float(norm._value(m.point_at(s) - l.point_at(t))) \
-        >= float(norm._value(m.point_at(s) - m.point_at(t))) - slack
-    second = float(norm._value(l.point_at(s) - m.point_at(t))) \
-        >= float(norm._value(l.point_at(s) - l.point_at(t))) - slack
+    first = float(norm._value(ms - lt)[0]) >= float(norm._value(ms - mt)[0]) - slack
+    second = float(norm._value(ls - mt)[0]) >= float(norm._value(ls - lt)[0]) - slack
     return FlipChainReport(s=s, t=t, degenerate=degenerate, links=links,
                            flipa_ok=(first, second))
 
@@ -332,27 +332,20 @@ def flip_chain_verify(norm: Norm, l: Stick, m: Stick, s: float, t: float) -> Fli
 # Euclidean estimates
 # ---------------------------------------------------------------------------
 
-def _euclid_rows(l: Stick, m: Stick, equal_length: bool = False) -> list:
-    """The pair as one-row batches, once it meets the Euclidean two-sticks
-    condition (and, with `equal_length`, has equal lengths)."""
-    norm = EuclideanNorm(l.dim)
-    rows = _stick_rows(norm, l, m)
-    v = _pair_checks(norm, *rows)
-    if not v.two_sticks[0]:
-        raise PreconditionError("two_sticks", "pair fails the Euclidean two-sticks condition")
-    if equal_length and not v.equal_length[0]:
-        raise PreconditionError("equal_length", "pair must have equal length")
-    return rows
-
-
 def euclid_monotonicity(l: Stick, m: Stick) -> float:
     """<l1 - m1, l0 - m0>; nonnegative for Euclidean two-sticks pairs."""
-    return float(_monotonicity(*_euclid_rows(l, m))[0])
+    norm = EuclideanNorm(l.dim)
+    rows = _stick_rows(norm, l, m)
+    _require(_pair_checks(norm, *rows).two_sticks)
+    return float(_monotonicity(*rows)[0])
 
 
 def euclid_interp_bound_residual(l: Stick, m: Stick, t: float) -> float:
     """max(0, (1-t)^2 |l0-m0|^2 + t^2 |l1-m1|^2 - |l_t-m_t|^2); zero in theory."""
-    return float(_interp_residual(*_euclid_rows(l, m), t)[0])
+    norm = EuclideanNorm(l.dim)
+    rows = _stick_rows(norm, l, m)
+    _require(_pair_checks(norm, *rows).two_sticks)
+    return float(_interp_residual(*rows, t)[0])
 
 
 def euclid_lipschitz_ratio(l: Stick, m: Stick, s: float, t: float) -> float:
@@ -360,12 +353,11 @@ def euclid_lipschitz_ratio(l: Stick, m: Stick, s: float, t: float) -> float:
 
     Returns 0 when the terminal points coincide.  A vanishing denominator
     with distinct terminal points returns inf: that is a bound-violation
-    witness (impossible for a true equal-length two-sticks pair).
+    witness (impossible for a true equal-length two-sticks pair).  The
+    preconditions are those of `pair_verdicts`, checked in its order.
     """
-    rows = _euclid_rows(l, m, equal_length=True)
-    if not (0.0 < t <= s <= 1.0):
-        raise PreconditionError("parameters", "need 0 < t <= s <= 1")
-    return float(_lipschitz(*rows, s, t)[0])
+    norm = EuclideanNorm(l.dim)
+    return float(pair_verdicts(norm, *_stick_rows(norm, l, m), t, s).lipschitz_ratio[0])
 
 
 def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -> float:
@@ -380,6 +372,17 @@ def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -
     return float(pair_verdicts(norm, *_stick_rows(norm, l, m), t, q=q, p=p).holder_ratio[0])
 
 
+def _special_index(sigmas: list) -> int:
+    """Index of the special stick given the sigma of each stick's direction:
+    the first sigma stands until a later one exceeds the best so far by more
+    than 1e-9 (1 + |best|), so near-ties keep the lower index."""
+    best = 0
+    for i, sigma in enumerate(sigmas):
+        if sigma > sigmas[best] + 1e-9 * (1.0 + abs(sigmas[best])):
+            best = i
+    return best
+
+
 def select_special_stick(norm: Norm, sticks: list, radius: float, **modulus_opts) -> int:
     """Index of the stick whose direction maximizes sigma(e, radius).
 
@@ -391,15 +394,13 @@ def select_special_stick(norm: Norm, sticks: list, radius: float, **modulus_opts
     """
     if not sticks:
         raise ValueError("empty stick list")
-    best_idx, best_sigma = 0, 0.0
+    sigmas = []
     for i, stick in enumerate(sticks):
         e = stick.direction()
         if abs(float(norm.value(e)) - 1.0) > 1e-6:
             raise PreconditionError("unit_length", f"stick {i} is not unit length")
-        sigma = modulus(norm, e, radius, **modulus_opts).sigma
-        if i == 0 or sigma > best_sigma + 1e-9 * (1.0 + abs(best_sigma)):
-            best_idx, best_sigma = i, sigma
-    return best_idx
+        sigmas.append(modulus(norm, e, radius, **modulus_opts).sigma)
+    return _special_index(sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -461,42 +462,40 @@ class StripReport:
 
 def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float,
                      lam: float, k_const: float, big_r: float, *,
-                     tol: float = 1e-9, modulus_opts: Optional[dict] = None,
-                     auto_orient: bool = False) -> StripReport:
+                     tol: float = 1e-9, modulus_opts: Optional[dict] = None) -> StripReport:
     """Check that l1 - m1 lies in the strip predicted for geometrically convex,
     balanced norms when both sticks meet the ball B_delta(x0).
 
     Hypotheses are re-verified and violations raise `PreconditionError` naming
-    the failed one: equal unit length (sticks are normalized internally),
-    two-sticks, 0 < delta < 1/4, rho > 3*delta, l's endpoints outside
-    B_rho(x0), the special-stick ordering sigma(e, kappa*delta) <=
-    sigma(ebar, kappa*delta), the endpoint-gap bound ||l1 - m1|| <= big_r,
-    and the width condition K*Lambda^2/(Lambda-2)*kappa*delta <= 1, with
-    kappa = 4/(rho - 3*delta).  With `auto_orient` the pair is swapped
-    instead of raising when only the special-stick ordering fails.
+    the failed one: Lambda > 2, K >= 1; on the given pair, positive length
+    (DegenerateStickError), two-sticks and equal length; then, with the
+    sticks normalized to unit length and all input geometry scaled with
+    them, 0 < delta < 1/4, rho > 3*delta, the endpoint-gap bound
+    ||l1 - m1|| <= big_r, the width condition
+    K*Lambda^2/(Lambda-2)*kappa*delta <= 1 with kappa = 4/(rho - 3*delta),
+    both sticks meeting B_delta(x0), and l's endpoints outside B_rho(x0).
+
+    m is chosen as the special stick, sigma(e, kappa*delta) <=
+    sigma(ebar, kappa*delta): l and m are swapped when the rule of
+    `select_special_stick` ranks l above m; a near-tie keeps the given order.
 
     The interior construction follows the underlying proof: a point
     lambda_star of m inside the delta-ball, then the parameter t_star where
     <l(t) - lambda_star, N(e)> crosses zero.
     """
-    length = l.length(norm)
     opts = modulus_opts or {}
     if lam <= 2.0:
         raise PreconditionError("lambda_range", "geometric convexity requires Lambda > 2")
     if k_const < 1.0:
         raise PreconditionError("k_range", "balanced constant K must be >= 1")
-    if length < 1e-12:
-        raise DegenerateStickError("sticks must have positive length")
-    if not equal_length_check(norm, l, m):
-        raise PreconditionError("equal_length", "sticks must have equal length")
+    v = _pair_checks(norm, *_stick_rows(norm, l, m))
+    _require(v.two_sticks, v.equal_length, len_l=v.len_l)
     # Normalize to unit length; all input geometry scales with the sticks.
-    scale = 1.0 / length
+    scale = 1.0 / l.length(norm)
     l, m = l.scaled(scale), m.scaled(scale)
     x0 = as_vector(x0, l.dim) * scale
     delta, rho = delta * scale, rho * scale
 
-    if not two_sticks_check(norm, l, m):
-        raise PreconditionError("two_sticks", "pair fails the two-sticks condition")
     if not (0.0 < delta < 0.25):
         raise PreconditionError("delta_range", f"need 0 < delta < 1/4, got {delta!r}")
     if rho <= 3.0 * delta:
@@ -512,14 +511,9 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
 
     mod_e = modulus(norm, l.direction(), kappa * delta, **opts)
     mod_ebar = modulus(norm, m.direction(), kappa * delta, **opts)
+    if _special_index([mod_ebar.sigma, mod_e.sigma]) == 1:
+        l, m, mod_e, mod_ebar = m, l, mod_ebar, mod_e
     sigma_e, sigma_ebar = mod_e.sigma, mod_ebar.sigma
-    if sigma_e > sigma_ebar + tol * (1.0 + sigma_ebar):
-        if auto_orient:
-            l, m = m, l
-            sigma_e, sigma_ebar = sigma_ebar, sigma_e
-        else:
-            raise PreconditionError("bmax", "m must be the special stick: "
-                                    f"sigma(e) = {sigma_e!r} > sigma(ebar) = {sigma_ebar!r}")
 
     dist_l, _ = segment_point_distance(norm, l, x0)
     dist_m, t_m = segment_point_distance(norm, m, x0)

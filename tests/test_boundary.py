@@ -11,12 +11,15 @@ import pytest
 
 import twosticks
 import twosticks.norms as norms
+import twosticks.sticks as sticks
 from twosticks import (
     EuclideanNorm,
     PluginNorm,
     PNorm,
     SiteSet,
     Stick,
+    build_ray_family,
+    flip_chain_verify,
     gap,
     holder_ratio,
     modulus,
@@ -89,10 +92,9 @@ def test_stick_length_rejects_wrong_dimension():
         STICK2.length(PNorm(3, 3))
 
 
-def test_modulus_check_count_does_not_depend_on_max_iter(monkeypatch):
-    norm = PNorm(3, 3)
-    x = np.array([1.0, 2.0, -0.5])
-    x = x / float(norm.value(x))
+def count_checks(monkeypatch) -> list:
+    """A list that grows by one per `_check_batch` call.  `sticks` imports the
+    name, so it is patched there as well as in `norms`."""
     calls = []
     real = norms._check_batch
 
@@ -101,12 +103,31 @@ def test_modulus_check_count_does_not_depend_on_max_iter(monkeypatch):
         return real(x, dim)
 
     monkeypatch.setattr(norms, "_check_batch", counting)
+    monkeypatch.setattr(sticks, "_check_batch", counting)
+    return calls
+
+
+def test_modulus_check_count_does_not_depend_on_max_iter(monkeypatch):
+    norm = PNorm(3, 3)
+    x = np.array([1.0, 2.0, -0.5])
+    x = x / float(norm.value(x))
+    calls = count_checks(monkeypatch)
     counts = []
     for max_iter in (20, 80):
         calls.clear()
         modulus(norm, x, 1e-3, n_starts=8, max_iter=max_iter)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_flip_chain_checks_its_input_once(monkeypatch):
+    norm = PNorm(3, 3)
+    rng = np.random.default_rng(9)
+    sites = SiteSet(rng.uniform(-2, 2, size=(3, 3)), norm)
+    l, m = build_ray_family(sites, rng.uniform(-2, 2, size=(12, 3)), 1.0).sticks[:2]
+    calls = count_checks(monkeypatch)
+    assert flip_chain_verify(norm, l, m, s=0.7, t=0.2).passed
+    assert len(calls) <= 8
 
 
 def test_traced_benchmark_wrappers_resolve(monkeypatch):

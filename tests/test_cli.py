@@ -14,6 +14,8 @@ from twosticks import cli, norms
 STRIP = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
          "--count", "2"]
 STICKS = ["sticks", "--norm", "p:3", "--dim", "3", "--queries", "20", "--pairs", "30"]
+EUCLID_STICKS = ["sticks", "--norm", "euclidean", "--dim", "3", "--queries", "20",
+                 "--pairs", "30"]
 CERTIFY = ["certify", "--norm", "euclidean", "--dim", "2", "--samples", "200"]
 ONEV = ["onev", "--p", "1.5", "--p", "3", "--points", "200"]
 
@@ -62,11 +64,11 @@ class TestConfig:
 
     def test_embedded_config_reruns_to_the_same_bytes(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        cli.main(STICKS + ["--tolerance", "lipb=1e-8", "--out", str(first)])
+        cli.main(EUCLID_STICKS + ["--tolerance", "lipb=1e-8", "--out", str(first)])
         header = first.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("# config: ")
         cfg = write_config(tmp_path, json.loads(header[len("# config: "):]))
-        cli.main(["sticks", "--norm", "euclidean", "--config", cfg, "--out", str(second)])
+        cli.main(["sticks", "--norm", "p:3", "--config", cfg, "--out", str(second)])
         assert second.read_bytes() == first.read_bytes()
 
     def test_missing_file_is_a_config_error(self, tmp_path):
@@ -79,6 +81,28 @@ class TestBoundary:
         code = cli.main(STRIP + ["--tolerance", "chek=1", "--out", str(tmp_path / "s.csv")])
         assert code == cli.EXIT_CONFIG
         assert "chek" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, reads", [
+        (STRIP + ["--tolerance", "lipb=-1"], "it reads check"),
+        (STICKS + ["--tolerance", "lipb=-1"], "it reads none"),
+        (EUCLID_STICKS + ["--tolerance", "check=-5"], "it reads emono, lipa, lipb"),
+    ], ids=["strip-lipb", "sticks-p3-lipb", "sticks-euclidean-check"])
+    def test_tolerance_the_run_does_not_read_is_rejected(self, argv, reads, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert reads in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        STRIP + ["--tolerance", "check=1e-8"],
+        EUCLID_STICKS + ["--tolerance", "emono=1e-11", "--tolerance", "lipa=1e-11",
+                         "--tolerance", "lipb=1e-8"],
+    ], ids=["strip", "sticks-euclidean"])
+    def test_tolerance_the_run_reads_is_accepted(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        assert out.exists()
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         code = cli.main(CERTIFY + ["--out", str(tmp_path / "nodir" / "c.json")])

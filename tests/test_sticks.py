@@ -1,5 +1,6 @@
 """Two-sticks predicate, symmetry chain, endpoint bounds, strip experiment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ from twosticks import (
     two_sticks_check,
 )
 from twosticks import cli
-from twosticks.sticks import INTERP_TS
+from twosticks import sticks as sticks_module
+from twosticks.sticks import INTERP_TS, StripReport
 
 
 def euclid_family(dim=2, queries=25, seed=0, length=1.0):
@@ -517,6 +519,53 @@ class TestPairVerdictPreconditions:
         assert v.len_l[7] == 0.0
 
 
+def raised_hypothesis(call) -> str:
+    """The hypothesis `call` raises; "degenerate" for a zero-length stick."""
+    with pytest.raises((PreconditionError, DegenerateStickError)) as err:
+        call()
+    return getattr(err.value, "hypothesis", "degenerate")
+
+
+STRIP_ARGS = (1e-4, 0.36, 2.0279, 3.5555, 0.05)   # delta, rho, Lambda, K, R
+
+
+class TestOnePreconditionPath:
+    # FAILING_PAIRS plus a pair that fails two-sticks and equal length.
+    PAIRS = {**FAILING_PAIRS, "both": (ORIGIN, E1, E1, -E1)}
+
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_one_pair_functions_raise_as_pair_verdicts(self, kind):
+        norm = EuclideanNorm(3)
+        ends = self.PAIRS[kind]
+        rows = [a[None] for a in ends]
+        l, m = Stick(ends[0], ends[1]), Stick(ends[2], ends[3])
+        # degenerate length, two-sticks, equal length
+        expect = raised_hypothesis(lambda: pair_verdicts(norm, *rows, 0.5, q=2.0, p=2.0))
+        assert raised_hypothesis(lambda: holder_ratio(norm, l, m, 0.5, 2.0, 2.0)) == expect
+        assert raised_hypothesis(
+            lambda: strip_experiment(norm, l, m, ORIGIN, *STRIP_ARGS)) == expect
+        if kind != "degenerate":
+            # two-sticks, equal length
+            expect = raised_hypothesis(lambda: pair_verdicts(norm, *rows, 0.5, 1.0))
+            assert raised_hypothesis(lambda: euclid_lipschitz_ratio(l, m, 1.0, 0.5)) == expect
+            assert raised_hypothesis(lambda: flip_chain_verify(norm, l, m, 1.0, 0.5)) == expect
+        if kind in ("two_sticks", "both"):
+            assert raised_hypothesis(lambda: euclid_monotonicity(l, m)) == "two_sticks"
+            assert raised_hypothesis(
+                lambda: euclid_interp_bound_residual(l, m, 0.5)) == "two_sticks"
+
+    def test_two_sticks_is_checked_before_equal_length(self):
+        norm = EuclideanNorm(1)
+        l, m = Stick([0.0], [1.0]), Stick([1.0], [-1.0])   # fails both
+        calls = [
+            lambda: strip_experiment(norm, l, m, [0.0], *STRIP_ARGS),
+            lambda: flip_chain_verify(norm, l, m, 0.7, 0.2),
+            lambda: euclid_lipschitz_ratio(l, m, 0.7, 0.2),
+        ]
+        for call in calls:
+            assert raised_hypothesis(call) == "two_sticks"
+
+
 def sticks_csv(path):
     """(header, rows) of a sticks CSV, every cell as text."""
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
@@ -682,7 +731,7 @@ class TestStripExperiment:
         opts = {"n_starts": 8, "max_iter": 80}
         for l, m, x0 in pairs:
             rep = strip_experiment(norm, l, m, x0, 5e-4, 0.36, lam, k_const, 0.05,
-                                   modulus_opts=opts, auto_orient=True)
+                                   modulus_opts=opts)
             assert rep.passed and rep.axya_ok
             assert rep.bound == pytest.approx(
                 k_const * lam * lam / (lam - 2.0) * rep.kappa * rep.delta)
@@ -732,8 +781,31 @@ class TestStripExperiment:
         opts = {"n_starts": 8, "max_iter": 80}
         for l, m, x0 in pairs:
             rep = strip_experiment(norm, l, m, x0, 1e-4, 0.36, lam, k_const, 0.05,
-                                   modulus_opts=opts, auto_orient=True)
+                                   modulus_opts=opts)
             assert rep.passed and rep.axya_ok
+
+    def test_special_stick_is_chosen_whatever_the_order(self, monkeypatch):
+        norm = PNorm(3, 3)
+        l, m, x0 = generate_strip_pairs(norm, 1, delta=1e-4, rho=0.36, seed=0,
+                                        endpoint_gap_max=0.05)[0]
+        e = l.direction() / l.length(norm)
+        real = sticks_module.modulus
+
+        def l_ranked_first(norm, x, t, **opts):
+            # sigma along l's direction exceeds sigma(ebar) by about 1e-6
+            res = real(norm, x, t, **opts)
+            if np.allclose(x, e, rtol=0.0, atol=1e-12):
+                res.sigma += 1e-6
+            return res
+
+        monkeypatch.setattr(sticks_module, "modulus", l_ranked_first)
+        opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
+        rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS, **opts)
+        assert rep.sigma_e <= rep.sigma_ebar
+        swapped = strip_experiment(norm, m, l, x0, *STRIP_ARGS, **opts)
+        for f in dataclasses.fields(StripReport):
+            got, want = getattr(rep, f.name), getattr(swapped, f.name)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f.name)
 
     def test_unconverged_solve_fails_closed(self):
         norm = PNorm(3, 3)
@@ -741,8 +813,8 @@ class TestStripExperiment:
                                         endpoint_gap_max=0.05)[0]
         args = (norm, l, m, x0, 1e-4, 0.36, 2.0279, 3.5555, 0.05)
         opts = {"n_starts": 8, "max_iter": 80}
-        rep = strip_experiment(*args, modulus_opts=opts, auto_orient=True)
+        rep = strip_experiment(*args, modulus_opts=opts)
         assert rep.converged and rep.passed
         # No KKT residual is exactly zero, so no solve counts as converged.
-        rep = strip_experiment(*args, modulus_opts={**opts, "kkt_tol": 0.0}, auto_orient=True)
+        rep = strip_experiment(*args, modulus_opts={**opts, "kkt_tol": 0.0})
         assert not rep.converged and not rep.passed
