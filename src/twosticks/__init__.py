@@ -36,6 +36,7 @@ from .convexity import (
     estimate_uniform_constants,
     extend_constants,
     extend_constants_to,
+    moduli,
     modulus,
     modulus_grid,
     onev_default_grid,
@@ -60,6 +61,7 @@ from .sticks import (
     segment_point_distance,
     select_special_stick,
     strip_experiment,
+    strip_experiments,
     two_sticks_check,
 )
 from .atlas import (
@@ -90,13 +92,13 @@ __all__ = [
     "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
     "TransferReport", "duality_residual", "estimate_balanced", "estimate_doubling",
     "estimate_lambda", "estimate_uniform_constants", "extend_constants",
-    "extend_constants_to", "modulus", "modulus_grid", "onev_default_grid", "onev_f",
-    "onev_g", "onev_scan", "transfer_check",
+    "extend_constants_to", "moduli", "modulus", "modulus_grid", "onev_default_grid",
+    "onev_f", "onev_g", "onev_scan", "transfer_check",
     "DegenerateStickError", "FlipChainReport", "PairVerdicts", "PreconditionError",
     "Stick", "StripReport", "euclid_interp_bound_residual", "euclid_lipschitz_ratio",
     "euclid_monotonicity", "flip_chain_verify", "holder_ratio", "pair_verdicts",
     "segment_point_distance", "select_special_stick", "strip_experiment",
-    "two_sticks_check",
+    "strip_experiments", "two_sticks_check",
     "NearestResult", "RayFamily", "SiteSet", "build_ray_family", "generate_strip_pairs",
     "nearest_point",
     "SharpnessCurve", "SharpnessInstance", "construct_pgt2", "construct_plt2",

@@ -39,7 +39,7 @@ from .convexity import (DegenerateSampleError, estimate_balanced, estimate_doubl
 from .norms import EuclideanNorm, Norm, PNorm
 from .reporting import to_jsonable, write_csv, write_json
 from .sharpness import sharpness_curve
-from .sticks import PreconditionError, pair_verdicts, strip_experiment
+from .sticks import PreconditionError, pair_verdicts, strip_experiments
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -227,7 +227,7 @@ def cmd_sticks(args) -> int:
         columns = [i, j, v.holder_ratio, t, np.full(len(i), q_exp), np.full(len(i), p_exp),
                    bad]
         meaning = "violated means a non-finite Hölder ratio; no constant C is checked"
-    write_csv(args.out, header, zip(*columns), config=_config_dict(args))
+    write_csv(args.out, header, columns, config=_config_dict(args))
     violations = int(np.count_nonzero(bad))
     print(f"sticks: {len(i)} pairs, {violations} violations ({meaning}) -> {args.out}")
     return EXIT_VIOLATION if violations else EXIT_OK
@@ -252,22 +252,20 @@ def cmd_strip(args) -> int:
     except RuntimeError as exc:
         print(f"degenerate generation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k,
+                                args.big_r, tol=tol["check"],
+                                modulus_opts={"n_starts": 8, "max_iter": 80})
     header = ["index", "delta", "kappa", "bound", "projection",
               "promise_lhs", "promise_rhs", "axya", "passed"]
-    rows = []
-    failures = unconverged = 0
-    opts = {"n_starts": 8, "max_iter": 80}
-    for idx, (l, m, x0) in enumerate(configs):
-        rep = strip_experiment(norm, l, m, x0, args.delta, args.rho, args.lam,
-                               args.k, args.big_r, tol=tol["check"],
-                               modulus_opts=opts)
-        rows.append([idx, rep.delta, rep.kappa, rep.bound, rep.projection,
-                     rep.promise_lhs, rep.promise_rhs, rep.axya_value,
-                     rep.passed and rep.axya_ok])
-        failures += not (rep.passed and rep.axya_ok)
-        unconverged += not rep.converged
-    write_csv(args.out, header, rows, config=_config_dict(args))
-    print(f"strip: {len(rows)} configurations, {failures} failures "
+    fields = ("delta", "kappa", "bound", "projection", "promise_lhs", "promise_rhs",
+              "axya_value")
+    passed = [rep.passed and rep.axya_ok for rep in reports]
+    columns = [range(len(reports)), *([getattr(rep, f) for rep in reports] for f in fields),
+               passed]
+    write_csv(args.out, header, columns, config=_config_dict(args))
+    failures = passed.count(False)
+    unconverged = sum(not rep.converged for rep in reports)
+    print(f"strip: {len(reports)} configurations, {failures} failures "
           f"({unconverged} on a solve that did not converge) -> {args.out}")
     return EXIT_VIOLATION if failures else EXIT_OK
 
@@ -290,7 +288,7 @@ def cmd_sharpness(args) -> int:
         grid = np.linspace(xp_lo, xp_hi, args.points) ** (1.0 / args.p)
     curve = sharpness_curve(args.p, grid)
     header = ["parameter", "gap_norm", "m_norm", "ratio"]
-    write_csv(args.out, header, curve.rows, config=_config_dict(args))
+    write_csv(args.out, header, zip(*curve.rows), config=_config_dict(args))
     print(f"sharpness: p={args.p} band=[{curve.band[0]!r}, {curve.band[1]!r}] "
           f"exponent={curve.exponent!r} -> {args.out}")
     return EXIT_OK
@@ -307,9 +305,9 @@ def cmd_atlas(args) -> int:
         header = ["index", "site_index"] \
             + [f"start_{k}" for k in range(norm.dim)] \
             + [f"end_{k}" for k in range(norm.dim)]
-        rows = [[i, family.site_index[i], *stick.start, *stick.end]
-                for i, stick in enumerate(family.sticks)]
-        write_csv(args.csv, header, rows, config=_config_dict(args))
+        starts, ends = family.endpoints()
+        columns = [range(len(family)), family.site_index, *starts.T, *ends.T]
+        write_csv(args.csv, header, columns, config=_config_dict(args))
     print(f"atlas: {len(family)} sticks ({len(family.skipped)} skipped) -> {args.out}")
     return EXIT_OK
 

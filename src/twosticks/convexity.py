@@ -5,8 +5,13 @@ The modulus of geometric convexity at x is
     sigma(x, t) = max { h(x, x + y) : ||y|| <= t },
 
 whose maximizers lie on the sphere ||y|| = t and satisfy the stationarity
-condition N(x+y) - N(x) = alpha * N(y) with alpha > 0.  Around it this
-module estimates, by seeded sampling with witnesses:
+condition N(x+y) - N(x) = alpha * N(y) with alpha > 0.  `moduli` solves a
+batch of such problems: one projected ascent over arrays of shape
+(problems, starts, dim), with each problem's N(x) computed one row at a time
+through `Norm.normal`; then each problem's ascended starts go to a
+`modulus` call, which runs the BFGS polish.  `modulus` alone ascends a
+batch of one.  Around the modulus this module estimates, by seeded sampling
+with witnesses:
 
 * geometric convexity   Lambda = inf h(x, x+2y) / h(x, x+y)   (> 2 wanted)
 * doubling              T      = sup h(x, x+2y) / h(x, x+y)
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from statistics import NormalDist
 from typing import Optional
 
@@ -74,16 +80,23 @@ def _primes(count: int) -> list:
     return primes
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@cache
 def _halton_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy directions on the Euclidean sphere.
 
     Points 1..count of the unscrambled Halton sequence (point 0 is the
     origin): coordinate j is the radical inverse of the point's index in the
     j-th prime base, its digits mirrored about the radix point.  The points
-    are mapped through the Gaussian quantile and normalized.
+    are mapped through the Gaussian quantile and normalized.  Built once per
+    (dim, count) and returned read-only.
     """
     if dim == 1:
-        return np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count]
+        return _read_only(np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count])
     u = np.zeros((count, dim))
     for j, base in enumerate(_primes(dim)):
         index, scale = np.arange(1, count + 1), 1.0 / base
@@ -93,21 +106,23 @@ def _halton_directions(dim: int, count: int) -> np.ndarray:
     g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
     nrm = np.sqrt(np.sum(g * g, axis=-1))
     nrm[nrm < 1e-12] = 1.0
-    return g / nrm[:, None]
+    return _read_only(g / nrm[:, None])
 
 
+@cache
 def _coarse_directions(dim: int) -> np.ndarray:
-    """Cheap quasi-uniform direction sweep used to seed the multi-start."""
+    """Cheap quasi-uniform direction sweep used to seed the multi-start;
+    built once per dim and returned read-only."""
     if dim == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return _read_only(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
     if dim == 3:
         count = 1500
         i = np.arange(count) + 0.5
         phi = np.arccos(1.0 - 2.0 * i / count)
         theta = np.pi * (1.0 + math.sqrt(5.0)) * i
-        return np.stack([np.cos(theta) * np.sin(phi),
-                         np.sin(theta) * np.sin(phi), np.cos(phi)], axis=-1)
+        return _read_only(np.stack([np.cos(theta) * np.sin(phi),
+                                    np.sin(theta) * np.sin(phi), np.cos(phi)], axis=-1))
     raise ValueError("coarse sweep supports dim 2 and 3")
 
 
@@ -150,62 +165,140 @@ def _kkt(norm: Norm, x, t: float, y, n_of_x) -> tuple[np.ndarray, float, float]:
     return n_of_y, alpha, kkt
 
 
-def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
-            kkt_tol: float = 1e-7) -> ModulusResult:
-    """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
-    Starts come from a deterministic low-discrepancy set, so the result is
-    reproducible.  The leading candidates are polished by BFGS on the
-    scale-invariant parametrization y = t*u/||u||.  The first start within
-    1e-9 of the best value wins, which pins down the returned maximizer when
-    the maximizing set is a continuum.  Non-convergence is reported through
-    `converged`, never silently.
-    """
+def _h(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """h(x, x+y) = ||x+y|| - <x+y, N(x)> over the last axis, broadcast."""
+    z = x + y
+    return norm._value(z) - np.sum(z * n_of_x, axis=-1)
+
+
+def _ascent(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, t: np.ndarray, y: np.ndarray,
+            max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected ascent of h(x, x+y) on the spheres ||y|| = t from the starts
+    y of shape (problems, starts, dim); x and n_of_x are (problems, 1, dim)
+    and t is (problems, 1).  Every start moves along N(x+y) - N(x) with its
+    own step, grown 1.3x on success and halved on failure, and a problem
+    freezes once all of its steps are below 1e-9 t.  Returns the final
+    starts, their values and each problem's iteration count."""
+    f = _h(norm, x, n_of_x, y)
+    step = np.broadcast_to(0.3 * t, f.shape).copy()
+    iterations = np.full(len(f), max_iter)
+    live = np.arange(len(f))
+    for it in range(max_iter):
+        xl, nl, tl, yl, fl, sl = (x[live], n_of_x[live], t[live], y[live], f[live],
+                                  step[live])
+        grad = _value_and_normal(norm, xl + yl)[1] - nl
+        cand = yl + sl[..., None] * grad
+        nc = norm._value(cand)
+        ok = nc > ZERO_THRESHOLD
+        cand = np.where(ok[..., None], cand, yl)
+        nc = np.where(ok, nc, tl)
+        cand = tl[..., None] * cand / nc[..., None]
+        fc = _h(norm, xl, nl, cand)
+        better = fc > fl
+        y[live] = np.where(better[..., None], cand, yl)
+        f[live] = np.where(better, fc, fl)
+        sl = np.minimum(np.where(better, sl * 1.3, sl * 0.5), tl)
+        step[live] = sl
+        # The BFGS polish finishes the job; the ascent only has to land in
+        # the right basin, so a loose step floor is enough.
+        done = np.all(sl < 1e-9 * tl, axis=-1)
+        iterations[live[done]] = it + 1
+        live = live[~done]
+        if not live.size:
+            break
+    return y, f, iterations
+
+
+def _problem(norm: Norm, x, t) -> tuple[np.ndarray, float]:
+    """One modulus problem (x, t), checked: x a vector of the norm's dim, t > 0."""
     x = as_vector(x, norm.dim)
     t = float(t)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    n_of_x = norm.normal(x)
+    return x, t
+
+
+def _ascended(norm: Norm, rows: list, radii: list, normals: list, n_starts: int,
+              max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multi-start projected ascent of every problem (rows[i], radii[i])
+    with N(x) = normals[i], in one `_ascent` call: the starts, their values
+    and each problem's iteration count, of shapes (problems, starts, dim),
+    (problems, starts) and (problems,)."""
     n = norm.dim
+    x = np.stack(rows)[:, None, :]
+    n_of_x = np.stack(normals)[:, None, :]
+    t = np.array(radii)[:, None]
     k = max(4, int(n_starts)) if n > 1 else 2
 
     u = _halton_directions(n, k)
-
-    def objective(yy: np.ndarray) -> np.ndarray:
-        z = x + yy
-        return norm._value(z) - np.sum(z * n_of_x, axis=-1)
-
     if 2 <= n <= 3:
         # Seed with the best directions of a coarse sweep so the global
-        # basin is always represented among the starts.
+        # basin is always represented among the starts.  The sweep runs one
+        # problem at a time, so its arrays stay (sweep, dim) in size.
         sweep = _coarse_directions(n)
-        y_sweep = t * sweep / norm._value(sweep)[:, None]
-        top = np.argsort(objective(y_sweep))[::-1][:4]
-        u = np.vstack([sweep[top], u])
-        k = u.shape[0]
-    y = t * u / norm._value(u)[:, None]
-    f = objective(y)
-    step = np.full(k, 0.3 * t)
-    iterations = max_iter
-    for it in range(max_iter):
-        grad = _value_and_normal(norm, x + y)[1] - n_of_x
-        cand = y + step[:, None] * grad
-        nc = norm._value(cand)
-        ok = nc > ZERO_THRESHOLD
-        cand = np.where(ok[:, None], cand, y)
-        nc = np.where(ok, nc, t)
-        cand = t * cand / nc[:, None]
-        fc = objective(cand)
-        better = fc > f
-        y = np.where(better[:, None], cand, y)
-        f = np.where(better, fc, f)
-        step = np.where(better, step * 1.3, step * 0.5)
-        np.clip(step, None, t, out=step)
-        # The BFGS polish finishes the job; the ascent only has to land in
-        # the right basin, so a loose step floor is enough.
-        if np.all(step < 1e-9 * t):
-            iterations = it + 1
-            break
+        v_sweep = norm._value(sweep)[:, None]
+        top = [np.argsort(_h(norm, xi, ni, ti * sweep / v_sweep))[::-1][:4]
+               for xi, ti, ni in zip(rows, radii, normals)]
+        u = np.concatenate([sweep[np.array(top)], np.broadcast_to(u, (len(rows), k, n))],
+                           axis=1)
+    y = t[..., None] * u / norm._value(u)[..., None]
+    return _ascent(norm, x, n_of_x, t, y, max_iter)
 
+
+def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200,
+           kkt_tol: float = 1e-7) -> list[ModulusResult]:
+    """`modulus` of each problem (xs[i], ts[i]), from one batched ascent.
+
+    The problems are checked in order, as `modulus` checks one.  N(x) is
+    computed one row at a time through `Norm.normal`, not by the row kernel
+    on the stacked points, whose power can round differently in the last ulp
+    and move the polish starts.  The start sets are built once per
+    (dim, count).  The projected ascent runs once over arrays of shape
+    (problems, starts, dim), each problem stopping on its own rule.  Then
+    each problem ends in its own `modulus` call, handed its ascended starts,
+    which polishes and ranks them.  So the results equal those of
+    per-problem `modulus` calls field for field, and a wrapper of `modulus`
+    (a call counter, a tracer) sees one call and one result per problem.
+    """
+    rows, radii, normals = [], [], []
+    for x, t in zip(xs, ts, strict=True):
+        x, t = _problem(norm, x, t)
+        rows.append(x)
+        radii.append(t)
+        normals.append(norm.normal(x))
+    if not rows:
+        return []
+    y, f, iterations = _ascended(norm, rows, radii, normals, n_starts, max_iter)
+    return [modulus(norm, x, t, kkt_tol=kkt_tol, ascent=(y[i], f[i], int(iterations[i])))
+            for i, (x, t) in enumerate(zip(rows, radii))]
+
+
+def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
+            kkt_tol: float = 1e-7,
+            ascent: Optional[tuple[np.ndarray, np.ndarray, int]] = None) -> ModulusResult:
+    """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
+    Starts come from a deterministic low-discrepancy set, so the result is
+    reproducible; for dim 2 and 3 the four best directions of a coarse sweep
+    lead them.  The leading two candidates are polished by BFGS on the
+    scale-invariant parametrization y = t*u/||u||.  The first start within
+    1e-9 of the best value wins, which pins down the returned maximizer when
+    the maximizing set is a continuum.  Non-convergence is reported through
+    `converged`, never silently.
+
+    `ascent` is how `moduli`, which runs the ascent of a batch of problems
+    at once, hands one problem its share: the ascended starts (starts, dim)
+    on the sphere, their values h(x, x+y) and the problem's iteration count.
+    The arrays are not modified.  Given, no ascent runs here and n_starts
+    and max_iter are not read; left None, the ascent runs here as a batch
+    of one.
+    """
+    x, t = _problem(norm, x, t)
+    n_of_x = norm.normal(x)
+    if ascent is None:
+        y, f, iterations = _ascended(norm, [x], [t], [n_of_x], n_starts, max_iter)
+        ascent = (y[0], f[0], int(iterations[0]))
+    y, f, iterations = ascent
+    y, f = y.copy(), f.copy()
     for row in np.argsort(f)[::-1][:2]:
         yp, fp = _polish_on_sphere(norm, x, t, y[row], n_of_x)
         if fp > f[row]:
@@ -230,17 +323,13 @@ def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusRe
     The sphere of directions is scanned at `resolution` radians (after local
     refinement), independently of the ascent in `modulus`.
     """
-    x = as_vector(x, norm.dim)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    x, t = _problem(norm, x, t)
     n = norm.dim
     n_of_x = norm.normal(x)
 
     def h_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = t * u / norm._value(u)[..., None]
-        z = x + y
-        return norm._value(z) - np.sum(z * n_of_x, axis=-1), y
+        return _h(norm, x, n_of_x, y), y
 
     if n == 1:
         u = np.array([[1.0], [-1.0]])

@@ -21,6 +21,10 @@ import numpy as np
 
 from .norms import Norm
 
+# Rows formatted at a time by `write_csv`: the cell strings of one block are
+# alive at once, not those of the whole file.
+CSV_BLOCK = 1024
+
 
 def fmt(value) -> str:
     """Round-trip-exact text for a scalar cell."""
@@ -59,15 +63,33 @@ def to_jsonable(obj):
     return obj
 
 
-def write_csv(path, header: Iterable[str], rows: Iterable[Iterable],
+def _format_column(column: np.ndarray) -> list:
+    """`fmt` of every cell of one column, with one formatter per numpy dtype
+    applied to the column's `.tolist()`; a column mixing ints and floats is
+    therefore written as floats."""
+    values = column.tolist()
+    if column.dtype == np.bool_:
+        return ["true" if v else "false" for v in values]
+    if column.dtype.kind in "iu":
+        return list(map(str, values))
+    if column.dtype.kind == "f":
+        return list(map(repr, values))
+    return list(map(fmt, values))
+
+
+def write_csv(path, header: Iterable[str], columns: Iterable,
               config: Optional[dict] = None) -> None:
-    lines = []
-    if config is not None:
-        lines.append("# config: " + json.dumps(to_jsonable(config), sort_keys=True))
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write one CSV row per entry of the columns (arrays or sequences of one
+    length), formatted column by column, CSV_BLOCK rows at a time."""
+    columns = [np.asarray(column) for column in columns]
+    rows = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8") as fh:
+        if config is not None:
+            fh.write("# config: " + json.dumps(to_jsonable(config), sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK):
+            cells = [_format_column(column[start:start + CSV_BLOCK]) for column in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def write_json(path, payload: dict, config: Optional[dict] = None) -> None:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .convexity import modulus, ModulusResult
+from .convexity import moduli, modulus
 from .gap import _gap
 from .norms import EuclideanNorm, Norm, _check_batch, as_vector
 
@@ -460,30 +460,11 @@ class StripReport:
     t_star: float
 
 
-def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float,
-                     lam: float, k_const: float, big_r: float, *,
-                     tol: float = 1e-9, modulus_opts: Optional[dict] = None) -> StripReport:
-    """Check that l1 - m1 lies in the strip predicted for geometrically convex,
-    balanced norms when both sticks meet the ball B_delta(x0).
-
-    Hypotheses are re-verified and violations raise `PreconditionError` naming
-    the failed one: Lambda > 2, K >= 1; on the given pair, positive length
-    (DegenerateStickError), two-sticks and equal length; then, with the
-    sticks normalized to unit length and all input geometry scaled with
-    them, 0 < delta < 1/4, rho > 3*delta, the endpoint-gap bound
-    ||l1 - m1|| <= big_r, the width condition
-    K*Lambda^2/(Lambda-2)*kappa*delta <= 1 with kappa = 4/(rho - 3*delta),
-    both sticks meeting B_delta(x0), and l's endpoints outside B_rho(x0).
-
-    m is chosen as the special stick, sigma(e, kappa*delta) <=
-    sigma(ebar, kappa*delta): l and m are swapped when the rule of
-    `select_special_stick` ranks l above m; a near-tie keeps the given order.
-
-    The interior construction follows the underlying proof: a point
-    lambda_star of m inside the delta-ball, then the parameter t_star where
-    <l(t) - lambda_star, N(e)> crosses zero.
-    """
-    opts = modulus_opts or {}
+def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, lam: float,
+                 k_const: float, big_r: float, tol: float):
+    """`strip_experiment` of one configuration as a generator: it yields the
+    modulus problems it needs as a list of (x, t), is sent their results in
+    that order, and returns the StripReport."""
     if lam <= 2.0:
         raise PreconditionError("lambda_range", "geometric convexity requires Lambda > 2")
     if k_const < 1.0:
@@ -509,8 +490,7 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     if width > 1.0 + 1e-12:
         raise PreconditionError("eta_width", f"strip width {width!r} exceeds 1")
 
-    mod_e = modulus(norm, l.direction(), kappa * delta, **opts)
-    mod_ebar = modulus(norm, m.direction(), kappa * delta, **opts)
+    mod_e, mod_ebar = yield [(l.direction(), kappa * delta), (m.direction(), kappa * delta)]
     if _special_index([mod_ebar.sigma, mod_e.sigma]) == 1:
         l, m, mod_e, mod_ebar = m, l, mod_ebar, mod_e
     sigma_e, sigma_ebar = mod_e.sigma, mod_ebar.sigma
@@ -540,7 +520,7 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     if float(norm._value(l_star - lambda_star)) > 4.0 * delta + near_slack:
         raise PreconditionError("lst", "interior gap exceeded 4*delta")
 
-    ymax = modulus(norm, ebar, width, **opts)
+    (ymax,) = yield [(ebar, width)]
     ybar = ymax.maximizer_y
     n_ybar = norm.normal(ybar)
     converged = mod_e.converged and mod_ebar.converged and ymax.converged
@@ -565,3 +545,70 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
                        t_star=t_star)
 
 
+def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
+                      k_const: float, big_r: float, *, tol: float = 1e-9,
+                      modulus_opts: Optional[dict] = None) -> list[StripReport]:
+    """`strip_experiment` of each configuration (l, m, x0) of `configs`, with
+    two batched `moduli` calls in all: sigma(e) and sigma(ebar) of every
+    configuration, then, after the special-stick swaps, the maximizer ybar
+    of every configuration.
+
+    Each configuration runs the steps of `strip_experiment` in its order.
+    When some fail, the error raised is the one the lowest-index failing
+    configuration raises alone, as in a loop of `strip_experiment` calls;
+    the configurations after it are not solved.
+    """
+    opts = modulus_opts or {}
+    steps = [_strip_steps(norm, l, m, x0, delta, rho, lam, k_const, big_r, tol)
+             for l, m, x0 in configs]
+    reports, replies = [None] * len(steps), [None] * len(steps)
+    live, failure = range(len(steps)), None
+    while live:
+        asks = []
+        for i in live:
+            try:
+                asks.append((i, steps[i].send(replies[i])))
+            except StopIteration as done:
+                reports[i] = done.value
+            except Exception as exc:
+                failure = exc  # a loop would stop here: later ones do not run
+                break
+        live = [i for i, _ in asks]
+        if asks:
+            problems = [problem for _, ask in asks for problem in ask]
+            solved = iter(moduli(norm, [x for x, _ in problems], [t for _, t in problems],
+                                 **opts))
+            for i, ask in asks:
+                replies[i] = [next(solved) for _ in ask]
+    if failure is not None:
+        raise failure
+    return reports
+
+
+def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float,
+                     lam: float, k_const: float, big_r: float, *,
+                     tol: float = 1e-9, modulus_opts: Optional[dict] = None) -> StripReport:
+    """Check that l1 - m1 lies in the strip predicted for geometrically convex,
+    balanced norms when both sticks meet the ball B_delta(x0).
+
+    Hypotheses are re-verified and violations raise `PreconditionError` naming
+    the failed one: Lambda > 2, K >= 1; on the given pair, positive length
+    (DegenerateStickError), two-sticks and equal length; then, with the
+    sticks normalized to unit length and all input geometry scaled with
+    them, 0 < delta < 1/4, rho > 3*delta, the endpoint-gap bound
+    ||l1 - m1|| <= big_r, the width condition
+    K*Lambda^2/(Lambda-2)*kappa*delta <= 1 with kappa = 4/(rho - 3*delta),
+    both sticks meeting B_delta(x0), and l's endpoints outside B_rho(x0).
+
+    m is chosen as the special stick, sigma(e, kappa*delta) <=
+    sigma(ebar, kappa*delta): l and m are swapped when the rule of
+    `select_special_stick` ranks l above m; a near-tie keeps the given order.
+
+    The interior construction follows the underlying proof: a point
+    lambda_star of m inside the delta-ball, then the parameter t_star where
+    <l(t) - lambda_star, N(e)> crosses zero.  The three modulus solves, of
+    sigma(e), sigma(ebar) and ybar, come from two `moduli` calls; this is the
+    one-configuration call of `strip_experiments`.
+    """
+    return strip_experiments(norm, [(l, m, x0)], delta, rho, lam, k_const, big_r,
+                             tol=tol, modulus_opts=modulus_opts)[0]

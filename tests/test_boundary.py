@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import twosticks
+import twosticks.convexity as convexity
 import twosticks.norms as norms
 import twosticks.sticks as sticks
 from twosticks import (
@@ -27,6 +28,7 @@ from twosticks import (
     segment_point_distance,
     two_sticks_check,
 )
+from twosticks import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,6 +130,53 @@ def test_flip_chain_checks_its_input_once(monkeypatch):
     calls = count_checks(monkeypatch)
     assert flip_chain_verify(norm, l, m, s=0.7, t=0.2).passed
     assert len(calls) <= 8
+
+
+STRIP_ARGV = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555"]
+
+
+def test_strip_makes_two_batched_solves(tmp_path, monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        real = getattr(module, name)
+        calls[key] = 0
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in [(sticks, "moduli"), (sticks, "modulus"), (convexity, "modulus"),
+                         (convexity, "_ascended"), (convexity, "_ascent"),
+                         (convexity, "_polish_on_sphere")]:
+        count(module, name)
+    argv = [*STRIP_ARGV, "--count", "5", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    # 15 problems (sigma(e), sigma(ebar), ybar per configuration) in two
+    # ascents; each problem ends in its own `modulus` call, polished from its
+    # two best starts, as when every problem had its own solve.
+    assert calls == {"sticks.moduli": 2, "sticks.modulus": 0, "convexity.modulus": 15,
+                     "convexity._ascended": 2, "convexity._ascent": 2,
+                     "convexity._polish_on_sphere": 30}
+
+
+def test_traced_strip_records_every_modulus_problem(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("spans").Tracer()
+    tracer.install()
+    try:
+        argv = [*STRIP_ARGV, "--count", "2", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    modulus_span = tracer.names.index("convexity.modulus")
+    assert list(tracer.name).count(modulus_span) == 6
+    iterations, converged, kkt = np.array(tracer.modulus).T
+    assert len(iterations) == 6 and np.all(iterations > 0) and np.all(iterations <= 80)
+    assert np.all(converged == 1) and np.all(kkt <= 1e-7)
 
 
 def test_traced_benchmark_wrappers_resolve(monkeypatch):

@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twosticks import (
     DegenerateSampleError,
     EuclideanNorm,
+    ModulusResult,
+    PluginNorm,
     PNorm,
+    ZeroVectorError,
     duality_residual,
     estimate_balanced,
     estimate_doubling,
@@ -18,11 +22,20 @@ from twosticks import (
     extend_constants,
     extend_constants_to,
     gap,
+    moduli,
     modulus,
     modulus_grid,
     transfer_check,
 )
-from twosticks.convexity import TransferWindowError, _halton_directions
+from twosticks.convexity import (
+    TransferWindowError,
+    _ascended,
+    _coarse_directions,
+    _halton_directions,
+    _kkt,
+    _polish_on_sphere,
+)
+from twosticks.norms import ZERO_THRESHOLD, _value_and_normal
 from twosticks.reporting import to_jsonable
 
 
@@ -144,6 +157,138 @@ class TestModulus:
             modulus(norm, [0.0, 0.0], 0.5)
         with pytest.raises(ValueError):
             modulus_grid(PNorm(2, 5), np.ones(5) / PNorm(2, 5).value(np.ones(5)), 0.3)
+
+
+def oracle_modulus(norm, x, t, *, n_starts=32, max_iter=200, kkt_tol=1e-7):
+    """The per-problem solver `moduli` batches: one problem's multi-start
+    projected ascent with N(x) from the one-vector `Norm.normal`, then the
+    same polish and ranking."""
+    x = np.asarray(x, dtype=float)
+    t = float(t)
+    n_of_x = norm.normal(x)
+    n = norm.dim
+    k = max(4, int(n_starts)) if n > 1 else 2
+    u = _halton_directions(n, k)
+
+    def objective(yy):
+        z = x + yy
+        return norm._value(z) - np.sum(z * n_of_x, axis=-1)
+
+    if 2 <= n <= 3:
+        sweep = _coarse_directions(n)
+        y_sweep = t * sweep / norm._value(sweep)[:, None]
+        top = np.argsort(objective(y_sweep))[::-1][:4]
+        u = np.vstack([sweep[top], u])
+        k = u.shape[0]
+    y = t * u / norm._value(u)[:, None]
+    f = objective(y)
+    step = np.full(k, 0.3 * t)
+    iterations = max_iter
+    for it in range(max_iter):
+        grad = _value_and_normal(norm, x + y)[1] - n_of_x
+        cand = y + step[:, None] * grad
+        nc = norm._value(cand)
+        ok = nc > ZERO_THRESHOLD
+        cand = np.where(ok[:, None], cand, y)
+        nc = np.where(ok, nc, t)
+        cand = t * cand / nc[:, None]
+        fc = objective(cand)
+        better = fc > f
+        y = np.where(better[:, None], cand, y)
+        f = np.where(better, fc, f)
+        step = np.where(better, step * 1.3, step * 0.5)
+        np.clip(step, None, t, out=step)
+        if np.all(step < 1e-9 * t):
+            iterations = it + 1
+            break
+    for row in np.argsort(f)[::-1][:2]:
+        yp, fp = _polish_on_sphere(norm, x, t, y[row], n_of_x)
+        if fp > f[row]:
+            y[row], f[row] = yp, fp
+    best = int(np.nonzero(f >= float(np.max(f)) - 1e-9)[0][0])
+    n_of_y, alpha, kkt = _kkt(norm, x, t, y[best], n_of_x)
+    return ModulusResult(sigma=float(f[best]), t=t, maximizer_y=y[best], normal_at_y=n_of_y,
+                         kkt_residual=kkt, kkt_multiplier=alpha,
+                         converged=bool(kkt <= kkt_tol and alpha >= -1e-9),
+                         iterations=iterations)
+
+
+def plugin_norm(dim):
+    """A 2.5-norm known to the library only through its values."""
+    return PluginNorm(lambda v: float(np.sum(np.abs(v) ** 2.5) ** 0.4), dim, "p2.5")
+
+
+def assert_same_result(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+class TestBatchedModulus:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["euclidean", "p1.5", "p3", "p4", "plugin"]),
+           dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           problems=st.integers(1, 4), max_iter=st.sampled_from([0, 6, 80, 300]))
+    def test_moduli_equals_modulus_per_problem(self, kind, dim, seed, problems, max_iter):
+        if kind == "plugin":
+            norm, max_iter = plugin_norm(dim), min(max_iter, 6)
+        elif kind == "euclidean":
+            norm = EuclideanNorm(dim)
+        else:
+            norm = PNorm(float(kind[1:]), dim)
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((problems, dim))
+        xs[0] = np.eye(dim)[0]                       # an axis: symmetric ties
+        xs = xs * rng.uniform(0.5, 2.0, size=(problems, 1))
+        ts = 10.0 ** rng.uniform(-6.0, 0.0, size=problems)   # mixed radii
+        opts = {"n_starts": int(rng.integers(1, 10)), "max_iter": max_iter}
+        got = moduli(norm, xs, ts, **opts)
+        assert len(got) == problems
+        for x, t, res in zip(xs, ts, got):
+            assert_same_result(res, modulus(norm, x, t, **opts))
+            assert_same_result(res, oracle_modulus(norm, x, t, **opts))
+
+    def test_problems_stop_on_their_own(self):
+        # The three problems leave the ascent at different iterations.
+        norm = EuclideanNorm(2)
+        xs, ts = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [1e-3, 0.5, 0.2]
+        got = moduli(norm, xs, ts)
+        assert len({res.iterations for res in got}) == 3
+        assert min(res.iterations for res in got) < 200
+        for x, t, res in zip(xs, ts, got):
+            assert_same_result(res, oracle_modulus(norm, x, t))
+
+    def test_inputs_checked_in_problem_order(self):
+        norm = PNorm(3, 2)
+        assert moduli(norm, [], []) == []
+        with pytest.raises(ValueError, match="t must be positive"):
+            moduli(norm, [[1.0, 0.0], [0.0, 0.0]], [0.3, 0.0])
+        with pytest.raises(ZeroVectorError):
+            moduli(norm, [[1.0, 0.0], [0.0, 0.0], [1.0]], [0.3, 0.3, 0.3])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            moduli(norm, [[1.0, 0.0], [1.0]], [0.3, 0.3])
+        with pytest.raises(ValueError):
+            moduli(norm, [[1.0, 0.0], [0.0, 1.0]], [0.3])
+
+    def test_modulus_leaves_the_handed_ascent_unchanged(self):
+        norm, x, t = PNorm(3, 3), np.array([1.0, 0.0, 0.0]), 0.2
+        y, f, iterations = _ascended(norm, [x], [t], [norm.normal(x)], 8, 80)
+        y0, f0 = y[0].copy(), f[0].copy()
+        res = modulus(norm, x, t, ascent=(y[0], f[0], int(iterations[0])))
+        assert np.array_equal(y[0], y0) and np.array_equal(f[0], f0)
+        assert_same_result(res, modulus(norm, x, t, n_starts=8, max_iter=80))
+
+    def test_start_sets_are_cached_read_only(self):
+        for start_set in (_halton_directions(3, 8), _halton_directions(1, 2),
+                          _coarse_directions(2), _coarse_directions(3)):
+            assert not start_set.flags.writeable
+            with pytest.raises(ValueError):
+                start_set[0, 0] = 0.0
+        assert _halton_directions(3, 8) is _halton_directions(3, 8)
+        assert _coarse_directions(3) is _coarse_directions(3)
 
 
 class TestHaltonDirections:

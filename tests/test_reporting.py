@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from twosticks import PNorm, SiteSet, build_ray_family, modulus
-from twosticks.reporting import to_jsonable, write_json
+from twosticks.reporting import CSV_BLOCK, fmt, to_jsonable, write_csv, write_json
 
 
 def small_family():
@@ -62,3 +62,18 @@ def test_write_json_embeds_config_and_timestamp(tmp_path):
     assert doc["value"] == 0.1 and doc["ok"] is True
     assert doc["config"] == {"seed": 3}
     assert isinstance(doc["timestamp"], str)
+
+
+def test_csv_columns_are_written_as_fmt_writes_each_cell(tmp_path):
+    rows = CSV_BLOCK + 3                     # a full block and a partial one
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+    floats[:4] = [0.1, -0.0, np.inf, np.nan]
+    columns = [range(rows), np.arange(rows, dtype=np.uint32), floats, floats > 0,
+               [float(v) for v in floats], ["ab"[k % 2] for k in range(rows)]]
+    path = tmp_path / "c.csv"
+    write_csv(path, ["i", "u", "x", "pos", "y", "s"], columns, config={"seed": 1})
+    expected = ['# config: {"seed": 1}', "i,u,x,pos,y,s"]
+    cells = [np.asarray(c) for c in columns]
+    expected += [",".join(fmt(c[k]) for c in cells) for k in range(rows)]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"

@@ -30,6 +30,7 @@ from twosticks import (
     segment_point_distance,
     select_special_stick,
     strip_experiment,
+    strip_experiments,
     two_sticks_check,
 )
 from twosticks import cli
@@ -789,16 +790,17 @@ class TestStripExperiment:
         l, m, x0 = generate_strip_pairs(norm, 1, delta=1e-4, rho=0.36, seed=0,
                                         endpoint_gap_max=0.05)[0]
         e = l.direction() / l.length(norm)
-        real = sticks_module.modulus
+        real = sticks_module.moduli
 
-        def l_ranked_first(norm, x, t, **opts):
+        def l_ranked_first(norm, xs, ts, **opts):
             # sigma along l's direction exceeds sigma(ebar) by about 1e-6
-            res = real(norm, x, t, **opts)
-            if np.allclose(x, e, rtol=0.0, atol=1e-12):
-                res.sigma += 1e-6
-            return res
+            results = real(norm, xs, ts, **opts)
+            for x, res in zip(xs, results):
+                if np.allclose(x, e, rtol=0.0, atol=1e-12):
+                    res.sigma += 1e-6
+            return results
 
-        monkeypatch.setattr(sticks_module, "modulus", l_ranked_first)
+        monkeypatch.setattr(sticks_module, "moduli", l_ranked_first)
         opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
         rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS, **opts)
         assert rep.sigma_e <= rep.sigma_ebar
@@ -806,6 +808,50 @@ class TestStripExperiment:
         for f in dataclasses.fields(StripReport):
             got, want = getattr(rep, f.name), getattr(swapped, f.name)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f.name)
+
+    def test_batch_equals_one_configuration_at_a_time(self):
+        norm = PNorm(3, 3)
+        configs = generate_strip_pairs(norm, 3, delta=1e-4, rho=0.36, seed=5,
+                                       endpoint_gap_max=0.05)
+        configs.append((configs[0][1], configs[0][0], configs[0][2]))   # swapped pair
+        opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
+        reports = strip_experiments(norm, configs, *STRIP_ARGS, **opts)
+        assert len(reports) == len(configs)
+        for (l, m, x0), rep in zip(configs, reports):
+            want = strip_experiment(norm, l, m, x0, *STRIP_ARGS, **opts)
+            for f in dataclasses.fields(StripReport):
+                got, expect = getattr(rep, f.name), getattr(want, f.name)
+                assert np.array_equal(got, expect), f.name
+        assert strip_experiments(norm, [], *STRIP_ARGS) == []
+
+    def test_batch_raises_the_first_configuration_error(self, monkeypatch):
+        norm = PNorm(3, 3)
+        good = generate_strip_pairs(norm, 1, delta=1e-4, rho=0.36, seed=0,
+                                    endpoint_gap_max=0.05)[0]
+        near = (good[0], good[1], good[2] + 10.0)      # fails after the first solve
+        two_sticks = (Stick(ORIGIN, E1), Stick(E1, ORIGIN), ORIGIN)   # fails before it
+        opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
+        solved = []
+        real = sticks_module.moduli
+
+        def counting(norm, xs, ts, **kw):
+            solved.append(len(ts))
+            return real(norm, xs, ts, **kw)
+
+        monkeypatch.setattr(sticks_module, "moduli", counting)
+
+        def first_error(configs):
+            return raised_hypothesis(lambda: strip_experiments(norm, configs, *STRIP_ARGS,
+                                                               **opts))
+
+        assert first_error([near]) == "near"
+        assert first_error([two_sticks]) == "two_sticks"
+        solved.clear()
+        assert first_error([near, two_sticks]) == "near"
+        assert solved == [2]        # sigma(e), sigma(ebar) of config 0 only
+        assert first_error([two_sticks, near]) == "two_sticks"
+        assert first_error([good, two_sticks, near]) == "two_sticks"
+        assert first_error([good, near, two_sticks]) == "near"
 
     def test_unconverged_solve_fails_closed(self):
         norm = PNorm(3, 3)
