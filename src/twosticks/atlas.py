@@ -17,6 +17,8 @@ from .norms import Norm, as_vector
 from .sticks import Stick, segment_point_distance, two_sticks_check
 
 TIE_TOL = 1e-12
+# Proposals `generate_strip_pairs` draws before it gives up.
+MAX_PROPOSALS = 100000
 
 
 class NearestResult(NamedTuple):
@@ -109,8 +111,7 @@ def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:
 
 
 def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
-                         seed: int = 0, *, endpoint_gap_max: float = 0.2,
-                         max_tries: int = 100000) -> list:
+                         seed: int = 0, *, endpoint_gap_max: float = 0.2) -> list:
     """Sample admissible configurations (l, m, x0) for the strip experiment.
 
     Each pair is built as two distance-function rays: sites sit a mid-stick
@@ -120,13 +121,14 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
     are rejected unless both sticks meet the ball, every endpoint clears the
     rho-ball, and the terminal gap stays below `endpoint_gap_max`.  The
     direction spread scales with delta, which is the widest the endpoint
-    estimates allow.  Deterministic for a fixed seed.
+    estimates allow.  Deterministic for a fixed seed.  RuntimeError when
+    MAX_PROPOSALS proposals give fewer than `count` configurations.
     """
     rng = np.random.default_rng(seed)
     n = norm.dim
     out = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < MAX_PROPOSALS:
         tries += 1
         x0 = rng.standard_normal(n) * 0.1
         e = rng.standard_normal(n)
@@ -165,5 +167,5 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
             continue
         out.append((l, m, x0))
     if len(out) < count:
-        raise RuntimeError(f"only {len(out)} admissible configurations in {max_tries} tries")
+        raise RuntimeError(f"only {len(out)} admissible configurations in {MAX_PROPOSALS} tries")
     return out

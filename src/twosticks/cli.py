@@ -5,7 +5,7 @@ deterministic for a fixed --seed, embeds its full configuration (less the
 output paths) in the output, and uses the exit-code contract
 
     0  success
-    1  configuration error (bad flag, --config or --tolerance; unwritable output)
+    1  configuration error (bad flag or --config; unwritable output)
     2  degenerate estimate (no informative samples / generation failed)
     3  theorem bound violated, or a solve it rests on did not converge
 
@@ -15,11 +15,12 @@ which is the only field excluded from the determinism contract.
 
 `sticks` checks the two-sticks endpoint estimates on random pairs of a ray
 family.  Under the Euclidean norm a pair is violated when its monotonicity,
-interpolation residual or Lipschitz ratio breaks its bound beyond the named
-tolerance.  Under a p-norm a pair is violated only when its Hölder ratio is
+interpolation residual or Lipschitz ratio breaks its bound beyond a fixed
+slack.  Under a p-norm a pair is violated only when its Hölder ratio is
 not finite: the constant C of the Hölder estimate is not derived, so no
-ratio is checked against one.  `--tolerance` takes only the names a run reads:
-`check` (strip) and `emono`, `lipa`, `lipb` (sticks, Euclidean norm).
+ratio is checked against one.  The verdicts and their slacks live in the
+library (`pair_verdicts`, `StripReport.passed`); the CSV columns carry the
+raw quantities, so a reader can apply another tolerance to them.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ EXIT_CONFIG = 1
 EXIT_DEGENERATE = 2
 EXIT_VIOLATION = 3
 
-DEFAULT_TOLERANCES = {
-    "emono": 1e-12,
-    "lipa": 1e-12,
-    "lipb": 1e-9,
-    "check": 1e-9,
-}
-
 
 def parse_norm(spec: str, dim: int) -> Norm:
     if spec == "euclidean":
@@ -60,21 +54,6 @@ def parse_norm(spec: str, dim: int) -> Norm:
     if spec.startswith("p:"):
         return PNorm(float(spec[2:]), dim)
     raise ValueError(f"unknown norm spec {spec!r}; expected 'euclidean' or 'p:<value>'")
-
-
-def parse_tolerances(items, names) -> dict:
-    """The tolerances `names` a run reads, defaults overridden by NAME=VALUE items."""
-    tol = {name: DEFAULT_TOLERANCES[name] for name in names}
-    for item in items or []:
-        if "=" not in item:
-            raise ValueError(f"bad --tolerance {item!r}; expected name=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in tol:
-            raise ValueError(f"tolerance {key!r} is not read by this run; it reads "
-                             f"{', '.join(names) or 'none'}")
-        tol[key] = float(value)
-    return tol
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -185,8 +164,6 @@ def cmd_certify(args) -> int:
 
 def cmd_sticks(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    euclidean = isinstance(norm, EuclideanNorm)
-    tol = parse_tolerances(args.tolerance, ("emono", "lipa", "lipb") if euclidean else ())
     if args.pairs is not None and args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -208,34 +185,31 @@ def cmd_sticks(args) -> int:
     starts, ends = family.endpoints()
     l0, l1, m0, m1 = starts[i], ends[i], starts[j], ends[j]
 
-    if euclidean:
+    if isinstance(norm, EuclideanNorm):
         v = pair_verdicts(norm, l0, l1, m0, m1, t, s)
-        scale = 1.0 + np.linalg.norm(l0 - m0, axis=-1)
-        bad = ((v.monotonicity < -tol["emono"] * scale)
-               | (v.interp_residual > tol["lipa"] * scale)
-               | (v.lipschitz_ratio > 1.0 + tol["lipb"]))
         header = ["i", "j", "monotonicity", "interp_residual", "lipschitz_ratio",
                   "s", "t", "violated"]
-        columns = [i, j, v.monotonicity, v.interp_residual, v.lipschitz_ratio, s, t, bad]
+        columns = [i, j, v.monotonicity, v.interp_residual, v.lipschitz_ratio, s, t,
+                   v.violated]
         meaning = "violated means a Euclidean bound fails"
     else:
         q_exp = args.q if args.q is not None else (2.0 if norm.p >= 2.0 else norm.p)
         p_exp = args.p_exp if args.p_exp is not None else max(norm.p, 2.0)
         v = pair_verdicts(norm, l0, l1, m0, m1, t, q=q_exp, p=p_exp)
-        bad = ~np.isfinite(v.holder_ratio)
         header = ["i", "j", "holder_ratio", "t", "q", "p", "violated"]
         columns = [i, j, v.holder_ratio, t, np.full(len(i), q_exp), np.full(len(i), p_exp),
-                   bad]
+                   v.violated]
         meaning = "violated means a non-finite Hölder ratio; no constant C is checked"
     write_csv(args.out, header, columns, config=_config_dict(args))
-    violations = int(np.count_nonzero(bad))
+    violations = int(np.count_nonzero(v.violated))
     print(f"sticks: {len(i)} pairs, {violations} violations ({meaning}) -> {args.out}")
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def cmd_strip(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    tol = parse_tolerances(args.tolerance, ("check",))
+    if args.dim < 2:
+        raise ValueError("--dim must be >= 2: in one dimension no admissible pair exists")
     if args.lam <= 2.0:
         raise ValueError("--lambda must exceed 2 (geometric convexity)")
     if args.k < 1.0:
@@ -246,6 +220,8 @@ def cmd_strip(args) -> int:
         raise ValueError("--delta must lie in (0, 1/4)")
     if not args.rho > 3.0 * args.delta:
         raise ValueError("--rho must exceed 3 * delta")
+    if args.big_r <= 0.0:
+        raise ValueError("--big-r must be positive")
     try:
         configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
                                        seed=args.seed, endpoint_gap_max=args.big_r)
@@ -253,17 +229,14 @@ def cmd_strip(args) -> int:
         print(f"degenerate generation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k,
-                                args.big_r, tol=tol["check"],
-                                modulus_opts={"n_starts": 8, "max_iter": 80})
+                                args.big_r, modulus_opts={"n_starts": 8, "max_iter": 80})
     header = ["index", "delta", "kappa", "bound", "projection",
               "promise_lhs", "promise_rhs", "axya", "passed"]
     fields = ("delta", "kappa", "bound", "projection", "promise_lhs", "promise_rhs",
-              "axya_value")
-    passed = [rep.passed and rep.axya_ok for rep in reports]
-    columns = [range(len(reports)), *([getattr(rep, f) for rep in reports] for f in fields),
-               passed]
+              "axya_value", "passed")
+    columns = [range(len(reports)), *([getattr(rep, f) for rep in reports] for f in fields)]
     write_csv(args.out, header, columns, config=_config_dict(args))
-    failures = passed.count(False)
+    failures = sum(not rep.passed for rep in reports)
     unconverged = sum(not rep.converged for rep in reports)
     print(f"strip: {len(reports)} configurations, {failures} failures "
           f"({unconverged} on a solve that did not converge) -> {args.out}")
@@ -343,11 +316,6 @@ def _add_common(sub: argparse.ArgumentParser, out: str, norm: bool = True) -> No
                      help="JSON config file; overrides flags")
 
 
-def _add_tolerance(sub: argparse.ArgumentParser, names: str) -> None:
-    sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                     help=f"override a named tolerance (repeatable): {names}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twosticks",
@@ -367,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stk = subs.add_parser("sticks", help="pairwise endpoint-bound checks on a ray family")
     _add_common(stk, "sticks.csv")
-    _add_tolerance(stk, "emono, lipa, lipb (Euclidean norm only)")
     stk.add_argument("--sites", type=int, default=4)
     stk.add_argument("--queries", type=int, default=40)
     stk.add_argument("--length", type=float, default=1.0)
@@ -379,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     strp = subs.add_parser("strip", help="strip-confinement experiment")
     _add_common(strp, "strip.csv")
-    _add_tolerance(strp, "check")
     strp.add_argument("--count", type=int, default=100)
     strp.add_argument("--lambda", dest="lam", type=float, required=True,
                       help="certified geometric-convexity constant at radius 1")

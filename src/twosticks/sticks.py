@@ -16,12 +16,13 @@ radius of a small ball both sticks pass through.
 
 `pair_verdicts` is the one array path for these checks: it takes the
 endpoints of a batch of pairs as (pairs, dim) arrays and returns the
-lengths, the two-sticks and equal-length predicates, the Hölder ratio and
-the Euclidean estimates, one entry per pair.  The one-pair functions
-(`two_sticks_check`, `equal_length_check`, `holder_ratio`, `euclid_*`) are
+lengths, the two-sticks and equal-length predicates, the Hölder ratio, the
+Euclidean estimates and the verdict `violated`, one entry per pair.  The
+one-pair functions (`two_sticks_check`, `holder_ratio`, `euclid_*`) are
 one-row calls of it or of its parts.  `_require` alone raises the pair
 hypotheses, in the order parameters, positive length, two-sticks, equal
-length; `_special_index` is the one special-stick rule.
+length; `_special_index` is the one special-stick rule.  Every verdict
+slack is a fixed `*_SLACK` constant next to the bound it pads.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from scipy.optimize import minimize_scalar
 from .convexity import moduli, modulus
 from .gap import _gap
 from .norms import EuclideanNorm, Norm, _check_batch, as_vector
-
-CHECK_SLACK = 1e-12
 
 
 class DegenerateStickError(ValueError):
@@ -96,6 +95,14 @@ class Stick:
 # Parameters over which `pair_verdicts` takes the largest interpolation residual.
 INTERP_TS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# Slacks of the two-sticks and equal-length predicates, scaled by
+# 1 + len_l + len_m, and of the Euclidean bounds (see `PairVerdicts`).
+CHECK_SLACK = 1e-12
+EQUAL_LENGTH_SLACK = 1e-9
+MONOTONICITY_SLACK = 1e-12
+INTERP_SLACK = 1e-12
+LIPSCHITZ_SLACK = 1e-9
+
 
 @dataclass
 class PairVerdicts:
@@ -103,6 +110,11 @@ class PairVerdicts:
 
     Every field holds one entry per pair.  `holder_ratio` is None unless q
     and p were given; the three Euclidean quantities are None unless s was.
+    `violated` is None unless a ratio was asked for; then it is True where
+    the Hölder ratio is not finite (no constant C is checked), or where
+    monotonicity < -MONOTONICITY_SLACK * scale, interp_residual >
+    INTERP_SLACK * scale or lipschitz_ratio > 1 + LIPSCHITZ_SLACK, with
+    scale = 1 + ||l0 - m0||_2.
     """
 
     len_l: np.ndarray
@@ -113,6 +125,7 @@ class PairVerdicts:
     monotonicity: Optional[np.ndarray] = None
     interp_residual: Optional[np.ndarray] = None
     lipschitz_ratio: Optional[np.ndarray] = None
+    violated: Optional[np.ndarray] = None
 
 
 def _endpoints(norm: Norm, l0, l1, m0, m1) -> list:
@@ -141,15 +154,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _pair_checks(norm: Norm, l0, l1, m0, m1, tol: float = 1e-9) -> PairVerdicts:
-    """Lengths, the two-sticks predicate (1e-12 scaled slack on each
-    inequality) and the equal-length predicate (relative `tol`)."""
+def _pair_checks(norm: Norm, l0, l1, m0, m1) -> PairVerdicts:
+    """Lengths, the two-sticks predicate (`CHECK_SLACK`) and the equal-length
+    predicate (`EQUAL_LENGTH_SLACK`)."""
     len_l = norm._value(l1 - l0)
     len_m = norm._value(m1 - m0)
     slack = CHECK_SLACK * (1.0 + len_l + len_m)
     two_sticks = ((norm._value(l1 - m0) >= len_l - slack)
                   & (norm._value(m1 - l0) >= len_m - slack))
-    equal_length = np.abs(len_l - len_m) <= tol * (1.0 + len_l + len_m)
+    equal_length = np.abs(len_l - len_m) <= EQUAL_LENGTH_SLACK * (1.0 + len_l + len_m)
     return PairVerdicts(len_l, len_m, two_sticks, equal_length)
 
 
@@ -220,15 +233,16 @@ def pair_verdicts(norm: Norm, l0, l1, m0, m1, t=None, s=None, *,
     """The verdict quantities of a batch of pairs, one row of each (pairs, dim)
     endpoint array per pair l = [l0, l1], m = [m0, m1].
 
-    This is the one implementation of the pair formulas; `two_sticks_check`,
-    `equal_length_check`, `holder_ratio` and the `euclid_*` estimates are
+    This is the one implementation of the pair formulas and verdicts;
+    `two_sticks_check`, `holder_ratio` and the `euclid_*` estimates are
     one-row calls of it or of its parts.  It always gives the lengths and
     the two-sticks and equal-length predicates.  With q and p it gives the
     Hölder ratio of `holder_ratio` at t.  With s (Euclidean norm only) it
     gives the monotonicity <l1-m1, l0-m0>, the largest interpolation residual
     of `euclid_interp_bound_residual` over INTERP_TS, and the Lipschitz ratio
     of `euclid_lipschitz_ratio` at (s, t).  `t` and `s` hold one parameter
-    per pair, or one for all pairs.
+    per pair, or one for all pairs.  With either, `violated` marks the pairs
+    where one of the bounds asked for fails (see `PairVerdicts`).
 
     Endpoint arrays of another shape raise ValueError.  When a ratio is
     asked for, the lowest-index pair that fails one of its preconditions
@@ -257,23 +271,25 @@ def pair_verdicts(norm: Norm, l0, l1, m0, m1, t=None, s=None, *,
     _require(v.two_sticks, v.equal_length, params=params, need=need,
              len_l=v.len_l if holder else None)
 
+    v.violated = np.zeros(n, dtype=bool)
     if holder:
         v.holder_ratio = _holder(norm, l0, l1, m0, m1, v.len_l, t, q, p)
+        v.violated |= ~np.isfinite(v.holder_ratio)
     if s is not None:
         v.monotonicity = _monotonicity(l0, l1, m0, m1)
         v.interp_residual = np.max([_interp_residual(l0, l1, m0, m1, tt) for tt in INTERP_TS],
                                    axis=0)
         v.lipschitz_ratio = _lipschitz(l0, l1, m0, m1, s, t)
+        scale = 1.0 + np.linalg.norm(l0 - m0, axis=-1)
+        v.violated |= ((v.monotonicity < -MONOTONICITY_SLACK * scale)
+                       | (v.interp_residual > INTERP_SLACK * scale)
+                       | (v.lipschitz_ratio > 1.0 + LIPSCHITZ_SLACK))
     return v
 
 
 def two_sticks_check(norm: Norm, l: Stick, m: Stick) -> bool:
     """Exact two-sticks predicate with 1e-12 scaled slack on each inequality."""
     return bool(_pair_checks(norm, *_stick_rows(norm, l, m)).two_sticks[0])
-
-
-def equal_length_check(norm: Norm, l: Stick, m: Stick, tol: float = 1e-9) -> bool:
-    return bool(_pair_checks(norm, *_stick_rows(norm, l, m), tol).equal_length[0])
 
 
 @dataclass
@@ -427,15 +443,20 @@ def segment_point_distance(norm: Norm, stick: Stick, point) -> tuple[float, floa
     return best, t_best
 
 
+# Slack of every window and bound of the strip experiment, scaled by 1 + its size.
+STRIP_SLACK = 1e-9
+
+
 @dataclass
 class StripReport:
     """Strip-confinement verdict for one admissible configuration.
 
     `bound` is the half width K*Lambda^2/(Lambda-2) * kappa*delta of the strip,
-    `projection` is <l1 - m1, N(ybar)>, and `passed` requires the projection
-    to stay inside [-bound, bound], the gap bound promise_lhs <= promise_rhs
-    to hold (both with scaled tolerance), and `converged`: all three modulus
-    solves behind sigma_e, sigma_ebar and ybar converged.
+    `projection` is <l1 - m1, N(ybar)> and `axya_value` is <ebar, N(ybar)>.
+    `axya_ok` requires axya_value in [-bound, 0], and `passed` requires
+    axya_ok, the projection in [-bound, bound], promise_lhs <= promise_rhs
+    (each with STRIP_SLACK) and `converged`: all three modulus solves
+    behind sigma_e, sigma_ebar and ybar converged.
     """
 
     delta: float
@@ -461,7 +482,7 @@ class StripReport:
 
 
 def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, lam: float,
-                 k_const: float, big_r: float, tol: float):
+                 k_const: float, big_r: float):
     """`strip_experiment` of one configuration as a generator: it yields the
     modulus problems it needs as a list of (x, t), is sent their results in
     that order, and returns the StripReport."""
@@ -497,7 +518,7 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
 
     dist_l, _ = segment_point_distance(norm, l, x0)
     dist_m, t_m = segment_point_distance(norm, m, x0)
-    near_slack = tol * (1.0 + delta)
+    near_slack = STRIP_SLACK * (1.0 + delta)
     if dist_l > delta + near_slack or dist_m > delta + near_slack:
         raise PreconditionError("near", "both sticks must meet the closed delta-ball")
     if float(norm._value(l.end - x0)) <= rho or float(norm._value(l.start - x0)) <= rho:
@@ -513,7 +534,7 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
     n_of_e = norm.normal(e)
     t_star = float(np.dot(lambda_star - l.start, n_of_e))
     l_star = l.point_at(t_star)
-    if not (-tol <= t_star <= 1.0 + tol):
+    if not (-STRIP_SLACK <= t_star <= 1.0 + STRIP_SLACK):
         raise PreconditionError("lst", f"interior parameter t = {t_star!r} escapes [0, 1]")
     if float(norm._value(l_star - x0)) > 3.0 * delta + near_slack:
         raise PreconditionError("lst", "constructed interior point left the 3*delta-ball")
@@ -530,11 +551,12 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
     projection = float(np.dot(l.end - m.end, n_ybar))
     axya_value = float(np.dot(ebar, n_ybar))
 
-    tol_proj = tol * (1.0 + width)
-    tol_prom = tol * (1.0 + abs(promise_lhs) + abs(promise_rhs))
-    passed = bool(converged and (-width - tol_proj <= projection <= width + tol_proj)
-                  and (promise_lhs <= promise_rhs + tol_prom))
-    axya_ok = bool(-width - tol_proj <= axya_value <= tol_proj)
+    slack_proj = STRIP_SLACK * (1.0 + width)
+    slack_prom = STRIP_SLACK * (1.0 + abs(promise_lhs) + abs(promise_rhs))
+    axya_ok = bool(-width - slack_proj <= axya_value <= slack_proj)
+    passed = bool(converged and axya_ok
+                  and (-width - slack_proj <= projection <= width + slack_proj)
+                  and (promise_lhs <= promise_rhs + slack_prom))
 
     return StripReport(delta=delta, rho=rho, kappa=kappa, lam=lam, k_const=k_const,
                        bound=width, ybar=ybar, normal_ybar=n_ybar, projection=projection,
@@ -546,7 +568,7 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
 
 
 def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
-                      k_const: float, big_r: float, *, tol: float = 1e-9,
+                      k_const: float, big_r: float, *,
                       modulus_opts: Optional[dict] = None) -> list[StripReport]:
     """`strip_experiment` of each configuration (l, m, x0) of `configs`, with
     two batched `moduli` calls in all: sigma(e) and sigma(ebar) of every
@@ -559,7 +581,7 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
     the configurations after it are not solved.
     """
     opts = modulus_opts or {}
-    steps = [_strip_steps(norm, l, m, x0, delta, rho, lam, k_const, big_r, tol)
+    steps = [_strip_steps(norm, l, m, x0, delta, rho, lam, k_const, big_r)
              for l, m, x0 in configs]
     reports, replies = [None] * len(steps), [None] * len(steps)
     live, failure = range(len(steps)), None
@@ -587,7 +609,7 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
 
 def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float,
                      lam: float, k_const: float, big_r: float, *,
-                     tol: float = 1e-9, modulus_opts: Optional[dict] = None) -> StripReport:
+                     modulus_opts: Optional[dict] = None) -> StripReport:
     """Check that l1 - m1 lies in the strip predicted for geometrically convex,
     balanced norms when both sticks meet the ball B_delta(x0).
 
@@ -608,7 +630,8 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     lambda_star of m inside the delta-ball, then the parameter t_star where
     <l(t) - lambda_star, N(e)> crosses zero.  The three modulus solves, of
     sigma(e), sigma(ebar) and ybar, come from two `moduli` calls; this is the
-    one-configuration call of `strip_experiments`.
+    one-configuration call of `strip_experiments`.  Its verdict is
+    `StripReport.passed`.
     """
     return strip_experiments(norm, [(l, m, x0)], delta, rho, lam, k_const, big_r,
-                             tol=tol, modulus_opts=modulus_opts)[0]
+                             modulus_opts=modulus_opts)[0]

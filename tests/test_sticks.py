@@ -35,7 +35,8 @@ from twosticks import (
 )
 from twosticks import cli
 from twosticks import sticks as sticks_module
-from twosticks.sticks import INTERP_TS, StripReport
+from twosticks.sticks import (INTERP_SLACK, INTERP_TS, LIPSCHITZ_SLACK, MONOTONICITY_SLACK,
+                              StripReport)
 
 
 def euclid_family(dim=2, queries=25, seed=0, length=1.0):
@@ -356,6 +357,13 @@ def oracle_lipschitz_ratio(l, m, s, t):
     return t * num / (2.0 * den)
 
 
+def oracle_euclid_violated(l, m, s, t):
+    scale = 1.0 + float(np.linalg.norm(l.start - m.start))
+    return (oracle_monotonicity(l, m) < -MONOTONICITY_SLACK * scale
+            or max(oracle_interp_residual(l, m, tt) for tt in INTERP_TS) > INTERP_SLACK * scale
+            or oracle_lipschitz_ratio(l, m, s, t) > 1.0 + LIPSCHITZ_SLACK)
+
+
 def cli_exponents(norm):
     """The (q, p) that `twosticks sticks` uses by default for a p-norm."""
     return (2.0 if norm.p >= 2.0 else norm.p), max(norm.p, 2.0)
@@ -399,12 +407,13 @@ class TestPairVerdictsOracle:
                                    rtol=1e-13, atol=0)
         np.testing.assert_allclose(v.len_m, [oracle_length(norm, m) for _, m in mixed],
                                    rtol=1e-13, atol=0)
-        assert v.holder_ratio is None and v.monotonicity is None
+        assert v.holder_ratio is None and v.monotonicity is None and v.violated is None
 
         q, p = cli_exponents(norm) if spec != "euclidean" else (2.0, 2.0)
         v = pair_verdicts(norm, *batch(pairs), t, q=q, p=p)
         expect = [oracle_holder_ratio(norm, l, m, tk, q, p) for (l, m), tk in zip(pairs, t)]
         np.testing.assert_allclose(v.holder_ratio, expect, rtol=1e-13, atol=0)
+        assert v.violated.tolist() == [not math.isfinite(r) for r in expect]
         assert v.two_sticks.all() and v.equal_length.all()
 
         if spec == "euclidean":
@@ -420,6 +429,8 @@ class TestPairVerdictsOracle:
                 v.lipschitz_ratio,
                 [oracle_lipschitz_ratio(l, m, sk, tk) for (l, m), sk, tk in zip(pairs, s, t)],
                 rtol=1e-13, atol=0)
+            assert v.violated.tolist() == [oracle_euclid_violated(l, m, sk, tk)
+                                           for (l, m), sk, tk in zip(pairs, s, t)]
             assert v.holder_ratio is None
 
 
@@ -518,6 +529,45 @@ class TestPairVerdictPreconditions:
         assert np.flatnonzero(~v.two_sticks).tolist() == [2]
         assert np.flatnonzero(~v.equal_length).tolist() == [5]
         assert v.len_l[7] == 0.0
+
+
+class TestPairVerdictsCanFail:
+    # The quantity at pair 1 set to k times its slack past its bound, given
+    # scale = 1 + ||l0 - m0||_2 of each pair.
+    @pytest.mark.parametrize("name, at", [
+        ("_monotonicity", lambda k, scale: -k * MONOTONICITY_SLACK * scale),
+        ("_interp_residual", lambda k, scale: k * INTERP_SLACK * scale),
+        ("_lipschitz", lambda k, scale: 1.0 + k * LIPSCHITZ_SLACK),
+    ], ids=["monotonicity", "interp_residual", "lipschitz_ratio"])
+    @pytest.mark.parametrize("k, violated", [(1.0, []), (2.0, [1])], ids=["at", "twice"])
+    def test_euclidean_quantity_past_its_slack(self, name, at, k, violated, monkeypatch):
+        _, family = euclid_family(dim=3, queries=12, seed=32)
+        sticks = family.sticks
+        ends = batch([(sticks[0], sticks[j]) for j in range(1, 5)])
+        real = getattr(sticks_module, name)
+
+        def patched(l0, l1, m0, m1, *params):
+            values = real(l0, l1, m0, m1, *params)
+            values[1] = at(k, 1.0 + np.linalg.norm(l0 - m0, axis=-1)[1])
+            return values
+
+        monkeypatch.setattr(sticks_module, name, patched)
+        v = pair_verdicts(EuclideanNorm(3), *ends, 0.5, 0.75)
+        assert np.flatnonzero(v.violated).tolist() == violated
+
+    def test_holder_ratio_that_is_not_finite(self, monkeypatch):
+        norm, ends, t = p3_batch({})
+        assert not pair_verdicts(norm, *ends, t, q=2.0, p=3.0).violated.any()
+        real = sticks_module._holder
+
+        def inf_at_4(*args):
+            ratio = real(*args)
+            ratio[4] = math.inf
+            return ratio
+
+        monkeypatch.setattr(sticks_module, "_holder", inf_at_4)
+        v = pair_verdicts(norm, *ends, t, q=2.0, p=3.0)
+        assert np.flatnonzero(v.violated).tolist() == [4]
 
 
 def raised_hypothesis(call) -> str:
@@ -852,6 +902,28 @@ class TestStripExperiment:
         assert first_error([two_sticks, near]) == "two_sticks"
         assert first_error([good, two_sticks, near]) == "two_sticks"
         assert first_error([good, near, two_sticks]) == "near"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_axya_outside_the_strip_fails_the_verdict(self, sign, monkeypatch):
+        norm = PNorm(3, 3)
+        l, m, x0 = generate_strip_pairs(norm, 1, delta=1e-4, rho=0.36, seed=0,
+                                        endpoint_gap_max=0.05)[0]
+        real = sticks_module.moduli
+
+        def ybar_along_ebar(norm, xs, ts, **opts):
+            results = real(norm, xs, ts, **opts)
+            if len(xs) == 1:    # the ybar solve: ybar = +-ebar gives axya = +-1
+                results[0].maximizer_y = sign * np.asarray(xs[0])
+            return results
+
+        monkeypatch.setattr(sticks_module, "moduli", ybar_along_ebar)
+        rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS,
+                               modulus_opts={"n_starts": 8, "max_iter": 80})
+        assert rep.axya_value == pytest.approx(sign, abs=1e-12) and rep.bound < 1.0
+        # Only axya fails: the other parts of the verdict hold.
+        assert rep.converged and abs(rep.projection) <= rep.bound
+        assert rep.promise_lhs <= rep.promise_rhs
+        assert not rep.axya_ok and not rep.passed
 
     def test_unconverged_solve_fails_closed(self):
         norm = PNorm(3, 3)
