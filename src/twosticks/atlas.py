@@ -121,9 +121,23 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
     are rejected unless both sticks meet the ball, every endpoint clears the
     rho-ball, and the terminal gap stays below `endpoint_gap_max`.  The
     direction spread scales with delta, which is the widest the endpoint
-    estimates allow.  Deterministic for a fixed seed.  RuntimeError when
-    MAX_PROPOSALS proposals give fewer than `count` configurations.
+    estimates allow.  Deterministic for a fixed seed.
+
+    ValueError, before any draw, when no admissible configuration can exist
+    or none is asked for: dim < 2, endpoint_gap_max <= 0, delta outside
+    (0, 1/4), rho <= 3*delta or count < 1.  RuntimeError when MAX_PROPOSALS
+    proposals give fewer than `count` configurations.
     """
+    if norm.dim < 2:
+        raise ValueError("dim must be >= 2: in one dimension no admissible pair exists")
+    if not endpoint_gap_max > 0.0:
+        raise ValueError(f"endpoint_gap_max must be positive, got {endpoint_gap_max!r}")
+    if not 0.0 < delta < 0.25:
+        raise ValueError(f"delta must lie in (0, 1/4), got {delta!r}")
+    if not rho > 3.0 * delta:
+        raise ValueError(f"rho must exceed 3 * delta, got rho = {rho!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     n = norm.dim
     out = []

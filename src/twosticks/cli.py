@@ -208,20 +208,10 @@ def cmd_sticks(args) -> int:
 
 def cmd_strip(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    if args.dim < 2:
-        raise ValueError("--dim must be >= 2: in one dimension no admissible pair exists")
     if args.lam <= 2.0:
         raise ValueError("--lambda must exceed 2 (geometric convexity)")
     if args.k < 1.0:
         raise ValueError("--k must be >= 1")
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
-    if not 0.0 < args.delta < 0.25:
-        raise ValueError("--delta must lie in (0, 1/4)")
-    if not args.rho > 3.0 * args.delta:
-        raise ValueError("--rho must exceed 3 * delta")
-    if args.big_r <= 0.0:
-        raise ValueError("--big-r must be positive")
     try:
         configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
                                        seed=args.seed, endpoint_gap_max=args.big_r)

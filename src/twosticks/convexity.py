@@ -19,7 +19,10 @@ with witnesses:
 * uniform convexity A and uniform smoothness B with exponents (p, q)
 
 each over ||y|| <= r ||x||, either unrestricted ("full") or restricted to
-the tangent plane <y, N(x)> = 0 ("tangent").  `transfer_check` verifies the
+the tangent plane <y, N(x)> = 0 ("tangent").  Each estimator draws one
+batch of unit x and computes (||x||, N(x)) for it once; the tangent
+projection and every gap at that x (through `gap._gap_at`) reuse it, so a
+sample batch costs one normal-map evaluation.  `transfer_check` verifies the
 quantitative bridge from tangent-plane constants to full-space ratios, and
 `onev_scan` verifies the scalar reduction that powers the p-norm proofs.
 
@@ -38,8 +41,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .gap import _gap
-from .norms import Norm, ZeroVectorError, ZERO_THRESHOLD, _value_and_normal, as_vector
+from .gap import _gap, _gap_at
+from .norms import (Norm, ZeroVectorError, ZERO_THRESHOLD, _row_sum, _value_and_normal,
+                    as_vector)
 
 # Ratio denominators below 1e-12 * (1 + ||x||) are excluded: along
 # positively-parallel directions both sides vanish and 0/0 says nothing.
@@ -168,7 +172,7 @@ def _kkt(norm: Norm, x, t: float, y, n_of_x) -> tuple[np.ndarray, float, float]:
 def _h(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """h(x, x+y) = ||x+y|| - <x+y, N(x)> over the last axis, broadcast."""
     z = x + y
-    return norm._value(z) - np.sum(z * n_of_x, axis=-1)
+    return norm._value(z) - _row_sum(z * n_of_x)
 
 
 def _ascent(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, t: np.ndarray, y: np.ndarray,
@@ -424,15 +428,15 @@ def _unit_vectors(norm: Norm, rng: np.random.Generator, count: int) -> np.ndarra
 
 
 def _sample_displacements(norm: Norm, rng: np.random.Generator, x: np.ndarray,
-                          radius: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+                          n_of_x: np.ndarray, radius: float,
+                          mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Draw y with ||y|| log-uniform in [1e-4, 1] * radius; tangent mode projects
     the direction onto <., N(x)> = 0 first.  Returns (y, validity mask)."""
     count = x.shape[0]
     v = rng.standard_normal((count, norm.dim))
     mags = radius * 10.0 ** rng.uniform(-4.0, 0.0, size=count)
     if mode == "tangent":
-        n_of_x = norm.normal(x)
-        v = v - np.sum(v * n_of_x, axis=-1)[:, None] * x
+        v = v - _row_sum(v * n_of_x)[:, None] * x
     elif mode != "full":
         raise ValueError("mode must be 'full' or 'tangent'")
     nv = norm._value(v)
@@ -453,9 +457,10 @@ def _doubling_ratios(norm: Norm, r: float, mode: str, samples: int, seed: int):
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
-    y, good = _sample_displacements(norm, rng, x, r, mode)
-    h1 = _gap(norm, x, x + y)
-    h2 = _gap(norm, x, x + 2.0 * y)
+    nx, n_of_x = _value_and_normal(norm, x)
+    y, good = _sample_displacements(norm, rng, x, n_of_x, r, mode)
+    h1 = _gap_at(norm, nx, n_of_x, x + y)
+    h2 = _gap_at(norm, nx, n_of_x, x + 2.0 * y)
     ok = good & (h1 > FLOOR_SCALE * 2.0) & np.isfinite(h2)
     if not np.any(ok):
         raise DegenerateSampleError("no informative samples: every h(x, x+y) fell below the floor")
@@ -494,9 +499,10 @@ def estimate_balanced(norm: Norm, bound: float, mode: str = "full",
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
-    y, good = _sample_displacements(norm, rng, x, bound, mode)
-    h_plus = _gap(norm, x, x + y)
-    h_minus = _gap(norm, x, x - y)
+    nx, n_of_x = _value_and_normal(norm, x)
+    y, good = _sample_displacements(norm, rng, x, n_of_x, bound, mode)
+    h_plus = _gap_at(norm, nx, n_of_x, x + y)
+    h_minus = _gap_at(norm, nx, n_of_x, x - y)
     ok = good & (h_minus > FLOOR_SCALE * 2.0) & (h_plus >= 0.0)
     if not np.any(ok):
         raise DegenerateSampleError("no informative samples: every h(x, x-y) fell below the floor")
@@ -764,8 +770,8 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     rng = np.random.default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
     v = rng.standard_normal((samples, norm.dim))
-    n_of_x = norm.normal(x)
-    v = v - np.sum(v * n_of_x, axis=-1)[:, None] * x
+    nx, n_of_x = _value_and_normal(norm, x)
+    v = v - _row_sum(v * n_of_x)[:, None] * x
     nv = norm._value(v)
     good = nv > 1e-12
     nv = np.where(good, nv, 1.0)
@@ -774,9 +780,9 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     eps = eps_max * 10.0 ** rng.uniform(-3.0, 0.0, size=samples)
 
     y = alpha[:, None] * x + eps[:, None] * xp
-    h1 = _gap(norm, x, x + y)
-    h2 = _gap(norm, x, x + 2.0 * y)
-    hm = _gap(norm, x, x - y)
+    h1 = _gap_at(norm, nx, n_of_x, x + y)
+    h2 = _gap_at(norm, nx, n_of_x, x + 2.0 * y)
+    hm = _gap_at(norm, nx, n_of_x, x - y)
 
     e_num = eps / (1.0 + 2.0 * alpha)
     e_den = eps / (1.0 + alpha)

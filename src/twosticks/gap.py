@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import Norm, ZERO_THRESHOLD, _check_batch, _value_and_normal
+from .norms import Norm, ZERO_THRESHOLD, _check_batch, _row_sum, _value_and_normal
 
 
 def gap(norm: Norm, x, y) -> np.ndarray:
@@ -32,8 +32,13 @@ def gap(norm: Norm, x, y) -> np.ndarray:
 
 def _gap(norm: Norm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`gap` on checked arrays."""
-    nx, n_of_x = _value_and_normal(norm, x)
-    val = norm._value(y) - np.sum(y * n_of_x, axis=-1)
+    return _gap_at(norm, *_value_and_normal(norm, x), y)
+
+
+def _gap_at(norm: Norm, nx: np.ndarray, n_of_x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`_gap` at an x given by (||x||, N(x)), as `_value_and_normal` returns them,
+    so that one N(x) serves every gap taken at the same x."""
+    val = norm._value(y) - _row_sum(y * n_of_x)
     zero = nx < ZERO_THRESHOLD
     if np.any(zero):
         val = np.where(zero, 0.0, val)
@@ -48,7 +53,9 @@ def triangle_equality_residual(norm: Norm, x, y) -> float:
     ns = norm._value(s)
     if np.any(ns < ZERO_THRESHOLD):
         raise ValueError("triangle equality requires x + y != 0")
-    rhs = norm._value(x) + norm._value(y) - _gap(norm, s, x) - _gap(norm, s, y)
+    n_of_s = norm._normal(s, ns)
+    rhs = (norm._value(x) + norm._value(y) - _gap_at(norm, ns, n_of_s, x)
+           - _gap_at(norm, ns, n_of_s, y))
     out = np.abs(ns - rhs)
     return float(out) if out.ndim == 0 else out
 
@@ -61,6 +68,6 @@ def linearization_identity_residual(norm: Norm, x, y) -> float:
     if np.any(nx < ZERO_THRESHOLD):
         raise ValueError("linearization identity requires x != 0")
     n_of_x = norm._normal(x, nx)
-    rhs = nx + _gap(norm, x, y) + np.sum((y - x) * n_of_x, axis=-1)
+    rhs = nx + _gap_at(norm, nx, n_of_x, y) + _row_sum((y - x) * n_of_x)
     out = np.abs(norm._value(y) - rhs)
     return float(out) if out.ndim == 0 else out

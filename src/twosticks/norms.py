@@ -20,6 +20,16 @@ Input is checked once, at the boundary: the public ``Norm.value`` and
 entry is finite, and ``normal`` raises `ZeroVectorError` at the origin.  Each
 class implements only the unchecked kernels ``_value(x)`` and ``_normal(x, v)``
 (with ``v = _value(x)`` nonzero), which take arrays already checked or generated.
+
+The kernels reduce over the last axis column by column (`_row_sum`,
+`_row_max`): ``a[..., 0] + a[..., 1] + ...`` in left-to-right order, rather
+than ``np.sum``/``np.max(axis=-1)``, whose reduce over a short last axis costs
+several times as much on large batches.  For dim <= 7 numpy's own last-axis
+sum adds the entries one by one from the left, on 1-, 2- and 3-d inputs
+alike, so the two agree bit for bit (a row of only -0.0 aside: `np.sum`
+gives +0.0 there, `_row_sum` -0.0); a max is exact in any order.  From dim 8
+on, numpy sums in unrolled blocks and the results differ by reassociation,
+within the usual (dim - 1) ulp-scale rounding bound.
 """
 
 from __future__ import annotations
@@ -35,6 +45,22 @@ import numpy as np
 ZERO_THRESHOLD = 1e-300
 # Tolerance on |  ||x|| - 1 | for operations that require unit input.
 UNIT_TOL = 1e-7
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, one column at a time, left to right."""
+    s = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        s = s + a[..., k]
+    return s
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Max over the last axis, one column at a time."""
+    m = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., k])
+    return m
 
 
 class ZeroVectorError(ValueError):
@@ -103,7 +129,7 @@ class EuclideanNorm(Norm):
     kind = "euclidean"
 
     def _value(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(x * x, axis=-1))
+        return np.sqrt(_row_sum(x * x))
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return x / v[..., None]
@@ -128,9 +154,9 @@ class PNorm(Norm):
         # Scale by the max coordinate before powering so that extreme p
         # neither overflows nor underflows.
         a = np.abs(x)
-        m = np.max(a, axis=-1)
+        m = _row_max(a)
         safe = np.where(m > 0.0, m, 1.0)
-        s = np.sum((a / safe[..., None]) ** self.p, axis=-1) ** (1.0 / self.p)
+        s = _row_sum((a / safe[..., None]) ** self.p) ** (1.0 / self.p)
         return np.where(m > 0.0, safe * s, 0.0)
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:

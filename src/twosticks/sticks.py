@@ -34,8 +34,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .convexity import moduli, modulus
-from .gap import _gap
-from .norms import EuclideanNorm, Norm, _check_batch, as_vector
+from .gap import _gap_at
+from .norms import EuclideanNorm, Norm, _check_batch, _value_and_normal, as_vector
 
 
 class DegenerateStickError(ValueError):
@@ -546,7 +546,9 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
     n_ybar = norm.normal(ybar)
     converged = mod_e.converged and mod_ebar.converged and ymax.converged
 
-    promise_lhs = float(_gap(norm, ebar, m.end - l.start) + _gap(norm, ebar, l.end - m.start))
+    at_ebar = _value_and_normal(norm, ebar)
+    promise_lhs = float(_gap_at(norm, *at_ebar, m.end - l.start)
+                        + _gap_at(norm, *at_ebar, l.end - m.start))
     promise_rhs = lam / (lam - 2.0) * sigma_ebar
     projection = float(np.dot(l.end - m.end, n_ybar))
     axya_value = float(np.dot(ebar, n_ybar))

@@ -1,5 +1,7 @@
 """Nearest sites, distance-ray stick families and the strip-pair generator."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,3 +100,31 @@ def test_strip_pairs_are_deterministic(strip_pairs):
         for a, b in ((l.start, l2.start), (l.end, l2.end), (m.start, m2.start),
                      (m.end, m2.end), (x0, x02)):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("norm, count, kwargs", [
+    (EuclideanNorm(1), 1, STRIP_ARGS),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, endpoint_gap_max=0.0)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, endpoint_gap_max=-1.0)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, delta=0.0)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, delta=0.25)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=3e-4)),
+    (PNorm(3, 3), 0, STRIP_ARGS),
+], ids=["dim1", "gap0", "gap-negative", "delta0", "delta-quarter",
+        "rho-3delta", "count0"])
+def test_strip_pairs_reject_impossible_requests_before_drawing(norm, count, kwargs,
+                                                                monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("a generator was seeded for a rejected request")
+
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    with pytest.raises(ValueError):
+        generate_strip_pairs(norm, count, **kwargs)
+
+
+def test_strip_pairs_in_one_dimension_raise_at_once():
+    # Without the up-front check, drawing MAX_PROPOSALS proposals takes about 23 s.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        generate_strip_pairs(PNorm(3, 1), 1, 1e-4, 0.36, endpoint_gap_max=0.05)
+    assert time.perf_counter() - start < 1.0

@@ -212,3 +212,20 @@ def test_package_exports_resolve_to_no_modules():
     namespace = {}
     exec("from twosticks import *", namespace)
     assert set(twosticks.__all__) <= set(namespace)
+
+
+def test_certify_computes_one_normal_map_per_sample_batch(tmp_path, monkeypatch):
+    # Lambda, T and K each draw one x batch, and one N(x) per batch serves
+    # its tangent projection and both of its gaps.
+    calls = []
+    real = PNorm._normal
+
+    def counting(self, x, v):
+        calls.append(x.shape)
+        return real(self, x, v)
+
+    monkeypatch.setattr(PNorm, "_normal", counting)
+    argv = ["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent", "--uniform-p", "3",
+            "--uniform-q", "2", "--samples", "500", "--out", str(tmp_path / "c.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert calls == [(500, 3)] * 3

@@ -1,11 +1,13 @@
 """Command-line boundary: input checks, exit codes and the determinism contract."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twosticks
@@ -131,9 +133,10 @@ class TestBoundary:
     def test_strip_delta_and_rho_checked_before_generating(self, flags, tmp_path,
                                                            monkeypatch, capsys):
         def fail(*args, **kwargs):
-            raise AssertionError("generate_strip_pairs called on a rejected configuration")
+            raise AssertionError("a generator was seeded for a rejected configuration")
 
-        monkeypatch.setattr(cli, "generate_strip_pairs", fail)
+        # `generate_strip_pairs` checks its request before it seeds a generator.
+        monkeypatch.setattr(np.random, "default_rng", fail)
         out = tmp_path / "s.csv"
         assert cli.main(STRIP + flags + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -196,3 +199,29 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+# Small versions of the benchmark's three calls, with the sha256 of each
+# output less its timestamp line (recorded with numpy 2.4 on x86-64).  The
+# benchmark compares values only to rtol 1e-6, so this is the guard that a
+# speed-up keeps every output byte for byte.
+GOLDEN = {
+    "certify": (["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent",
+                 "--uniform-p", "3", "--uniform-q", "2", "--samples", "3000"],
+                "f3b7f960c35b02e80df6c283cffd6ee51ab57e1494981fe2473744de65f0abeb"),
+    "strip": (["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
+               "--count", "3"],
+              "cb5fe58486258c9982024ddec1611a2ea30fe036d5b4060cde3a43b3184f3546"),
+    "sticks": (["sticks", "--norm", "p:3", "--dim", "3", "--queries", "40", "--pairs", "300"],
+               "a44a26131d70b3b3584b44528526aa8fbbe3edf6cc9f65203dd59ac40a786acd"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_outputs_are_byte_identical_to_the_recorded_ones(name, tmp_path):
+    argv, digest = GOLDEN[name]
+    out = tmp_path / name
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    lines = [ln for ln in out.read_bytes().splitlines(keepends=True)
+             if b'"timestamp": ' not in ln]
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == digest

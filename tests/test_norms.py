@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from twosticks import (
     EuclideanNorm,
@@ -14,6 +15,7 @@ from twosticks import (
     tangent_decompose,
     validate_norm,
 )
+from twosticks import norms
 
 RNG = np.random.default_rng(20240901)
 
@@ -251,3 +253,54 @@ def test_triangle_inequality_property(a, b):
     norm = PNorm(1.5, 3)
     x, y = np.asarray(a), np.asarray(b)
     assert float(norm.value(x + y)) <= float(norm.value(x)) + float(norm.value(y)) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# column-form last-axis reductions
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _row_shapes(dim):
+    return st.sampled_from([(dim,), (5, dim), (3, 4, dim)])
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(_row_shapes).flatmap(lambda shape: hnp.arrays(float, shape,
+                                                                                 elements=finite)))
+def test_row_reductions_match_numpy_bit_for_bit_up_to_dim_7(a):
+    assert np.array_equal(_bits(norms._row_max(a)), _bits(np.max(a, axis=-1)))
+    got, ref = norms._row_sum(a), np.sum(a, axis=-1)
+    # The one stated exception: numpy starts its sum from +0.0, so a row of
+    # only -0.0 sums to +0.0 there and to -0.0 in `_row_sum`.
+    negative_zero_rows = np.all(_bits(a) == _bits(-0.0), axis=-1)
+    assert np.all(_bits(np.where(negative_zero_rows, np.abs(got), got)) == _bits(ref))
+    assert np.all(np.signbit(got)[negative_zero_rows])
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("shape", [(300_000,), (60, 5_000)], ids=["rows", "problems-starts"])
+def test_row_reductions_match_numpy_bit_for_bit_on_large_batches(dim, shape):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((*shape, dim)) * 10.0 ** rng.uniform(-8, 8, size=(*shape, dim))
+    assert np.array_equal(_bits(norms._row_sum(a)), _bits(np.sum(a, axis=-1)))
+    assert np.array_equal(_bits(norms._row_max(a)), _bits(np.max(a, axis=-1)))
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_row_sum_reassociates_within_the_rounding_bound_from_dim_8(dim):
+    # numpy sums a last axis of 8 or more in unrolled blocks, so the order
+    # differs from left to right; each order is within gamma_(dim-1) * sum|a|
+    # of the exact sum, gamma_k = k u / (1 - k u) with u the unit roundoff.
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((20_000, dim)) * 10.0 ** rng.uniform(-8, 8, size=(20_000, dim))
+    u = np.finfo(float).eps / 2.0
+    gamma = (dim - 1) * u / (1.0 - (dim - 1) * u)
+    diff = np.abs(norms._row_sum(a) - np.sum(a, axis=-1))
+    assert np.all(diff <= 2.0 * gamma * np.sum(np.abs(a), axis=-1))
+    assert np.array_equal(norms._row_max(a), np.max(a, axis=-1))
