@@ -15,11 +15,8 @@ from .norms import (
     NormValidationReport,
     PluginNorm,
     PNorm,
-    TangentDecomposition,
     ZeroVectorError,
     finite_diff_gradient,
-    norm_from_json,
-    tangent_decompose,
     validate_norm,
 )
 from .gap import gap, linearization_identity_residual, triangle_equality_residual
@@ -52,9 +49,6 @@ from .sticks import (
     PreconditionError,
     Stick,
     StripReport,
-    euclid_interp_bound_residual,
-    euclid_lipschitz_ratio,
-    euclid_monotonicity,
     flip_chain_verify,
     holder_ratio,
     pair_verdicts,
@@ -86,8 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EuclideanNorm", "Norm", "NormValidationReport", "PluginNorm", "PNorm",
-    "TangentDecomposition", "ZeroVectorError", "finite_diff_gradient", "norm_from_json",
-    "tangent_decompose", "validate_norm",
+    "ZeroVectorError", "finite_diff_gradient", "validate_norm",
     "gap", "linearization_identity_residual", "triangle_equality_residual",
     "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
     "TransferReport", "duality_residual", "estimate_balanced", "estimate_doubling",
@@ -95,8 +88,7 @@ __all__ = [
     "extend_constants_to", "moduli", "modulus", "modulus_grid", "onev_default_grid",
     "onev_f", "onev_g", "onev_scan", "transfer_check",
     "DegenerateStickError", "FlipChainReport", "PairVerdicts", "PreconditionError",
-    "Stick", "StripReport", "euclid_interp_bound_residual", "euclid_lipschitz_ratio",
-    "euclid_monotonicity", "flip_chain_verify", "holder_ratio", "pair_verdicts",
+    "Stick", "StripReport", "flip_chain_verify", "holder_ratio", "pair_verdicts",
     "segment_point_distance", "select_special_stick", "strip_experiment",
     "strip_experiments", "two_sticks_check",
     "NearestResult", "RayFamily", "SiteSet", "build_ray_family", "generate_strip_pairs",

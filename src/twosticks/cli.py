@@ -218,8 +218,7 @@ def cmd_strip(args) -> int:
     except RuntimeError as exc:
         print(f"degenerate generation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k,
-                                args.big_r, modulus_opts={"n_starts": 8, "max_iter": 80})
+    reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k, args.big_r)
     header = ["index", "delta", "kappa", "bound", "projection",
               "promise_lhs", "promise_rhs", "axya", "passed"]
     fields = ("delta", "kappa", "bound", "projection", "promise_lhs", "promise_rhs",

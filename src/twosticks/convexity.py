@@ -159,6 +159,10 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
     return y, float(norm._value(z) - np.dot(z, n_of_x))
 
 
+# Largest KKT residual (see `_kkt`) of a maximizer that `modulus` calls converged.
+KKT_TOL = 1e-7
+
+
 def _kkt(norm: Norm, x, t: float, y, n_of_x) -> tuple[np.ndarray, float, float]:
     """(N(y), alpha, residual) at a maximizer y on ||y|| = t: the gradient gap
     g = N(x+y) - N(x) against alpha N(y), alpha = <g, y>/t, scaled by 1 + ||g||."""
@@ -249,8 +253,7 @@ def _ascended(norm: Norm, rows: list, radii: list, normals: list, n_starts: int,
     return _ascent(norm, x, n_of_x, t, y, max_iter)
 
 
-def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200,
-           kkt_tol: float = 1e-7) -> list[ModulusResult]:
+def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> list[ModulusResult]:
     """`modulus` of each problem (xs[i], ts[i]), from one batched ascent.
 
     The problems are checked in order, as `modulus` checks one.  N(x) is
@@ -260,9 +263,10 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200,
     (dim, count).  The projected ascent runs once over arrays of shape
     (problems, starts, dim), each problem stopping on its own rule.  Then
     each problem ends in its own `modulus` call, handed its ascended starts,
-    which polishes and ranks them.  So the results equal those of
-    per-problem `modulus` calls field for field, and a wrapper of `modulus`
-    (a call counter, a tracer) sees one call and one result per problem.
+    which polishes and ranks them and judges convergence against KKT_TOL.
+    So the results equal those of per-problem `modulus` calls field for
+    field, and a wrapper of `modulus` (a call counter, a tracer) sees one
+    call and one result per problem.
     """
     rows, radii, normals = [], [], []
     for x, t in zip(xs, ts, strict=True):
@@ -273,12 +277,11 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200,
     if not rows:
         return []
     y, f, iterations = _ascended(norm, rows, radii, normals, n_starts, max_iter)
-    return [modulus(norm, x, t, kkt_tol=kkt_tol, ascent=(y[i], f[i], int(iterations[i])))
+    return [modulus(norm, x, t, ascent=(y[i], f[i], int(iterations[i])))
             for i, (x, t) in enumerate(zip(rows, radii))]
 
 
 def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
-            kkt_tol: float = 1e-7,
             ascent: Optional[tuple[np.ndarray, np.ndarray, int]] = None) -> ModulusResult:
     """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
     Starts come from a deterministic low-discrepancy set, so the result is
@@ -286,8 +289,9 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     lead them.  The leading two candidates are polished by BFGS on the
     scale-invariant parametrization y = t*u/||u||.  The first start within
     1e-9 of the best value wins, which pins down the returned maximizer when
-    the maximizing set is a continuum.  Non-convergence is reported through
-    `converged`, never silently.
+    the maximizing set is a continuum.  The result is `converged` when the
+    KKT residual of the winner is at most KKT_TOL and its multiplier is not
+    negative; non-convergence is reported there, never silently.
 
     `ascent` is how `moduli`, which runs the ascent of a batch of problems
     at once, hands one problem its share: the ascended starts (starts, dim)
@@ -315,7 +319,7 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     sigma = float(f[best])
 
     n_of_y, alpha, kkt = _kkt(norm, x, t, y_best, n_of_x)
-    converged = bool(kkt <= kkt_tol and alpha >= -1e-9)
+    converged = bool(kkt <= KKT_TOL and alpha >= -1e-9)
     return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
                          kkt_residual=kkt, kkt_multiplier=alpha, converged=converged,
                          iterations=iterations)
@@ -728,10 +732,13 @@ class TransferReport:
     witnesses: list = field(default_factory=list)
 
 
+# Slack of the transfer bounds, scaled by 1 + |h(x,x+y)| + |h(x,x+2y)|.
+TRANSFER_SLACK = 1e-9
+
+
 def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
                    k_const: Optional[float] = None, samples: int = 2000,
-                   seed: int = 0, kappa: Optional[float] = None,
-                   tol: float = 1e-9) -> TransferReport:
+                   seed: int = 0, kappa: Optional[float] = None) -> TransferReport:
     """Verify that full-space h ratios obey the bounds predicted by tangent constants.
 
     For y = alpha*x + eps*x_perp with |alpha| <= kappa and eps inside the
@@ -749,7 +756,8 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
 
     valid for |alpha| <= min(1/4, 1/(2L)).  `kappa` defaults to that window;
     kappa = 0 restricts to tangent samples, where the bounds reduce to the
-    tangent constants themselves.
+    tangent constants themselves.  A sample violates a bound when it exceeds
+    it by more than TRANSFER_SLACK * (1 + |h(x,x+y)| + |h(x,x+2y)|).
     """
     if lam <= 2.0:
         raise ValueError("tangent convexity constant must exceed 2")
@@ -797,19 +805,19 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
 
     scale = 1.0 + np.abs(h1) + np.abs(h2)
     conv_bound = lam * (1.0 + 2.0 * alpha) / (1.0 + alpha) * g_num / g_den
-    conv_viol = usable & (conv_bound * h1 - h2 > tol * scale)
+    conv_viol = usable & (conv_bound * h1 - h2 > TRANSFER_SLACK * scale)
 
     aa = np.abs(alpha)
     doub_bound = t_const * (1.0 + 2.0 * alpha) / (1.0 + alpha) \
         * (1.0 + 4.0 * big_l * aa) / (1.0 - 2.0 * big_l * aa)
-    doub_viol = usable & (h2 - doub_bound * h1 > tol * scale)
+    doub_viol = usable & (h2 - doub_bound * h1 > TRANSFER_SLACK * scale)
 
     bal_viol = np.zeros(samples, dtype=bool)
     if k_const is not None:
         usable_b = good & (hm > floor)
         bal_bound = k_const * (1.0 + alpha) / (1.0 - alpha) \
             * (1.0 + 2.0 * big_l * aa) / (1.0 - 2.0 * big_l * aa)
-        bal_viol = usable_b & (h1 - bal_bound * hm > tol * scale)
+        bal_viol = usable_b & (h1 - bal_bound * hm > TRANSFER_SLACK * scale)
 
     max_violation = 0.0
     witnesses = []

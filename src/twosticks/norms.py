@@ -1,4 +1,4 @@
-"""Minkowski norms on R^n: evaluation, normal maps, tangent decompositions.
+"""Minkowski norms on R^n: evaluation and normal maps.
 
 A norm here is a positively homogeneous, symmetric, strictly convex function
 that is continuously differentiable away from the origin.  Its gradient,
@@ -34,7 +34,6 @@ within the usual (dim - 1) ulp-scale rounding bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,8 +42,6 @@ import numpy as np
 
 # Below this the vector is treated as zero; avoids denormal noise in N.
 ZERO_THRESHOLD = 1e-300
-# Tolerance on |  ||x|| - 1 | for operations that require unit input.
-UNIT_TOL = 1e-7
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -87,8 +84,6 @@ def _check_batch(x, dim: int) -> np.ndarray:
 class Norm:
     """Base class; concrete norms implement `_value` and usually `_normal`."""
 
-    kind = "abstract"
-
     def __init__(self, dim: int):
         if int(dim) < 1:
             raise ValueError("dim must be a positive integer")
@@ -126,8 +121,6 @@ class Norm:
 
 
 class EuclideanNorm(Norm):
-    kind = "euclidean"
-
     def _value(self, x: np.ndarray) -> np.ndarray:
         return np.sqrt(_row_sum(x * x))
 
@@ -140,8 +133,6 @@ class EuclideanNorm(Norm):
 
 class PNorm(Norm):
     """p-norm with 1 < p < inf (strict convexity and C^1 smoothness)."""
-
-    kind = "p_norm"
 
     def __init__(self, p: float, dim: int):
         super().__init__(dim)
@@ -178,8 +169,6 @@ class PluginNorm(Norm):
     these properties and reports violations instead of certifying them.
     """
 
-    kind = "plugin"
-
     def __init__(self, func: Callable[[np.ndarray], float], dim: int, name: str = "plugin"):
         super().__init__(dim)
         self.func = func
@@ -202,61 +191,6 @@ def _value_and_normal(norm: Norm, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return v, norm._normal(z, v)
     z = np.where(zero[..., None], np.eye(norm.dim)[0], z)
     return v, norm._normal(z, norm._value(z))
-
-
-def norm_from_json(text) -> Norm:
-    """Rebuild a norm from its JSON descriptor (plugins cannot round-trip)."""
-    d = json.loads(text) if isinstance(text, str) else dict(text)
-    kind = d.get("kind")
-    required = {"euclidean": ("dim",), "p_norm": ("p", "dim")}
-    if kind == "plugin":
-        raise ValueError("plugin norms carry a callable and cannot be deserialized")
-    if kind not in required:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    missing = [key for key in required[kind] if key not in d]
-    if missing:
-        raise ValueError(f"{kind} requires {', '.join(missing)}")
-    if kind == "euclidean":
-        return EuclideanNorm(int(d["dim"]))
-    return PNorm(float(d["p"]), int(d["dim"]))
-
-
-@dataclass
-class TangentDecomposition:
-    """y = alpha*x + epsilon*x_perp with <x_perp, N(x)> = 0, ||x_perp|| = 1.
-
-    `x_perp` is None when y is a multiple of x (epsilon == 0).
-    """
-
-    alpha: float
-    epsilon: float
-    x_perp: Optional[np.ndarray]
-
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        y = self.alpha * np.asarray(x, dtype=float)
-        if self.x_perp is not None:
-            y = y + self.epsilon * self.x_perp
-        return y
-
-
-def tangent_decompose(norm: Norm, x, y) -> TangentDecomposition:
-    """Split y into a multiple of the unit vector x and a norm-unit tangent part.
-
-    alpha = <y, N(x)>; the remainder y - alpha*x is orthogonal to N(x), and
-    epsilon is its norm (measured in `norm`, not the Euclidean norm).
-    """
-    x = as_vector(x, norm.dim)
-    y = as_vector(y, norm.dim)
-    n_of_x = norm.normal(x)
-    nx = float(norm._value(x))
-    if abs(nx - 1.0) > UNIT_TOL:
-        raise ValueError(f"x must be a unit vector (||x|| = {nx!r})")
-    alpha = float(np.dot(y, n_of_x))
-    resid = y - alpha * x
-    eps = float(norm._value(resid))
-    if eps <= 1e-12 * (1.0 + float(norm._value(y))):
-        return TangentDecomposition(alpha=alpha, epsilon=0.0, x_perp=None)
-    return TangentDecomposition(alpha=alpha, epsilon=eps, x_perp=resid / eps)
 
 
 def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:

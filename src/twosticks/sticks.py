@@ -18,11 +18,12 @@ radius of a small ball both sticks pass through.
 endpoints of a batch of pairs as (pairs, dim) arrays and returns the
 lengths, the two-sticks and equal-length predicates, the Hölder ratio, the
 Euclidean estimates and the verdict `violated`, one entry per pair.  The
-one-pair functions (`two_sticks_check`, `holder_ratio`, `euclid_*`) are
-one-row calls of it or of its parts.  `_require` alone raises the pair
-hypotheses, in the order parameters, positive length, two-sticks, equal
-length; `_special_index` is the one special-stick rule.  Every verdict
-slack is a fixed `*_SLACK` constant next to the bound it pads.
+one-pair functions `two_sticks_check` and `holder_ratio` are one-row calls
+of it or of its parts; a one-pair Euclidean estimate is a one-row call of
+`pair_verdicts` itself.  `_require` alone raises the pair hypotheses, in
+the order parameters, positive length, two-sticks, equal length;
+`_special_index` is the one special-stick rule.  Every verdict slack is a
+fixed `*_SLACK` constant next to the bound it pads.
 """
 
 from __future__ import annotations
@@ -77,12 +78,6 @@ class Stick:
     def point_at(self, t: float) -> np.ndarray:
         """Affine interpolation (1-t)*start + t*end; t outside [0, 1] extrapolates."""
         return (1.0 - t) * self.start + t * self.end
-
-    def reversed(self) -> "Stick":
-        return Stick(self.end.copy(), self.start.copy())
-
-    def sub(self, t: float, s: float) -> "Stick":
-        return Stick(self.point_at(t), self.point_at(s))
 
     def scaled(self, factor: float) -> "Stick":
         return Stick(factor * self.start, factor * self.end)
@@ -234,15 +229,18 @@ def pair_verdicts(norm: Norm, l0, l1, m0, m1, t=None, s=None, *,
     endpoint array per pair l = [l0, l1], m = [m0, m1].
 
     This is the one implementation of the pair formulas and verdicts;
-    `two_sticks_check`, `holder_ratio` and the `euclid_*` estimates are
-    one-row calls of it or of its parts.  It always gives the lengths and
-    the two-sticks and equal-length predicates.  With q and p it gives the
-    Hölder ratio of `holder_ratio` at t.  With s (Euclidean norm only) it
-    gives the monotonicity <l1-m1, l0-m0>, the largest interpolation residual
-    of `euclid_interp_bound_residual` over INTERP_TS, and the Lipschitz ratio
-    of `euclid_lipschitz_ratio` at (s, t).  `t` and `s` hold one parameter
-    per pair, or one for all pairs.  With either, `violated` marks the pairs
-    where one of the bounds asked for fails (see `PairVerdicts`).
+    `two_sticks_check` and `holder_ratio` are one-row calls of it or of its
+    parts.  It always gives the lengths and the two-sticks and equal-length
+    predicates.  With q and p it gives the Hölder ratio of `holder_ratio` at
+    t.  With s (Euclidean norm only) it gives the monotonicity
+    <l1-m1, l0-m0>, which is nonnegative for two-sticks pairs; the largest
+    interpolation residual max(0, (1-t)^2 |l0-m0|^2 + t^2 |l1-m1|^2 -
+    |l_t-m_t|^2) over t in INTERP_TS, zero in theory; and the Lipschitz
+    ratio t |l1-m1| / (2 |l_s-m_t|) at (s, t), at most 1 for equal-length
+    two-sticks pairs, 0 where the terminal points coincide and inf (a
+    violation witness) where only l_s and m_t do.  `t` and `s` hold one
+    parameter per pair, or one for all pairs.  With either, `violated` marks
+    the pairs where one of the bounds asked for fails (see `PairVerdicts`).
 
     Endpoint arrays of another shape raise ValueError.  When a ratio is
     asked for, the lowest-index pair that fails one of its preconditions
@@ -344,38 +342,6 @@ def flip_chain_verify(norm: Norm, l: Stick, m: Stick, s: float, t: float) -> Fli
                            flipa_ok=(first, second))
 
 
-# ---------------------------------------------------------------------------
-# Euclidean estimates
-# ---------------------------------------------------------------------------
-
-def euclid_monotonicity(l: Stick, m: Stick) -> float:
-    """<l1 - m1, l0 - m0>; nonnegative for Euclidean two-sticks pairs."""
-    norm = EuclideanNorm(l.dim)
-    rows = _stick_rows(norm, l, m)
-    _require(_pair_checks(norm, *rows).two_sticks)
-    return float(_monotonicity(*rows)[0])
-
-
-def euclid_interp_bound_residual(l: Stick, m: Stick, t: float) -> float:
-    """max(0, (1-t)^2 |l0-m0|^2 + t^2 |l1-m1|^2 - |l_t-m_t|^2); zero in theory."""
-    norm = EuclideanNorm(l.dim)
-    rows = _stick_rows(norm, l, m)
-    _require(_pair_checks(norm, *rows).two_sticks)
-    return float(_interp_residual(*rows, t)[0])
-
-
-def euclid_lipschitz_ratio(l: Stick, m: Stick, s: float, t: float) -> float:
-    """t |l1-m1| / (2 |l_s - m_t|) for 0 < t <= s <= 1; at most 1 for admissible pairs.
-
-    Returns 0 when the terminal points coincide.  A vanishing denominator
-    with distinct terminal points returns inf: that is a bound-violation
-    witness (impossible for a true equal-length two-sticks pair).  The
-    preconditions are those of `pair_verdicts`, checked in its order.
-    """
-    norm = EuclideanNorm(l.dim)
-    return float(pair_verdicts(norm, *_stick_rows(norm, l, m), t, s).lipschitz_ratio[0])
-
-
 def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -> float:
     """Empirical Hölder constant t ||l1-m1|| / ||l_t-m_t||^(q/p) for one pair.
 
@@ -399,14 +365,15 @@ def _special_index(sigmas: list) -> int:
     return best
 
 
-def select_special_stick(norm: Norm, sticks: list, radius: float, **modulus_opts) -> int:
+def select_special_stick(norm: Norm, sticks: list, radius: float) -> int:
     """Index of the stick whose direction maximizes sigma(e, radius).
 
     The returned stick is the special stick m that `strip_experiment`
     requires: paired with any other stick l of the list, sigma(e) <=
     sigma(ebar).  Ties (within 1e-9 of the running best) keep the lowest
-    index, so the choice is deterministic.  The ranking uses
-    `ModulusResult.sigma` only; the `converged` flag is not read.
+    index, so the choice is deterministic.  The ranking uses the
+    `ModulusResult.sigma` of `modulus` at its defaults only; the `converged`
+    flag is not read.
     """
     if not sticks:
         raise ValueError("empty stick list")
@@ -415,7 +382,7 @@ def select_special_stick(norm: Norm, sticks: list, radius: float, **modulus_opts
         e = stick.direction()
         if abs(float(norm.value(e)) - 1.0) > 1e-6:
             raise PreconditionError("unit_length", f"stick {i} is not unit length")
-        sigmas.append(modulus(norm, e, radius, **modulus_opts).sigma)
+        sigmas.append(modulus(norm, e, radius).sigma)
     return _special_index(sigmas)
 
 
@@ -445,6 +412,9 @@ def segment_point_distance(norm: Norm, stick: Stick, point) -> tuple[float, floa
 
 # Slack of every window and bound of the strip experiment, scaled by 1 + its size.
 STRIP_SLACK = 1e-9
+# Starts and ascent iterations of every modulus solve of the strip experiment.
+STRIP_STARTS = 8
+STRIP_MAX_ITER = 80
 
 
 @dataclass
@@ -570,8 +540,7 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
 
 
 def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
-                      k_const: float, big_r: float, *,
-                      modulus_opts: Optional[dict] = None) -> list[StripReport]:
+                      k_const: float, big_r: float) -> list[StripReport]:
     """`strip_experiment` of each configuration (l, m, x0) of `configs`, with
     two batched `moduli` calls in all: sigma(e) and sigma(ebar) of every
     configuration, then, after the special-stick swaps, the maximizer ybar
@@ -582,7 +551,6 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
     configuration raises alone, as in a loop of `strip_experiment` calls;
     the configurations after it are not solved.
     """
-    opts = modulus_opts or {}
     steps = [_strip_steps(norm, l, m, x0, delta, rho, lam, k_const, big_r)
              for l, m, x0 in configs]
     reports, replies = [None] * len(steps), [None] * len(steps)
@@ -601,7 +569,7 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
         if asks:
             problems = [problem for _, ask in asks for problem in ask]
             solved = iter(moduli(norm, [x for x, _ in problems], [t for _, t in problems],
-                                 **opts))
+                                 n_starts=STRIP_STARTS, max_iter=STRIP_MAX_ITER))
             for i, ask in asks:
                 replies[i] = [next(solved) for _ in ask]
     if failure is not None:
@@ -610,8 +578,7 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
 
 
 def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float,
-                     lam: float, k_const: float, big_r: float, *,
-                     modulus_opts: Optional[dict] = None) -> StripReport:
+                     lam: float, k_const: float, big_r: float) -> StripReport:
     """Check that l1 - m1 lies in the strip predicted for geometrically convex,
     balanced norms when both sticks meet the ball B_delta(x0).
 
@@ -631,9 +598,9 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     The interior construction follows the underlying proof: a point
     lambda_star of m inside the delta-ball, then the parameter t_star where
     <l(t) - lambda_star, N(e)> crosses zero.  The three modulus solves, of
-    sigma(e), sigma(ebar) and ybar, come from two `moduli` calls; this is the
+    sigma(e), sigma(ebar) and ybar, come from two `moduli` calls with
+    STRIP_STARTS starts and STRIP_MAX_ITER ascent iterations; this is the
     one-configuration call of `strip_experiments`.  Its verdict is
     `StripReport.passed`.
     """
-    return strip_experiments(norm, [(l, m, x0)], delta, rho, lam, k_const, big_r,
-                             modulus_opts=modulus_opts)[0]
+    return strip_experiments(norm, [(l, m, x0)], delta, rho, lam, k_const, big_r)[0]

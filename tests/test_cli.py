@@ -217,6 +217,29 @@ GOLDEN = {
 }
 
 
+def test_library_strip_reproduces_the_cli_csv(tmp_path):
+    # `strip_experiments` at its fixed solver settings is the CLI's one path.
+    # At seed 2 the first configuration's values depend on the solver settings.
+    argv = GOLDEN["strip"][0] + ["--seed", "2"]
+    out = tmp_path / "strip.csv"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    lines = [ln for ln in out.read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    norm = twosticks.PNorm(3, 3)
+    configs = twosticks.generate_strip_pairs(norm, 3, 1e-4, 0.36, seed=2,
+                                             endpoint_gap_max=0.05)
+    reports = twosticks.strip_experiments(norm, configs, 1e-4, 0.36, 2.0279, 3.5555, 0.05)
+    assert len(rows) == len(reports) == 3
+    assert header[1:] == ["delta", "kappa", "bound", "projection", "promise_lhs",
+                          "promise_rhs", "axya", "passed"]
+    fields = ("delta", "kappa", "bound", "projection", "promise_lhs", "promise_rhs",
+              "axya_value")
+    for row, rep in zip(rows, reports):
+        assert [float(cell) for cell in row[1:8]] == [getattr(rep, f) for f in fields]
+        assert row[8] == ("true" if rep.passed else "false")
+
+
 @pytest.mark.parametrize("name", GOLDEN)
 def test_outputs_are_byte_identical_to_the_recorded_ones(name, tmp_path):
     argv, digest = GOLDEN[name]

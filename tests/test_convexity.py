@@ -149,6 +149,21 @@ class TestModulus:
         s2 = modulus(norm, x, 0.4).sigma
         assert s2 / s1 == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason="the first start within an absolute 1e-9 of "
+                       "the best wins, and sigma here is about 1.2e-6")
+    @pytest.mark.parametrize("opts", [{}, {"n_starts": 8, "max_iter": 80}],
+                             ids=["defaults", "strip"])
+    def test_first_start_window_is_relative(self, opts):
+        # A strip-p3 (seed 19) ebar problem: the BFGS polish of the second
+        # best start reaches the maximum, and an unpolished start wins.
+        norm = PNorm(3, 3)
+        x = np.array([0.81268865, -0.13057149, 0.77251622])
+        x = x / norm.value(x)
+        t = 0.001112037809285516
+        res = modulus(norm, x, t, **opts)
+        assert res.converged
+        assert res.sigma >= modulus_grid(norm, x, t, resolution=1e-4).sigma * (1.0 - 1e-6)
+
     def test_rejects_bad_input(self):
         norm = EuclideanNorm(2)
         with pytest.raises(ValueError):
@@ -159,7 +174,7 @@ class TestModulus:
             modulus_grid(PNorm(2, 5), np.ones(5) / PNorm(2, 5).value(np.ones(5)), 0.3)
 
 
-def oracle_modulus(norm, x, t, *, n_starts=32, max_iter=200, kkt_tol=1e-7):
+def oracle_modulus(norm, x, t, *, n_starts=32, max_iter=200):
     """The per-problem solver `moduli` batches: one problem's multi-start
     projected ascent with N(x) from the one-vector `Norm.normal`, then the
     same polish and ranking."""
@@ -209,7 +224,7 @@ def oracle_modulus(norm, x, t, *, n_starts=32, max_iter=200, kkt_tol=1e-7):
     n_of_y, alpha, kkt = _kkt(norm, x, t, y[best], n_of_x)
     return ModulusResult(sigma=float(f[best]), t=t, maximizer_y=y[best], normal_at_y=n_of_y,
                          kkt_residual=kkt, kkt_multiplier=alpha,
-                         converged=bool(kkt <= kkt_tol and alpha >= -1e-9),
+                         converged=bool(kkt <= 1e-7 and alpha >= -1e-9),
                          iterations=iterations)
 
 

@@ -1,4 +1,4 @@
-"""Norm evaluation, normal maps, tangent decomposition, validation."""
+"""Norm evaluation, normal maps, validation."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from twosticks import (
     PNorm,
     ZeroVectorError,
     finite_diff_gradient,
-    norm_from_json,
-    tangent_decompose,
     validate_norm,
 )
 from twosticks import norms
@@ -146,47 +144,6 @@ class TestFiniteDiff:
             finite_diff_gradient(EuclideanNorm(2), [1.0, 0.0], 0.0)
 
 
-class TestTangentDecompose:
-    def test_multiple_of_x(self):
-        norm = PNorm(3, 3)
-        x = random_unit(norm, 3)
-        dec = tangent_decompose(norm, x, 3.0 * x)
-        assert dec.alpha == pytest.approx(3.0, abs=1e-12)
-        assert dec.epsilon == 0.0 and dec.x_perp is None
-
-    def test_orthonormal_axes(self):
-        dec = tangent_decompose(EuclideanNorm(2), [1.0, 0.0], [2.0, 5.0])
-        assert dec.alpha == pytest.approx(2.0)
-        assert dec.epsilon == pytest.approx(5.0)
-        np.testing.assert_allclose(dec.x_perp, [0.0, 1.0], atol=1e-15)
-
-    def test_p3_axis_case(self):
-        norm = PNorm(3, 2)
-        dec = tangent_decompose(norm, [1.0, 0.0], [1.0, 1.0])
-        assert dec.alpha == pytest.approx(1.0, abs=1e-12)
-        assert dec.epsilon == pytest.approx(1.0, abs=1e-12)  # ||(0,1)||_3 = 1
-        # x_perp really is tangent: <x_perp, N(x)> = 0
-        assert abs(np.dot(dec.x_perp, norm.normal([1.0, 0.0]))) < 1e-12
-
-    def test_reconstruction_random(self):
-        norm = PNorm(2.3, 4)
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal(4)
-            x = x / norm.value(x)
-            y = rng.standard_normal(4) * 3.0
-            dec = tangent_decompose(norm, x, y)
-            err = float(norm.value(dec.reconstruct(x) - y))
-            assert err <= 1e-9 * (1.0 + float(norm.value(y)))
-            if dec.x_perp is not None:
-                assert abs(float(norm.value(dec.x_perp)) - 1.0) < 1e-12
-                assert abs(np.dot(dec.x_perp, norm.normal(x))) < 1e-12
-
-    def test_requires_unit_x(self):
-        with pytest.raises(ValueError):
-            tangent_decompose(EuclideanNorm(2), [2.0, 0.0], [1.0, 1.0])
-
-
 class TestValidateNorm:
     def test_euclidean_is_clean(self):
         report = validate_norm(EuclideanNorm(3), samples=1000, seed=4)
@@ -209,31 +166,9 @@ class TestValidateNorm:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        import json
-        for norm in (EuclideanNorm(2), PNorm(3.0, 3)):
-            clone = norm_from_json(json.dumps(norm.descriptor()))
-            assert clone.descriptor() == norm.descriptor()
-
     def test_expected_wire_format(self):
         assert PNorm(3.0, 3).descriptor() == {"kind": "p_norm", "p": 3.0, "dim": 3}
         assert EuclideanNorm(2).descriptor() == {"kind": "euclidean", "dim": 2}
-
-    def test_plugin_not_deserializable(self):
-        with pytest.raises(ValueError):
-            norm_from_json('{"kind": "plugin", "dim": 2, "name": "f"}')
-
-    def test_missing_fields_rejected(self):
-        assert isinstance(norm_from_json({"kind": "euclidean", "dim": 2}), EuclideanNorm)
-        assert norm_from_json({"kind": "p_norm", "p": 2.5, "dim": 3}).p == 2.5
-        with pytest.raises(ValueError, match="p_norm requires p"):
-            norm_from_json({"kind": "p_norm", "dim": 3})
-        with pytest.raises(ValueError, match="p_norm requires dim"):
-            norm_from_json('{"kind": "p_norm", "p": 3.0}')
-        with pytest.raises(ValueError, match="euclidean requires dim"):
-            norm_from_json({"kind": "euclidean"})
-        with pytest.raises(ValueError, match="unknown norm kind"):
-            norm_from_json({"kind": "sup", "dim": 2})
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,9 +17,6 @@ from twosticks import (
     build_ray_family,
     estimate_balanced,
     estimate_lambda,
-    euclid_interp_bound_residual,
-    euclid_lipschitz_ratio,
-    euclid_monotonicity,
     extend_constants_to,
     flip_chain_verify,
     generate_strip_pairs,
@@ -34,6 +31,7 @@ from twosticks import (
     two_sticks_check,
 )
 from twosticks import cli
+from twosticks import convexity as convexity_module
 from twosticks import sticks as sticks_module
 from twosticks.sticks import (INTERP_SLACK, INTERP_TS, LIPSCHITZ_SLACK, MONOTONICITY_SLACK,
                               StripReport)
@@ -85,7 +83,8 @@ class TestPredicate:
         sticks = family.sticks
         for i in range(len(sticks)):
             for j in range(i + 1, len(sticks)):
-                assert two_sticks_check(norm, sticks[i].reversed(), sticks[j].reversed())
+                assert two_sticks_check(norm, Stick(sticks[i].end, sticks[i].start),
+                                        Stick(sticks[j].end, sticks[j].start))
 
 
 class TestPointAt:
@@ -101,7 +100,7 @@ class TestPointAt:
     def test_sub_stick_reparametrization(self):
         # reversing a stick maps parameter t to 1 - t
         l = Stick([0.5, -1.0], [2.0, 3.0])
-        rev = l.reversed()
+        rev = Stick(l.end, l.start)
         for t in (0.0, 0.3, 0.77, 1.0):
             np.testing.assert_allclose(rev.point_at(1.0 - t), l.point_at(t), atol=1e-15)
         # a stick cut at t and extended to the end interpolates consistently
@@ -154,27 +153,33 @@ class TestFlipChain:
 
 
 class TestEuclideanBounds:
+    # The Euclidean estimates of `pair_verdicts` (s given), one row or one
+    # batch per call; a residual at one fixed t comes from `_interp_residual`,
+    # whose maximum over INTERP_TS `pair_verdicts` reports.
     def test_monotonicity_coincident(self):
         l = Stick([0.0, 1.0], [2.0, 3.0])
-        assert euclid_monotonicity(l, l) == 0.0
+        assert pair_verdicts(EuclideanNorm(2), *batch([(l, l)]), 1.0, 1.0).monotonicity[0] == 0.0
 
     def test_monotonicity_common_start(self):
+        # unequal lengths, so the formula alone: pair_verdicts needs equal ones
         l = Stick([1.0, 1.0], [2.0, 3.0])
         m = Stick([1.0, 1.0], [0.0, -4.0])
-        assert euclid_monotonicity(l, m) == 0.0
+        assert two_sticks_check(EuclideanNorm(2), l, m)
+        assert sticks_module._monotonicity(*batch([(l, m)]))[0] == 0.0
 
     def test_monotonicity_random_pairs(self):
         _, family = euclid_family(dim=3, queries=20, seed=10)
         sticks = family.sticks
-        for i in range(len(sticks)):
-            for j in range(i + 1, len(sticks)):
-                assert euclid_monotonicity(sticks[i], sticks[j]) >= -1e-12
+        pairs = [(sticks[i], sticks[j]) for i in range(len(sticks))
+                 for j in range(i + 1, len(sticks))]
+        v = pair_verdicts(EuclideanNorm(3), *batch(pairs), 1.0, 1.0)
+        assert np.all(v.monotonicity >= -1e-12)
 
     def test_interp_residual_endpoints(self):
         _, family = euclid_family(dim=2, queries=10, seed=11)
-        l, m = family.sticks[2], family.sticks[3]
-        assert euclid_interp_bound_residual(l, m, 0.0) == 0.0
-        assert euclid_interp_bound_residual(l, m, 1.0) == 0.0
+        rows = batch([(family.sticks[2], family.sticks[3])])
+        assert sticks_module._interp_residual(*rows, 0.0)[0] == 0.0
+        assert sticks_module._interp_residual(*rows, 1.0)[0] == 0.0
 
     def test_interp_residual_random(self):
         _, family = euclid_family(dim=3, queries=16, seed=12)
@@ -183,28 +188,36 @@ class TestEuclideanBounds:
         for _ in range(100):
             i, j = rng.choice(len(sticks), 2, replace=False)
             t = float(rng.uniform())
+            rows = batch([(sticks[i], sticks[j])])
+            assert pair_verdicts(EuclideanNorm(3), *rows).two_sticks[0]
             scale = 1.0 + float(np.linalg.norm(sticks[i].start - sticks[j].start)) ** 2
-            assert euclid_interp_bound_residual(sticks[i], sticks[j], t) <= 1e-12 * scale
+            assert sticks_module._interp_residual(*rows, t)[0] <= 1e-12 * scale
 
     def test_lipschitz_coincident(self):
         l = Stick([0.0, 0.0], [1.0, 0.0])
-        assert euclid_lipschitz_ratio(l, l, 0.5, 0.5) == 0.0
+        assert pair_verdicts(EuclideanNorm(2), *batch([(l, l)]), 0.5, 0.5).lipschitz_ratio[0] \
+            == 0.0
 
     def test_lipschitz_at_s_equals_t_equals_one(self):
         _, family = euclid_family(dim=2, queries=10, seed=14)
         l, m = family.sticks[0], family.sticks[4]
         if not np.allclose(l.end, m.end):
-            assert euclid_lipschitz_ratio(l, m, 1.0, 1.0) == pytest.approx(0.5)
+            v = pair_verdicts(EuclideanNorm(2), *batch([(l, m)]), 1.0, 1.0)
+            assert v.lipschitz_ratio[0] == pytest.approx(0.5)
 
     def test_lipschitz_ratio_bounded_random(self):
         _, family = euclid_family(dim=3, queries=20, seed=15)
         rng = np.random.default_rng(16)
         sticks = family.sticks
+        pairs, ts, ss = [], [], []
         for _ in range(400):
             i, j = rng.choice(len(sticks), 2, replace=False)
             t = float(rng.uniform(0.01, 1.0))
-            s = float(rng.uniform(t, 1.0))
-            assert euclid_lipschitz_ratio(sticks[i], sticks[j], s, t) <= 1.0 + 1e-9
+            pairs.append((sticks[i], sticks[j]))
+            ts.append(t)
+            ss.append(float(rng.uniform(t, 1.0)))
+        v = pair_verdicts(EuclideanNorm(3), *batch(pairs), ts, ss)
+        assert np.all(v.lipschitz_ratio <= 1.0 + 1e-9)
 
     def test_unequal_length_flagged_not_crashed(self):
         # the classical one-dimensional counterexample: no Lipschitz bound
@@ -213,13 +226,14 @@ class TestEuclideanBounds:
         m = Stick([0.0], [2.0])
         assert two_sticks_check(EuclideanNorm(1), l, m)
         with pytest.raises(PreconditionError) as err:
-            euclid_lipschitz_ratio(l, m, s=1.0, t=0.5)
+            pair_verdicts(EuclideanNorm(1), *batch([(l, m)]), 0.5, 1.0)
         assert err.value.hypothesis == "equal_length"
 
     def test_parameter_order_enforced(self):
         _, family = euclid_family(dim=2, queries=8, seed=17)
         with pytest.raises(PreconditionError):
-            euclid_lipschitz_ratio(family.sticks[0], family.sticks[1], s=0.3, t=0.6)
+            pair_verdicts(EuclideanNorm(2), *batch([(family.sticks[0], family.sticks[1])]),
+                          0.6, 0.3)
 
 
 class TestHolder:
@@ -241,7 +255,7 @@ class TestHolder:
             i, j = rng.choice(len(sticks), 2, replace=False)
             t = float(rng.uniform(0.05, 1.0))
             h = holder_ratio(norm, sticks[i], sticks[j], t, 2.0, 2.0)
-            lip = euclid_lipschitz_ratio(sticks[i], sticks[j], t, t)
+            lip = pair_verdicts(norm, *batch([(sticks[i], sticks[j])]), t, t).lipschitz_ratio[0]
             assert h == pytest.approx(2.0 * lip, rel=1e-9, abs=1e-12)
             assert h <= 2.0 + 1e-9
 
@@ -398,8 +412,9 @@ class TestPairVerdictsOracle:
 
         # Predicates on admissible pairs and on reversed, swapped and
         # rescaled partners, most of which fail one of them.
-        mixed = pairs + [(l, m.reversed()) for l, m in pairs] \
-            + [(m.reversed(), l) for l, m in pairs] + [(l, m.scaled(1.5)) for l, m in pairs]
+        mixed = pairs + [(l, Stick(m.end, m.start)) for l, m in pairs] \
+            + [(Stick(m.end, m.start), l) for l, m in pairs] \
+            + [(l, m.scaled(1.5)) for l, m in pairs]
         v = pair_verdicts(norm, *batch(mixed))
         assert v.two_sticks.tolist() == [oracle_two_sticks(norm, l, m) for l, m in mixed]
         assert v.equal_length.tolist() == [oracle_equal_length(norm, l, m) for l, m in mixed]
@@ -598,12 +613,9 @@ class TestOnePreconditionPath:
         if kind != "degenerate":
             # two-sticks, equal length
             expect = raised_hypothesis(lambda: pair_verdicts(norm, *rows, 0.5, 1.0))
-            assert raised_hypothesis(lambda: euclid_lipschitz_ratio(l, m, 1.0, 0.5)) == expect
             assert raised_hypothesis(lambda: flip_chain_verify(norm, l, m, 1.0, 0.5)) == expect
         if kind in ("two_sticks", "both"):
-            assert raised_hypothesis(lambda: euclid_monotonicity(l, m)) == "two_sticks"
-            assert raised_hypothesis(
-                lambda: euclid_interp_bound_residual(l, m, 0.5)) == "two_sticks"
+            assert expect == "two_sticks"
 
     def test_two_sticks_is_checked_before_equal_length(self):
         norm = EuclideanNorm(1)
@@ -611,7 +623,7 @@ class TestOnePreconditionPath:
         calls = [
             lambda: strip_experiment(norm, l, m, [0.0], *STRIP_ARGS),
             lambda: flip_chain_verify(norm, l, m, 0.7, 0.2),
-            lambda: euclid_lipschitz_ratio(l, m, 0.7, 0.2),
+            lambda: pair_verdicts(norm, *batch([(l, m)]), 0.2, 0.7),
         ]
         for call in calls:
             assert raised_hypothesis(call) == "two_sticks"
@@ -772,17 +784,14 @@ class TestStripExperiment:
         norm, lam, k_const, pairs = euclid_setup
         l, _, x0 = pairs[0]
         rep = strip_experiment(norm, l, Stick(l.start.copy(), l.end.copy()), x0,
-                               5e-4, 0.36, lam, k_const, 0.05,
-                               modulus_opts={"n_starts": 8, "max_iter": 80})
+                               5e-4, 0.36, lam, k_const, 0.05)
         assert rep.passed
         assert rep.projection == pytest.approx(0.0, abs=1e-12)
 
     def test_random_configurations_pass(self, euclid_setup):
         norm, lam, k_const, pairs = euclid_setup
-        opts = {"n_starts": 8, "max_iter": 80}
         for l, m, x0 in pairs:
-            rep = strip_experiment(norm, l, m, x0, 5e-4, 0.36, lam, k_const, 0.05,
-                                   modulus_opts=opts)
+            rep = strip_experiment(norm, l, m, x0, 5e-4, 0.36, lam, k_const, 0.05)
             assert rep.passed and rep.axya_ok
             assert rep.bound == pytest.approx(
                 k_const * lam * lam / (lam - 2.0) * rep.kappa * rep.delta)
@@ -829,10 +838,8 @@ class TestStripExperiment:
         k_const = max(1.0, bal.k_hat * 1.05)
         pairs = generate_strip_pairs(norm, 10, delta=1e-4, rho=0.36, seed=7,
                                      endpoint_gap_max=0.05)
-        opts = {"n_starts": 8, "max_iter": 80}
         for l, m, x0 in pairs:
-            rep = strip_experiment(norm, l, m, x0, 1e-4, 0.36, lam, k_const, 0.05,
-                                   modulus_opts=opts)
+            rep = strip_experiment(norm, l, m, x0, 1e-4, 0.36, lam, k_const, 0.05)
             assert rep.passed and rep.axya_ok
 
     def test_special_stick_is_chosen_whatever_the_order(self, monkeypatch):
@@ -851,10 +858,9 @@ class TestStripExperiment:
             return results
 
         monkeypatch.setattr(sticks_module, "moduli", l_ranked_first)
-        opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
-        rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS, **opts)
+        rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS)
         assert rep.sigma_e <= rep.sigma_ebar
-        swapped = strip_experiment(norm, m, l, x0, *STRIP_ARGS, **opts)
+        swapped = strip_experiment(norm, m, l, x0, *STRIP_ARGS)
         for f in dataclasses.fields(StripReport):
             got, want = getattr(rep, f.name), getattr(swapped, f.name)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f.name)
@@ -864,11 +870,10 @@ class TestStripExperiment:
         configs = generate_strip_pairs(norm, 3, delta=1e-4, rho=0.36, seed=5,
                                        endpoint_gap_max=0.05)
         configs.append((configs[0][1], configs[0][0], configs[0][2]))   # swapped pair
-        opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
-        reports = strip_experiments(norm, configs, *STRIP_ARGS, **opts)
+        reports = strip_experiments(norm, configs, *STRIP_ARGS)
         assert len(reports) == len(configs)
         for (l, m, x0), rep in zip(configs, reports):
-            want = strip_experiment(norm, l, m, x0, *STRIP_ARGS, **opts)
+            want = strip_experiment(norm, l, m, x0, *STRIP_ARGS)
             for f in dataclasses.fields(StripReport):
                 got, expect = getattr(rep, f.name), getattr(want, f.name)
                 assert np.array_equal(got, expect), f.name
@@ -880,7 +885,6 @@ class TestStripExperiment:
                                     endpoint_gap_max=0.05)[0]
         near = (good[0], good[1], good[2] + 10.0)      # fails after the first solve
         two_sticks = (Stick(ORIGIN, E1), Stick(E1, ORIGIN), ORIGIN)   # fails before it
-        opts = {"modulus_opts": {"n_starts": 8, "max_iter": 80}}
         solved = []
         real = sticks_module.moduli
 
@@ -891,8 +895,7 @@ class TestStripExperiment:
         monkeypatch.setattr(sticks_module, "moduli", counting)
 
         def first_error(configs):
-            return raised_hypothesis(lambda: strip_experiments(norm, configs, *STRIP_ARGS,
-                                                               **opts))
+            return raised_hypothesis(lambda: strip_experiments(norm, configs, *STRIP_ARGS))
 
         assert first_error([near]) == "near"
         assert first_error([two_sticks]) == "two_sticks"
@@ -917,22 +920,21 @@ class TestStripExperiment:
             return results
 
         monkeypatch.setattr(sticks_module, "moduli", ybar_along_ebar)
-        rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS,
-                               modulus_opts={"n_starts": 8, "max_iter": 80})
+        rep = strip_experiment(norm, l, m, x0, *STRIP_ARGS)
         assert rep.axya_value == pytest.approx(sign, abs=1e-12) and rep.bound < 1.0
         # Only axya fails: the other parts of the verdict hold.
         assert rep.converged and abs(rep.projection) <= rep.bound
         assert rep.promise_lhs <= rep.promise_rhs
         assert not rep.axya_ok and not rep.passed
 
-    def test_unconverged_solve_fails_closed(self):
+    def test_unconverged_solve_fails_closed(self, monkeypatch):
         norm = PNorm(3, 3)
         l, m, x0 = generate_strip_pairs(norm, 1, delta=1e-4, rho=0.36, seed=0,
                                         endpoint_gap_max=0.05)[0]
         args = (norm, l, m, x0, 1e-4, 0.36, 2.0279, 3.5555, 0.05)
-        opts = {"n_starts": 8, "max_iter": 80}
-        rep = strip_experiment(*args, modulus_opts=opts)
+        rep = strip_experiment(*args)
         assert rep.converged and rep.passed
         # No KKT residual is exactly zero, so no solve counts as converged.
-        rep = strip_experiment(*args, modulus_opts={**opts, "kkt_tol": 0.0})
+        monkeypatch.setattr(convexity_module, "KKT_TOL", 0.0)
+        rep = strip_experiment(*args)
         assert not rep.converged and not rep.passed
