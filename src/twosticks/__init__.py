@@ -12,21 +12,18 @@ p-norms is tight.
 from .norms import (
     EuclideanNorm,
     Norm,
-    NormValidationReport,
     PluginNorm,
     PNorm,
     ZeroVectorError,
     finite_diff_gradient,
-    validate_norm,
 )
-from .gap import gap, linearization_identity_residual, triangle_equality_residual
+from .gap import gap
 from .convexity import (
     ConstantsReport,
     DegenerateSampleError,
     ModulusResult,
     OnevScanResult,
     TransferReport,
-    duality_residual,
     estimate_balanced,
     estimate_doubling,
     estimate_lambda,
@@ -37,23 +34,19 @@ from .convexity import (
     modulus,
     modulus_grid,
     onev_default_grid,
-    onev_f,
     onev_g,
     onev_scan,
     transfer_check,
 )
 from .sticks import (
     DegenerateStickError,
-    FlipChainReport,
     PairVerdicts,
     PreconditionError,
     Stick,
     StripReport,
-    flip_chain_verify,
     holder_ratio,
     pair_verdicts,
     segment_point_distance,
-    select_special_stick,
     strip_experiment,
     strip_experiments,
     two_sticks_check,
@@ -79,17 +72,17 @@ from .sharpness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EuclideanNorm", "Norm", "NormValidationReport", "PluginNorm", "PNorm",
-    "ZeroVectorError", "finite_diff_gradient", "validate_norm",
-    "gap", "linearization_identity_residual", "triangle_equality_residual",
+    "EuclideanNorm", "Norm", "PluginNorm", "PNorm", "ZeroVectorError",
+    "finite_diff_gradient",
+    "gap",
     "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
-    "TransferReport", "duality_residual", "estimate_balanced", "estimate_doubling",
+    "TransferReport", "estimate_balanced", "estimate_doubling",
     "estimate_lambda", "estimate_uniform_constants", "extend_constants",
     "extend_constants_to", "moduli", "modulus", "modulus_grid", "onev_default_grid",
-    "onev_f", "onev_g", "onev_scan", "transfer_check",
-    "DegenerateStickError", "FlipChainReport", "PairVerdicts", "PreconditionError",
-    "Stick", "StripReport", "flip_chain_verify", "holder_ratio", "pair_verdicts",
-    "segment_point_distance", "select_special_stick", "strip_experiment",
+    "onev_g", "onev_scan", "transfer_check",
+    "DegenerateStickError", "PairVerdicts", "PreconditionError",
+    "Stick", "StripReport", "holder_ratio", "pair_verdicts",
+    "segment_point_distance", "strip_experiment",
     "strip_experiments", "two_sticks_check",
     "NearestResult", "RayFamily", "SiteSet", "build_ray_family", "generate_strip_pairs",
     "nearest_point",

@@ -39,7 +39,7 @@ from .convexity import (DegenerateSampleError, estimate_balanced, estimate_doubl
                         onev_default_grid, onev_scan)
 from .norms import EuclideanNorm, Norm, PNorm
 from .reporting import to_jsonable, write_csv, write_json
-from .sharpness import sharpness_curve
+from .sharpness import holder_exponents, sharpness_curve, sharpness_grid
 from .sticks import PreconditionError, pair_verdicts, strip_experiments
 
 EXIT_OK = 0
@@ -193,8 +193,9 @@ def cmd_sticks(args) -> int:
                    v.violated]
         meaning = "violated means a Euclidean bound fails"
     else:
-        q_exp = args.q if args.q is not None else (2.0 if norm.p >= 2.0 else norm.p)
-        p_exp = args.p_exp if args.p_exp is not None else max(norm.p, 2.0)
+        q_default, p_default = holder_exponents(norm.p)
+        q_exp = args.q if args.q is not None else q_default
+        p_exp = args.p_exp if args.p_exp is not None else p_default
         v = pair_verdicts(norm, l0, l1, m0, m1, t, q=q_exp, p=p_exp)
         header = ["i", "j", "holder_ratio", "t", "q", "p", "violated"]
         columns = [i, j, v.holder_ratio, t, np.full(len(i), q_exp), np.full(len(i), p_exp),
@@ -233,21 +234,7 @@ def cmd_strip(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    if args.p <= 1.0:
-        raise ValueError("--p must exceed 1")
-    if args.p >= 2.0:
-        lo = args.param_min if args.param_min is not None else 1e-5
-        hi = args.param_max if args.param_max is not None else 1e-2
-        grid = np.logspace(np.log10(lo), np.log10(hi), args.points)
-    else:
-        # parameter is x; the admissible window is 2^-p <= x^p <= 1/2
-        xp_lo = 2.0 ** (-args.p) * (1.0 + 1e-9)
-        xp_hi = 0.5 * (1.0 - 1e-9)
-        if args.param_min is not None:
-            xp_lo = max(xp_lo, float(args.param_min) ** args.p)
-        if args.param_max is not None:
-            xp_hi = min(xp_hi, float(args.param_max) ** args.p)
-        grid = np.linspace(xp_lo, xp_hi, args.points) ** (1.0 / args.p)
+    grid = sharpness_grid(args.p, args.points, args.param_min, args.param_max)
     curve = sharpness_curve(args.p, grid)
     header = ["parameter", "gap_norm", "m_norm", "ratio"]
     write_csv(args.out, header, zip(*curve.rows), config=_config_dict(args))
@@ -279,8 +266,6 @@ def cmd_onev(args) -> int:
     results = {}
     violated = False
     for p in args.p:
-        if p <= 1.0:
-            raise ValueError("--p must exceed 1")
         scan = onev_scan(p, grid)
         results[repr(float(p))] = to_jsonable(scan)
         violated |= scan.inf_double_ratio <= 2.0

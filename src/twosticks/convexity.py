@@ -41,9 +41,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .gap import _gap, _gap_at
-from .norms import (Norm, ZeroVectorError, ZERO_THRESHOLD, _row_sum, _value_and_normal,
-                    as_vector)
+from .gap import _gap_at
+from .norms import Norm, ZERO_THRESHOLD, _row_sum, _value_and_normal, as_vector
 
 # Ratio denominators below 1e-12 * (1 + ||x||) are excluded: along
 # positively-parallel directions both sides vanish and 0/0 says nothing.
@@ -602,47 +601,13 @@ def extend_constants_to(r: float, lam: float, radius: float) -> tuple[float, flo
     return r, lam, doublings
 
 
-def duality_residual(norm: Norm, x, z, lam: float, r: float) -> float:
-    """max(0, h(x, z) - Lambda/(Lambda-2) * h(z, x)) for ||z - x|| <= 2r||x||.
-
-    Zero (up to roundoff) whenever the norm really is geometrically convex
-    with constants (r, Lambda).
-    """
-    if lam <= 2.0:
-        raise ValueError("duality needs Lambda > 2")
-    x = as_vector(x, norm.dim)
-    z = as_vector(z, norm.dim)
-    nx = float(norm._value(x))
-    if nx < ZERO_THRESHOLD:
-        raise ZeroVectorError("duality needs x != 0")
-    sep = float(norm._value(z - x))
-    if sep > 2.0 * r * nx * (1.0 + 1e-12):
-        raise ValueError(f"||z - x|| = {sep!r} exceeds the certified radius 2*r*||x||")
-    lhs = float(_gap(norm, x, z))
-    rhs = lam / (lam - 2.0) * float(_gap(norm, z, x))
-    return max(0.0, lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # scalar reduction for p-norms
 # ---------------------------------------------------------------------------
 
-def onev_f(p: float, x, y) -> np.ndarray:
-    """f(x, y) = |x+y|^p - |x|^p - y p |x|^(p-1) sign(x); nonnegative for p > 1.
-
-    This is the coordinatewise building block of the p-norm convexity,
-    doubling and balance properties.
-    """
-    if p <= 1.0:
-        raise ValueError("need p > 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (np.abs(x + y) ** p - np.abs(x) ** p
-            - y * p * np.abs(x) ** (p - 1.0) * np.sign(x))
-
-
 def onev_g(p: float, z) -> np.ndarray:
-    """g(z) = |1+z|^p - 1 - p z, the one-variable profile of `onev_f` at x = 1.
+    """g(z) = |1+z|^p - 1 - p z: the coordinate term |x+y|^p - |x|^p - p y
+    |x|^(p-1) sign(x) of the p-norm is |x|^p g(y/x).
 
     Evaluated through expm1/log1p near z = 0, where the naive form loses
     all significant digits.

@@ -9,10 +9,10 @@ exactly on nonnegative multiples of x (strict convexity), and satisfies
     h(-x, -y)   = h(x, y)
     h(x, -y)    = h(-x, y)
 
-together with the rewrite ||y|| = ||x|| + h(x, y) + <y - x, N(x)> and the
-triangle equality ||x+y|| = ||x|| + ||y|| - h(x+y, x) - h(x+y, y), both of
-which are algebraic consequences of the definition.  At x = 0 we take
-h(0, z) = 0, the largest lower-semicontinuous extension.
+together with the rewrite ||y|| = ||x|| + h(x, y) + <y - x, N(x)> for
+x != 0 and the triangle equality ||x+y|| = ||x|| + ||y|| - h(x+y, x) -
+h(x+y, y) for x + y != 0, both algebraic consequences of the definition.
+At x = 0 we take h(0, z) = 0, the largest lower-semicontinuous extension.
 """
 
 from __future__ import annotations
@@ -43,31 +43,3 @@ def _gap_at(norm: Norm, nx: np.ndarray, n_of_x: np.ndarray, y: np.ndarray) -> np
     if np.any(zero):
         val = np.where(zero, 0.0, val)
     return val
-
-
-def triangle_equality_residual(norm: Norm, x, y) -> float:
-    """| ||x+y|| - (||x|| + ||y|| - h(x+y, x) - h(x+y, y)) |; zero in exact arithmetic."""
-    x = _check_batch(x, norm.dim)
-    y = _check_batch(y, norm.dim)
-    s = x + y
-    ns = norm._value(s)
-    if np.any(ns < ZERO_THRESHOLD):
-        raise ValueError("triangle equality requires x + y != 0")
-    n_of_s = norm._normal(s, ns)
-    rhs = (norm._value(x) + norm._value(y) - _gap_at(norm, ns, n_of_s, x)
-           - _gap_at(norm, ns, n_of_s, y))
-    out = np.abs(ns - rhs)
-    return float(out) if out.ndim == 0 else out
-
-
-def linearization_identity_residual(norm: Norm, x, y) -> float:
-    """| ||y|| - (||x|| + h(x, y) + <y - x, N(x)>) |; zero in exact arithmetic."""
-    x = _check_batch(x, norm.dim)
-    y = _check_batch(y, norm.dim)
-    nx = norm._value(x)
-    if np.any(nx < ZERO_THRESHOLD):
-        raise ValueError("linearization identity requires x != 0")
-    n_of_x = norm._normal(x, nx)
-    rhs = nx + _gap_at(norm, nx, n_of_x, y) + _row_sum((y - x) * n_of_x)
-    out = np.abs(norm._value(y) - rhs)
-    return float(out) if out.ndim == 0 else out

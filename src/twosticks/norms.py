@@ -35,7 +35,6 @@ within the usual (dim - 1) ulp-scale rounding bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,8 +164,7 @@ class PluginNorm(Norm):
     """User-supplied norm.  `func` maps a single vector to a float.
 
     The caller is responsible for `func` actually being a norm (positive
-    homogeneity, symmetry, triangle inequality); `validate_norm` samples
-    these properties and reports violations instead of certifying them.
+    homogeneity, symmetry, triangle inequality); nothing here checks it.
     """
 
     def __init__(self, func: Callable[[np.ndarray], float], dim: int, name: str = "plugin"):
@@ -206,68 +204,3 @@ def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
 def _central_difference(norm: Norm, x: np.ndarray, step: float) -> np.ndarray:
     eye = np.eye(norm.dim) * step
     return (norm._value(x + eye) - norm._value(x - eye)) / (2.0 * step)
-
-
-@dataclass
-class NormValidationReport:
-    """Worst scaled residuals of the norm axioms and normal-map identities.
-
-    Residuals are scaled by (1 + magnitude of the operands), so a perfect
-    norm sits at roundoff level regardless of the sampled scales.
-    """
-
-    norm: dict
-    samples: int
-    seed: int
-    homogeneity: float
-    symmetry: float
-    triangle: float
-    support_identity: float       # | <x,N(x)> - ||x|| |
-    support_inequality: float     # max(0, <y,N(x)> - ||y||)
-    normal_scale_invariance: float  # max_i |N(t x)_i - N(x)_i|, t in {0.5, 2, 10}
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.homogeneity, self.symmetry, self.triangle,
-                   self.support_identity, self.support_inequality,
-                   self.normal_scale_invariance)
-
-
-def validate_norm(norm: Norm, samples: int = 1000, seed: int = 0) -> NormValidationReport:
-    """Sample the norm axioms and N-map identities; report, never raise."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = norm.dim
-    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    x = rng.standard_normal((samples, n)) * scales[:, None]
-    y = rng.standard_normal((samples, n)) * scales[::-1, None]
-    t = rng.uniform(0.1, 10.0, size=samples)
-
-    vx = norm.value(x)
-    vy = norm.value(y)
-    # Degenerate draws (essentially zero vectors) are replaced by e1.
-    tiny = vx < 1e-12
-    if np.any(tiny):
-        x[tiny] = np.eye(n)[0]
-        vx = norm.value(x)
-
-    homog = np.max(np.abs(norm.value(t[:, None] * x) - t * vx) / (1.0 + t * vx))
-    sym = np.max(np.abs(norm.value(-x) - vx) / (1.0 + vx))
-    tri = np.max(np.maximum(0.0, norm.value(x + y) - vx - vy) / (1.0 + vx + vy))
-
-    nmap = norm.normal(x)
-    ident = np.max(np.abs(np.sum(x * nmap, axis=-1) - vx) / (1.0 + vx))
-    support = np.max(np.maximum(0.0, np.sum(y * nmap, axis=-1) - vy) / (1.0 + vy))
-
-    scale_inv = 0.0
-    for factor in (0.5, 2.0, 10.0):
-        diff = np.max(np.abs(norm.normal(factor * x) - nmap))
-        scale_inv = max(scale_inv, float(diff))
-
-    return NormValidationReport(
-        norm=norm.descriptor(), samples=samples, seed=seed,
-        homogeneity=float(homog), symmetry=float(sym), triangle=float(tri),
-        support_identity=float(ident), support_inequality=float(support),
-        normal_scale_invariance=scale_inv,
-    )

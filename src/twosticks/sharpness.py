@@ -83,17 +83,6 @@ class SharpnessInstance:
     def norm(self) -> PNorm:
         return PNorm(self.p, 3)
 
-    def system_residuals(self) -> dict:
-        """Residuals of the unit constraints and the reduced two-sticks system."""
-        norm = self.norm()
-        mid = 0.5 * (self.e + self.e_bar)
-        return {
-            "unit_e": abs(float(norm.value(self.e)) - 1.0),
-            "unit_ebar": abs(float(norm.value(self.e_bar)) - 1.0),
-            "system_plus": max(0.0, 1.0 - float(norm.value(self.m + mid))),
-            "system_minus": max(0.0, 1.0 - float(norm.value(-self.m + mid))),
-        }
-
     def gap_norm(self) -> float:
         return float(self.norm().value(self.e - self.e_bar))
 
@@ -141,7 +130,8 @@ def construct_plt2(p: float, x_param: float) -> SharpnessInstance:
     if not (1.0 < p <= 2.0):
         raise ValueError("this construction needs 1 < p <= 2")
     xp = x ** p
-    if xp < 2.0 ** (-p) * (1.0 - 1e-12) or xp > 0.5 * (1.0 + 1e-12):
+    lo, hi = _plt2_window(p)
+    if xp < lo * (1.0 - 1e-12) or xp > hi * (1.0 + 1e-12):
         raise ValueError(f"x^p = {xp!r} outside the admissible window [2^-p, 1/2]")
     eps = max(0.0, 1.0 / xp - 2.0)
     delta = x * solve_g(p, eps)
@@ -153,12 +143,25 @@ def construct_plt2(p: float, x_param: float) -> SharpnessInstance:
                              x_param=x, y_param=y)
 
 
-def holder_exponent(p: float) -> float:
-    """The sharp exponent q/p: 2/p above 2, p/2 below, 1 at the Lipschitz point p = 2."""
+def _plt2_window(p: float) -> tuple[float, float]:
+    """The admissible window [2^-p, 1/2] of x^p in `construct_plt2`."""
+    return 2.0 ** (-p), 0.5
+
+
+def holder_exponents(p: float) -> tuple[float, float]:
+    """The exponents (q, p) of the p-norm's Hölder bound: (2, p) for p >= 2,
+    (p, 2) below."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("need p > 1")
-    return 2.0 / p if p >= 2.0 else p / 2.0
+    return (2.0, p) if p >= 2.0 else (p, 2.0)
+
+
+def holder_exponent(p: float) -> float:
+    """The sharp exponent q/p of `holder_exponents`: 2/p above 2, p/2 below,
+    1 at the Lipschitz point p = 2."""
+    q, p_exp = holder_exponents(p)
+    return q / p_exp
 
 
 @dataclass
@@ -174,6 +177,32 @@ class SharpnessCurve:
     exponent: float
     rows: list
     band: tuple
+
+
+def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
+                   param_max: Optional[float] = None) -> np.ndarray:
+    """`points` parameters for `sharpness_curve`.
+
+    For p >= 2 they are deltas, log-spaced over [param_min, param_max]
+    (default [1e-5, 1e-2]).  For 1 < p < 2 they are values of x whose x^p
+    are evenly spaced over the window of `construct_plt2`, pulled in by
+    1e-9 relative at each end and narrowed to [param_min^p, param_max^p]
+    where given.
+    """
+    p = float(p)
+    if p <= 1.0:
+        raise ValueError("need p > 1")
+    if p >= 2.0:
+        lo = param_min if param_min is not None else 1e-5
+        hi = param_max if param_max is not None else 1e-2
+        return np.logspace(np.log10(lo), np.log10(hi), points)
+    lo, hi = _plt2_window(p)
+    lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
+    if param_min is not None:
+        lo = max(lo, float(param_min) ** p)
+    if param_max is not None:
+        hi = min(hi, float(param_max) ** p)
+    return np.linspace(lo, hi, points) ** (1.0 / p)
 
 
 def sharpness_curve(p: float, parameter_grid: Iterable[float]) -> SharpnessCurve:

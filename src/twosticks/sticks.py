@@ -19,22 +19,24 @@ endpoints of a batch of pairs as (pairs, dim) arrays and returns the
 lengths, the two-sticks and equal-length predicates, the Hölder ratio, the
 Euclidean estimates and the verdict `violated`, one entry per pair.  The
 one-pair functions `two_sticks_check` and `holder_ratio` are one-row calls
-of it or of its parts; a one-pair Euclidean estimate is a one-row call of
-`pair_verdicts` itself.  `_require` alone raises the pair hypotheses, in
-the order parameters, positive length, two-sticks, equal length;
-`_special_index` is the one special-stick rule.  Every verdict slack is a
-fixed `*_SLACK` constant next to the bound it pads.
+of it or of its parts; a one-pair Euclidean estimate, or the derived pairs
+of one pair (reversed, tail and sub-sticks), are rows of one `pair_verdicts`
+call.  `_require` alone raises the pair hypotheses, in the order
+parameters, positive length, two-sticks, equal length; `_special_index`,
+which `strip_experiment` applies, is the one special-stick rule.  Every
+verdict slack is a fixed `*_SLACK` constant next to the bound it pads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .convexity import moduli, modulus
+# `modulus` has no caller here; perfbench/selftest.py wraps it under this name.
+from .convexity import moduli, modulus  # noqa: F401
 from .gap import _gap_at
 from .norms import EuclideanNorm, Norm, _check_batch, _value_and_normal, as_vector
 
@@ -290,58 +292,6 @@ def two_sticks_check(norm: Norm, l: Stick, m: Stick) -> bool:
     return bool(_pair_checks(norm, *_stick_rows(norm, l, m)).two_sticks[0])
 
 
-@dataclass
-class FlipChainReport:
-    """Outcome of the symmetry chain for an equal-length two-sticks pair.
-
-    Each link records (label, two_sticks_ok, equal_length_ok); `flipa_ok`
-    collects the two cross inequalities ||m_s - l_t|| >= ||m_s - m_t|| and
-    ||l_s - m_t|| >= ||l_s - l_t||.
-    """
-
-    s: float
-    t: float
-    degenerate: bool
-    links: list = field(default_factory=list)
-    flipa_ok: tuple = (True, True)
-
-    @property
-    def passed(self) -> bool:
-        return all(ts and el for _, ts, el in self.links) and all(self.flipa_ok)
-
-
-def flip_chain_verify(norm: Norm, l: Stick, m: Stick, s: float, t: float) -> FlipChainReport:
-    """Verify the derived-pair chain: reversed sticks, tail sticks [l1, l_t] /
-    [l_t, l1], and sub-sticks [l_t, l_s], all inherit the two-sticks and
-    equal-length conditions; also check both cross inequalities at (s, t).
-    The input pair needs s, t in [0, 1], two-sticks and equal length."""
-    l0, l1, m0, m1 = _stick_rows(norm, l, m)
-    length = l.length(norm)
-    degenerate = abs(s - t) * length < 1e-12
-    lt, ls, mt, ms = _point(l0, l1, t), _point(l0, l1, s), _point(m0, m1, t), _point(m0, m1, s)
-    # Rows (label, l start, l end, m start, m end) of the derived pairs.
-    pairs = [
-        ("original", l0, l1, m0, m1),
-        ("reversed", l1, l0, m1, m0),
-        ("tail_to_t", l1, lt, m1, mt),
-        ("from_t", lt, l1, mt, m1),
-    ]
-    if not degenerate:
-        pairs.append(("t_to_s", lt, ls, mt, ms))
-    labels, *rows = zip(*pairs)
-    v = _pair_checks(norm, *(np.concatenate(r) for r in rows))
-    _require(v.two_sticks[:1], v.equal_length[:1],
-             params=np.array([0.0 <= s <= 1.0 and 0.0 <= t <= 1.0]), need="0 <= s, t <= 1")
-    links = [(label, bool(ts), bool(el))
-             for label, ts, el in zip(labels, v.two_sticks, v.equal_length)]
-
-    slack = CHECK_SLACK * (1.0 + length)
-    first = float(norm._value(ms - lt)[0]) >= float(norm._value(ms - mt)[0]) - slack
-    second = float(norm._value(ls - mt)[0]) >= float(norm._value(ls - lt)[0]) - slack
-    return FlipChainReport(s=s, t=t, degenerate=degenerate, links=links,
-                           flipa_ok=(first, second))
-
-
 def holder_ratio(norm: Norm, l: Stick, m: Stick, t: float, q: float, p: float) -> float:
     """Empirical Hölder constant t ||l1-m1|| / ||l_t-m_t||^(q/p) for one pair.
 
@@ -363,27 +313,6 @@ def _special_index(sigmas: list) -> int:
         if sigma > sigmas[best] + 1e-9 * (1.0 + abs(sigmas[best])):
             best = i
     return best
-
-
-def select_special_stick(norm: Norm, sticks: list, radius: float) -> int:
-    """Index of the stick whose direction maximizes sigma(e, radius).
-
-    The returned stick is the special stick m that `strip_experiment`
-    requires: paired with any other stick l of the list, sigma(e) <=
-    sigma(ebar).  Ties (within 1e-9 of the running best) keep the lowest
-    index, so the choice is deterministic.  The ranking uses the
-    `ModulusResult.sigma` of `modulus` at its defaults only; the `converged`
-    flag is not read.
-    """
-    if not sticks:
-        raise ValueError("empty stick list")
-    sigmas = []
-    for i, stick in enumerate(sticks):
-        e = stick.direction()
-        if abs(float(norm.value(e)) - 1.0) > 1e-6:
-            raise PreconditionError("unit_length", f"stick {i} is not unit length")
-        sigmas.append(modulus(norm, e, radius).sigma)
-    return _special_index(sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +521,8 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     both sticks meeting B_delta(x0), and l's endpoints outside B_rho(x0).
 
     m is chosen as the special stick, sigma(e, kappa*delta) <=
-    sigma(ebar, kappa*delta): l and m are swapped when the rule of
-    `select_special_stick` ranks l above m; a near-tie keeps the given order.
+    sigma(ebar, kappa*delta): l and m are swapped when `_special_index`
+    ranks l above m; a near-tie keeps the given order.
 
     The interior construction follows the underlying proof: a point
     lambda_star of m inside the delta-ball, then the parameter t_star where

@@ -20,11 +20,11 @@ from twosticks import (
     SiteSet,
     Stick,
     build_ray_family,
-    flip_chain_verify,
     gap,
     holder_ratio,
     modulus,
     nearest_point,
+    pair_verdicts,
     segment_point_distance,
     two_sticks_check,
 )
@@ -123,13 +123,17 @@ def test_modulus_check_count_does_not_depend_on_max_iter(monkeypatch):
 
 
 def test_flip_chain_checks_its_input_once(monkeypatch):
+    # A pair and its derived pairs, here its reversal, are rows of one
+    # `pair_verdicts` call, which checks each endpoint array once.
     norm = PNorm(3, 3)
     rng = np.random.default_rng(9)
     sites = SiteSet(rng.uniform(-2, 2, size=(3, 3)), norm)
     l, m = build_ray_family(sites, rng.uniform(-2, 2, size=(12, 3)), 1.0).sticks[:2]
     calls = count_checks(monkeypatch)
-    assert flip_chain_verify(norm, l, m, s=0.7, t=0.2).passed
-    assert len(calls) <= 8
+    rows = [np.array([a, b]) for a, b in zip((l.start, l.end, m.start, m.end),
+                                             (l.end, l.start, m.end, m.start))]
+    assert pair_verdicts(norm, *rows).two_sticks.all()
+    assert len(calls) == 4
 
 
 STRIP_ARGV = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555"]

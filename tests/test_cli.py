@@ -147,6 +147,16 @@ class TestBoundary:
         assert "0 failures (0 on a solve that did not converge)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["sharpness", "--p", "0"], ["sharpness", "--p", "1"],
+                                  ["onev", "--p", "3", "--p", "1"]])
+def test_exponents_not_above_1_are_config_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"   # the library checks p > 1 before it computes with p
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: need p > 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sticks_summary_says_what_a_violation_is(tmp_path, capsys):
     assert cli.main(STICKS + ["--out", str(tmp_path / "s.csv")]) == cli.EXIT_OK
     summary = capsys.readouterr().out
@@ -201,10 +211,11 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-# Small versions of the benchmark's three calls, with the sha256 of each
-# output less its timestamp line (recorded with numpy 2.4 on x86-64).  The
-# benchmark compares values only to rtol 1e-6, so this is the guard that a
-# speed-up keeps every output byte for byte.
+# Small versions of the benchmark's three calls, and the subcommands no
+# benchmark workload runs, with the sha256 of each output less its timestamp
+# line (recorded with numpy 2.4 on x86-64).  The benchmark compares values
+# only to rtol 1e-6, so this is the guard that a change keeps every output
+# byte for byte.
 GOLDEN = {
     "certify": (["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent",
                  "--uniform-p", "3", "--uniform-q", "2", "--samples", "3000"],
@@ -214,6 +225,14 @@ GOLDEN = {
               "cb5fe58486258c9982024ddec1611a2ea30fe036d5b4060cde3a43b3184f3546"),
     "sticks": (["sticks", "--norm", "p:3", "--dim", "3", "--queries", "40", "--pairs", "300"],
                "a44a26131d70b3b3584b44528526aa8fbbe3edf6cc9f65203dd59ac40a786acd"),
+    "sharpness-p3": (["sharpness", "--p", "3"],
+                     "a830ed01db10aa3347fff7dd00c998d9161057f0ea96722e70aaad685724e12e"),
+    "sharpness-p1.5": (["sharpness", "--p", "1.5"],
+                       "92cf3653154d4067b80ebfbb5b56b9077d038fb6eec0175361efbfb9da06305b"),
+    "onev": (ONEV,
+             "0802be19af1ee8f527d2b61185a15098295c4a9d5f66d3f0046bfe4db46cd966"),
+    "atlas": (["atlas", "--norm", "p:3", "--dim", "3"],
+              "ce6faf81ef3cc9c705bf72cb97bf9744c9d2ca87d8098953c670be5937675fd0"),
 }
 
 

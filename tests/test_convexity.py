@@ -14,7 +14,6 @@ from twosticks import (
     PluginNorm,
     PNorm,
     ZeroVectorError,
-    duality_residual,
     estimate_balanced,
     estimate_doubling,
     estimate_lambda,
@@ -423,36 +422,45 @@ class TestExtendConstants:
         assert r >= 1.0 and n == 4 and 2.0 < lam < 3.8
 
 
+def duality_excess(norm, x, z, lam):
+    """h(x, z) - Lambda/(Lambda-2) h(z, x), at most 0 for ||z - x|| <= 2r||x||."""
+    return gap(norm, x, z) - lam / (lam - 2.0) * gap(norm, z, x)
+
+
 class TestDuality:
     def test_parallel_z(self):
         norm = PNorm(3, 3)
         x = unit(norm, 13)
-        assert duality_residual(norm, x, 1.4 * x, lam=2.5, r=0.5) == 0.0
+        assert duality_excess(norm, x, 1.4 * x, lam=2.5) <= 0.0
 
     def test_zero_z(self):
-        norm = EuclideanNorm(2)
-        assert duality_residual(norm, [1.0, 0.0], [0.0, 0.0], lam=2.5, r=0.5) == 0.0
+        assert duality_excess(EuclideanNorm(2), [1.0, 0.0], [0.0, 0.0], lam=2.5) == 0.0
 
     def test_euclid_with_certified_constants(self):
         norm = EuclideanNorm(3)
         r = 0.25
         lam = euclid_full_lambda_oracle(r) * (1.0 - 1e-6)
         rng = np.random.default_rng(14)
-        for _ in range(500):
-            x = rng.standard_normal(3)
-            x /= norm.value(x)
-            y = rng.standard_normal(3)
-            y *= r * rng.uniform(1e-3, 1.0) / norm.value(y)
-            assert duality_residual(norm, x, x + 2 * y, lam=lam, r=r) <= 1e-9
+        x = rng.standard_normal((500, 3))
+        x /= norm.value(x)[:, None]
+        y = rng.standard_normal((500, 3))
+        y *= (r * rng.uniform(1e-3, 1.0, 500) / norm.value(y))[:, None]
+        assert np.all(duality_excess(norm, x, x + 2 * y, lam=lam) <= 1e-9)
 
     def test_radius_precondition(self):
+        # Euclidean, unit x: h(x, z) = ||z|| h(z, x); outside the radius ||z|| > 5.
         norm = EuclideanNorm(2)
-        with pytest.raises(ValueError):
-            duality_residual(norm, [1.0, 0.0], [3.0, 0.5], lam=2.5, r=0.25)
+        x, z = np.array([1.0, 0.0]), np.array([6.0, 1.0])
+        assert gap(norm, x, z) == pytest.approx(norm.value(z) * gap(norm, z, x), rel=1e-12)
+        assert duality_excess(norm, x, z, lam=2.5) > 0.0
 
     def test_lambda_precondition(self):
-        with pytest.raises(ValueError):
-            duality_residual(EuclideanNorm(2), [1.0, 0.0], [1.1, 0.0], lam=2.0, r=0.5)
+        # Inside r = 0.25, ||z|| nears 1 + 2r: it fails at Lambda = 7 (factor 7/5).
+        norm = EuclideanNorm(2)
+        x, z = np.array([1.0, 0.0]), 1.49 * np.array([np.cos(0.01), np.sin(0.01)])
+        assert norm.value(z - x) <= 2.0 * 0.25
+        assert duality_excess(norm, x, z, lam=euclid_full_lambda_oracle(0.25)) <= 0.0
+        assert duality_excess(norm, x, z, lam=7.0) > 0.0
 
 
 class TestUniformConstants:

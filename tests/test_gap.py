@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosticks import (
-    EuclideanNorm,
-    PNorm,
-    gap,
-    linearization_identity_residual,
-    triangle_equality_residual,
-)
+from twosticks import EuclideanNorm, PNorm, gap
 
 RNG = np.random.default_rng(77)
 NORMS = [EuclideanNorm(3), PNorm(1.5, 3), PNorm(3, 3), PNorm(4, 3)]
@@ -122,35 +116,48 @@ class TestGapShape:
             assert float(dirgap) <= 1e-5
 
 
+def triangle_residual(norm, x, y):
+    """| ||x+y|| - (||x|| + ||y|| - h(x+y, x) - h(x+y, y)) |, zero for x + y != 0."""
+    s = np.add(x, y)
+    return np.abs(norm.value(s) - (norm.value(x) + norm.value(y)
+                                   - gap(norm, s, x) - gap(norm, s, y)))
+
+
+def linearization_residual(norm, x, y):
+    """| ||y|| - (||x|| + h(x, y) + <y - x, N(x)>) |, zero for x != 0."""
+    dot = np.sum(np.subtract(y, x) * norm.normal(x), axis=-1)
+    return np.abs(norm.value(y) - (norm.value(x) + gap(norm, x, y) + dot))
+
+
 class TestIdentities:
     def test_triangle_equality_parallel(self):
         for norm in NORMS:
             x = unit(norm, 10)
             y = 2.5 * x
-            assert triangle_equality_residual(norm, x, y) < 1e-12
+            assert triangle_residual(norm, x, y) < 1e-12
             # the correction terms themselves vanish on parallel input
             s = x + y
             assert float(gap(norm, s, x)) < 1e-12 and float(gap(norm, s, y)) < 1e-12
 
     def test_triangle_equality_axes(self):
-        assert triangle_equality_residual(EuclideanNorm(2), [1.0, 0.0], [0.0, 1.0]) < 1e-12
+        assert triangle_residual(EuclideanNorm(2), [1.0, 0.0], [0.0, 1.0]) < 1e-12
 
     def test_triangle_equality_random(self):
         norm = PNorm(3, 4)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((500, 4))
         y = rng.standard_normal((500, 4))
-        res = triangle_equality_residual(norm, x, y)
+        res = triangle_residual(norm, x, y)
         assert float(np.max(res)) < 1e-9 * (1.0 + float(np.max(norm.value(x) + norm.value(y))))
 
     def test_triangle_equality_domain_error(self):
-        with pytest.raises(ValueError):
-            triangle_equality_residual(EuclideanNorm(2), [1.0, 0.0], [-1.0, 0.0])
+        # At x + y = 0 the convention h(0, .) = 0 leaves ||x|| + ||y|| = 2 against 0.
+        assert triangle_residual(EuclideanNorm(2), [1.0, 0.0], [-1.0, 0.0]) == 2.0
 
     def test_linearization_at_x(self):
         for norm in NORMS:
             x = unit(norm, 12)
-            assert linearization_identity_residual(norm, x, x) < 1e-14
+            assert linearization_residual(norm, x, x) < 1e-14
 
     def test_linearization_tangent_perturbation(self):
         norm = EuclideanNorm(3)
@@ -158,19 +165,20 @@ class TestIdentities:
         v = np.cross(x, [0.0, 0.0, 1.0])
         v /= np.linalg.norm(v)
         for t in (1e-4, 1e-2):
-            assert linearization_identity_residual(norm, x, x + t * v) < 1e-12
+            assert linearization_residual(norm, x, x + t * v) < 1e-12
 
     def test_linearization_random(self):
         norm = PNorm(1.5, 3)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((500, 3))
         y = rng.standard_normal((500, 3))
-        res = linearization_identity_residual(norm, x, y)
+        res = linearization_residual(norm, x, y)
         assert float(np.max(res)) < 1e-9
 
     def test_linearization_domain_error(self):
+        # The identity needs N(x), which is undefined at x = 0.
         with pytest.raises(ValueError):
-            linearization_identity_residual(EuclideanNorm(2), [0.0, 0.0], [1.0, 0.0])
+            linearization_residual(EuclideanNorm(2), [0.0, 0.0], [1.0, 0.0])
 
 
 @settings(max_examples=150, deadline=None)

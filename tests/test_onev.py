@@ -1,53 +1,65 @@
-"""Scalar profile f(x,y) = |x+y|^p - |x|^p - y p |x|^(p-1) sign(x) and its scan."""
+"""Scalar profile f(x,y) = |x+y|^p - |x|^p - y p |x|^(p-1) sign(x), g = f(1, .), its scan."""
 
 import numpy as np
 import pytest
 
-from twosticks import onev_default_grid, onev_f, onev_g, onev_scan
+from twosticks import PNorm, onev_default_grid, onev_g, onev_scan
 
 PS = (1.1, 1.5, 2.0, 3.0, 4.0, 8.0)
 
 
+def coordinate_sum(p, x, y):
+    """||x+y||^p - ||x||^p - p ||x||^(p-1) <y, N(x)> in the p-norm: the sum of f(x_i, y_i)."""
+    norm = PNorm(p, np.shape(x)[-1])
+    nx = norm.value(x)
+    return norm.value(np.add(x, y)) ** p - nx ** p \
+        - p * nx ** (p - 1.0) * np.sum(y * norm.normal(x), axis=-1)
+
+
 class TestOnevF:
     def test_at_x_zero(self):
+        # f(1, 0) + f(0, y) = |y|^p
         for p in PS:
             y = np.array([0.3, -1.7, 2.0])
-            np.testing.assert_allclose(onev_f(p, 0.0, y), np.abs(y) ** p, rtol=1e-14)
-            np.testing.assert_allclose(onev_f(p, 0.0, 2 * y),
-                                        2.0 ** p * onev_f(p, 0.0, y), rtol=1e-13)
+            x, rows = [1.0, 0.0], np.outer(y, [0.0, 1.0])
+            np.testing.assert_allclose(coordinate_sum(p, x, rows), np.abs(y) ** p, rtol=1e-10)
+            np.testing.assert_allclose(coordinate_sum(p, x, 2 * rows),
+                                       2.0 ** p * coordinate_sum(p, x, rows), rtol=1e-10)
 
     def test_at_y_zero(self):
         for p in PS:
-            assert onev_f(p, 1.3, 0.0) == 0.0
+            assert coordinate_sum(p, [1.3], [0.0]) == 0.0 and onev_g(p, 0.0) == 0.0
 
     def test_quadratic_case(self):
         # p = 2: f(x, y) = y^2, so the doubling ratio is exactly 4
         rng = np.random.default_rng(0)
-        x, y = rng.standard_normal(100), rng.standard_normal(100)
-        np.testing.assert_allclose(onev_f(2.0, x, y), y * y, atol=1e-12)
-        nz = np.abs(y) > 1e-6
-        np.testing.assert_allclose(onev_f(2.0, x, 2 * y)[nz] / onev_f(2.0, x, y)[nz],
-                                   4.0, rtol=1e-9)
+        x, y = rng.standard_normal((100, 1)), rng.standard_normal((100, 1))
+        np.testing.assert_allclose(coordinate_sum(2.0, x, y), y[:, 0] ** 2, atol=1e-12)
+        nz = np.abs(y[:, 0]) > 1e-6
+        np.testing.assert_allclose(coordinate_sum(2.0, x, 2 * y)[nz]
+                                   / coordinate_sum(2.0, x, y)[nz], 4.0, rtol=1e-9)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         for p in PS:
-            x, y = rng.standard_normal(500), rng.standard_normal(500)
-            assert float(np.min(onev_f(p, x, y))) >= -1e-12
+            x, y = rng.standard_normal((500, 1)), rng.standard_normal((500, 1))
+            scale = 1.0 + np.abs(x + y)[:, 0] ** p + np.abs(x)[:, 0] ** p
+            assert np.all(coordinate_sum(p, x, y) >= -1e-12 * scale)
 
     def test_p_validation(self):
         with pytest.raises(ValueError):
-            onev_f(1.0, 1.0, 1.0)
+            onev_g(1.0, 1.0)
 
 
 class TestOnevG:
     def test_matches_f_at_x_one(self):
+        # f(x, y) = |x|^p g(y/x), so the p-norm sums the terms |x_i|^p g(y_i/x_i)
         rng = np.random.default_rng(2)
-        z = rng.uniform(-3, 3, 200)
-        z = z[np.abs(z) > 1e-3]
+        x = rng.choice([-1.0, 1.0], (200, 3)) * rng.uniform(0.5, 2.0, (200, 3))
+        y = rng.uniform(-3.0, 3.0, (200, 3))
         for p in (1.5, 3.0):
-            np.testing.assert_allclose(onev_g(p, z), onev_f(p, 1.0, z),
-                                       rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(np.sum(np.abs(x) ** p * onev_g(p, y / x), axis=-1),
+                                       coordinate_sum(p, x, y), rtol=1e-10, atol=1e-12)
 
     def test_small_z_accuracy(self):
         # naive evaluation loses every digit at z = 1e-8; the expm1 path keeps them

@@ -18,14 +18,12 @@ from twosticks import (
     estimate_balanced,
     estimate_lambda,
     extend_constants_to,
-    flip_chain_verify,
     generate_strip_pairs,
     holder_ratio,
     modulus,
     modulus_grid,
     pair_verdicts,
     segment_point_distance,
-    select_special_stick,
     strip_experiment,
     strip_experiments,
     two_sticks_check,
@@ -34,7 +32,7 @@ from twosticks import cli
 from twosticks import convexity as convexity_module
 from twosticks import sticks as sticks_module
 from twosticks.sticks import (INTERP_SLACK, INTERP_TS, LIPSCHITZ_SLACK, MONOTONICITY_SLACK,
-                              StripReport)
+                              StripReport, _special_index)
 
 
 def euclid_family(dim=2, queries=25, seed=0, length=1.0):
@@ -109,28 +107,40 @@ class TestPointAt:
         np.testing.assert_allclose(cut.point_at(s), l.point_at(0.6), atol=1e-15)
 
 
+def chain_verdicts(norm, chains):
+    """One `pair_verdicts` call over each (l, m, s, t) and its derived pairs:
+    reversed, tails [l1, l_t] and [l_t, l1], and [l_t, l_s], whose two-sticks
+    inequalities are ||l_s - m_t|| >= ||l_s - l_t||, ||m_s - l_t|| >= ||m_s - m_t||."""
+    rows = []
+    for l, m, s, t in chains:
+        lt, ls, mt, ms = l.point_at(t), l.point_at(s), m.point_at(t), m.point_at(s)
+        rows += [(l.start, l.end, m.start, m.end), (l.end, l.start, m.end, m.start),
+                 (l.end, lt, m.end, mt), (lt, l.end, mt, m.end), (lt, ls, mt, ms)]
+    return pair_verdicts(norm, *(np.array(ends) for ends in zip(*rows)))
+
+
 class TestFlipChain:
+    # Derived pairs of an equal-length two-sticks pair inherit both conditions.
     def test_identity_case(self):
         norm, family = euclid_family(dim=2, queries=8, seed=5)
-        l, m = family.sticks[0], family.sticks[1]
-        rep = flip_chain_verify(norm, l, m, s=1.0, t=0.0)
-        assert rep.passed and not rep.degenerate
+        v = chain_verdicts(norm, [(family.sticks[0], family.sticks[1], 1.0, 0.0)])
+        assert v.two_sticks.all() and v.equal_length.all()
+        assert v.len_l[4] == v.len_l[0] > 0.0   # [l_0, l_1] is l
 
     def test_degenerate_parameters_flagged(self):
         norm, family = euclid_family(dim=2, queries=8, seed=6)
         l, m = family.sticks[0], family.sticks[1]
-        rep = flip_chain_verify(norm, l, m, s=0.5, t=0.5)
-        assert rep.degenerate and rep.passed
+        v = chain_verdicts(norm, [(l, m, 0.5, 0.5)])
+        assert v.len_l[4] == v.len_m[4] == 0.0
+        assert v.two_sticks.all() and v.equal_length.all()
 
     def test_random_pairs_pass(self):
         norm, family = euclid_family(dim=3, queries=14, seed=7)
         rng = np.random.default_rng(8)
         sticks = family.sticks
-        for _ in range(40):
-            i, j = rng.choice(len(sticks), 2, replace=False)
-            s, t = rng.uniform(size=2)
-            rep = flip_chain_verify(norm, sticks[i], sticks[j], s=float(s), t=float(t))
-            assert rep.passed
+        draws = (rng.choice(len(sticks), 2, replace=False) for _ in range(40))
+        v = chain_verdicts(norm, [(sticks[i], sticks[j], *rng.uniform(size=2)) for i, j in draws])
+        assert v.two_sticks.all() and v.equal_length.all()
 
     def test_p_norm_pairs_pass(self):
         norm = PNorm(3, 3)
@@ -138,18 +148,17 @@ class TestFlipChain:
         sites = SiteSet(rng.uniform(-2, 2, size=(3, 3)), norm)
         family = build_ray_family(sites, rng.uniform(-2, 2, size=(12, 3)), 1.0)
         sticks = family.sticks
-        for _ in range(30):
-            i, j = rng.choice(len(sticks), 2, replace=False)
-            s, t = rng.uniform(size=2)
-            rep = flip_chain_verify(norm, sticks[i], sticks[j], s=float(s), t=float(t))
-            assert rep.passed
+        draws = (rng.choice(len(sticks), 2, replace=False) for _ in range(30))
+        v = chain_verdicts(norm, [(sticks[i], sticks[j], *rng.uniform(size=2)) for i, j in draws])
+        assert v.two_sticks.all() and v.equal_length.all()
 
     def test_precondition_enforced(self):
+        # Without the two-sticks hypothesis the chain breaks: the reversal fails too.
         norm = EuclideanNorm(2)
         l = Stick([0.0, 0.0], [1.0, 0.0])
         m = Stick([1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(PreconditionError):
-            flip_chain_verify(norm, l, m, 0.5, 0.5)
+        v = chain_verdicts(norm, [(l, m, 0.5, 0.5)])
+        assert not v.two_sticks[0] and not v.two_sticks[1]
 
 
 class TestEuclideanBounds:
@@ -613,7 +622,6 @@ class TestOnePreconditionPath:
         if kind != "degenerate":
             # two-sticks, equal length
             expect = raised_hypothesis(lambda: pair_verdicts(norm, *rows, 0.5, 1.0))
-            assert raised_hypothesis(lambda: flip_chain_verify(norm, l, m, 1.0, 0.5)) == expect
         if kind in ("two_sticks", "both"):
             assert expect == "two_sticks"
 
@@ -622,7 +630,6 @@ class TestOnePreconditionPath:
         l, m = Stick([0.0], [1.0]), Stick([1.0], [-1.0])   # fails both
         calls = [
             lambda: strip_experiment(norm, l, m, [0.0], *STRIP_ARGS),
-            lambda: flip_chain_verify(norm, l, m, 0.7, 0.2),
             lambda: pair_verdicts(norm, *batch([(l, m)]), 0.2, 0.7),
         ]
         for call in calls:
@@ -693,17 +700,22 @@ class TestSticksCommand:
             assert row[7] == "false"
 
 
+def special_stick(norm, sticks, radius):
+    """`_special_index` over the `modulus` sigmas of the sticks' directions."""
+    return _special_index([modulus(norm, stick.direction(), radius).sigma for stick in sticks])
+
+
 class TestSpecialStick:
     def test_single_stick(self):
         norm = EuclideanNorm(2)
-        assert select_special_stick(norm, [Stick([0.0, 0.0], [1.0, 0.0])], 0.3) == 0
+        assert special_stick(norm, [Stick([0.0, 0.0], [1.0, 0.0])], 0.3) == 0
 
     def test_euclidean_tie_break(self):
         norm = EuclideanNorm(2)
         sticks = [Stick([0.0, 0.0], [math.cos(a), math.sin(a)])
                   for a in (0.0, 0.7, 2.1)]
         # isotropy: all modulus values equal, lowest index wins
-        assert select_special_stick(norm, sticks, 0.25) == 0
+        assert special_stick(norm, sticks, 0.25) == 0
 
     def test_p4_tie_away_from_index_zero(self):
         norm = PNorm(4, 2)
@@ -712,9 +724,9 @@ class TestSpecialStick:
         diag = Stick([0.0, 0.0], np.array([1.0, 1.0]) / scale)
         anti = Stick([0.0, 0.0], np.array([-1.0, 1.0]) / scale)
         # the two diagonals tie by symmetry and beat the axis: lower index wins
-        assert select_special_stick(norm, [axis, diag, anti], 0.3) == 1
+        assert special_stick(norm, [axis, diag, anti], 0.3) == 1
         # the two axes tie below the diagonal: the winner is last in the list
-        assert select_special_stick(norm, [axis, Stick([0.0, 0.0], [0.0, 1.0]), diag], 0.3) == 2
+        assert special_stick(norm, [axis, Stick([0.0, 0.0], [0.0, 1.0]), diag], 0.3) == 2
 
     def test_p4_axis_vs_diagonal(self):
         norm = PNorm(4, 2)
@@ -735,17 +747,22 @@ class TestSpecialStick:
         # recorded winner for this configuration: the diagonal direction,
         # whatever its place in the list
         assert sig_diag > sig_axis
-        assert select_special_stick(norm, [axis, diag], radius) == 1
-        assert select_special_stick(norm, [diag, axis], radius) == 0
+        assert special_stick(norm, [axis, diag], radius) == 1
+        assert special_stick(norm, [diag, axis], radius) == 0
 
     def test_unit_length_required(self):
-        norm = EuclideanNorm(2)
-        with pytest.raises(PreconditionError):
-            select_special_stick(norm, [Stick([0.0, 0.0], [2.0, 0.0])], 0.3)
+        # sigma(a e, t) = a sigma(e, t/a), so the rule ranks unit directions:
+        # `strip_experiment` scales a pair of length 2 (exactly) to unit length.
+        norm = PNorm(3, 3)
+        (l, m, x0), = generate_strip_pairs(norm, 1, 1e-4, 0.36, seed=0, endpoint_gap_max=0.05)
+        one = strip_experiment(norm, l, m, x0, *STRIP_ARGS)
+        two = strip_experiment(norm, l.scaled(2.0), m.scaled(2.0), 2.0 * x0, 2e-4, 0.72,
+                               *STRIP_ARGS[2:])
+        assert (two.sigma_e, two.sigma_ebar) == (one.sigma_e, one.sigma_ebar)
 
     def test_empty_list(self):
-        with pytest.raises(ValueError):
-            select_special_stick(EuclideanNorm(2), [], 0.3)
+        # No configuration, no stick to rank and no solve.
+        assert strip_experiments(EuclideanNorm(2), [], *STRIP_ARGS) == []
 
 
 class TestSegmentDistance:
