@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .convexity import DegenerateSampleError
 from .norms import Norm, as_vector
 from .sticks import Stick, segment_point_distance, two_sticks_check
 
@@ -125,8 +126,9 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
 
     ValueError, before any draw, when no admissible configuration can exist
     or none is asked for: dim < 2, endpoint_gap_max <= 0, delta outside
-    (0, 1/4), rho <= 3*delta or count < 1.  RuntimeError when MAX_PROPOSALS
-    proposals give fewer than `count` configurations.
+    (0, 1/4), rho <= 3*delta or count < 1.  `DegenerateSampleError` (a
+    RuntimeError) when MAX_PROPOSALS proposals give fewer than `count`
+    configurations.
     """
     if norm.dim < 2:
         raise ValueError("dim must be >= 2: in one dimension no admissible pair exists")
@@ -181,5 +183,6 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
             continue
         out.append((l, m, x0))
     if len(out) < count:
-        raise RuntimeError(f"only {len(out)} admissible configurations in {MAX_PROPOSALS} tries")
+        raise DegenerateSampleError(
+            f"only {len(out)} admissible configurations in {MAX_PROPOSALS} tries")
     return out

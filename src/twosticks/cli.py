@@ -6,7 +6,7 @@ output paths) in the output, and uses the exit-code contract
 
     0  success
     1  configuration error (bad flag or --config; unwritable output)
-    2  degenerate estimate (no informative samples / generation failed)
+    2  degenerate estimate (DegenerateSampleError: nothing informative drawn)
     3  theorem bound violated, or a solve it rests on did not converge
 
 so CI can gate directly on violations.  CSV output uses '.' decimals and
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +55,14 @@ def parse_norm(spec: str, dim: int) -> Norm:
     if spec.startswith("p:"):
         return PNorm(float(spec[2:]), dim)
     raise ValueError(f"unknown norm spec {spec!r}; expected 'euclidean' or 'p:<value>'")
+
+
+def finite(text: str) -> float:
+    """The argparse type of every float flag: a float, neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -125,14 +134,9 @@ def _random_family(norm: Norm, rng: np.random.Generator, n_sites: int,
 
 def cmd_certify(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    try:
-        lam = estimate_lambda(norm, args.r, args.mode, args.samples, args.seed)
-        doub = estimate_doubling(norm, args.r, args.mode, args.samples, args.seed + 1)
-        bal = estimate_balanced(norm, args.balanced_bound, args.mode,
-                                args.samples, args.seed + 2)
-    except DegenerateSampleError as exc:
-        print(f"degenerate estimate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    lam = estimate_lambda(norm, args.r, args.mode, args.samples, args.seed)
+    doub = estimate_doubling(norm, args.r, args.mode, args.samples, args.seed + 1)
+    bal = estimate_balanced(norm, args.balanced_bound, args.mode, args.samples, args.seed + 2)
     payload = {
         "norm": norm.descriptor(),
         "mode": args.mode,
@@ -169,8 +173,7 @@ def cmd_sticks(args) -> int:
     rng = np.random.default_rng(args.seed)
     family = _random_family(norm, rng, args.sites, args.queries, args.length, args.box)
     if len(family) < 2:
-        print("family has fewer than two sticks; enlarge --queries", file=sys.stderr)
-        return EXIT_DEGENERATE
+        raise DegenerateSampleError("family has fewer than two sticks; enlarge --queries")
 
     # Pairs i < j in row-major order, or a sorted random subset of them.
     i, j = np.triu_indices(len(family), k=1)
@@ -213,12 +216,8 @@ def cmd_strip(args) -> int:
         raise ValueError("--lambda must exceed 2 (geometric convexity)")
     if args.k < 1.0:
         raise ValueError("--k must be >= 1")
-    try:
-        configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
-                                       seed=args.seed, endpoint_gap_max=args.big_r)
-    except RuntimeError as exc:
-        print(f"degenerate generation: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
+                                   seed=args.seed, endpoint_gap_max=args.big_r)
     reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k, args.big_r)
     header = ["index", "delta", "kappa", "bound", "projection",
               "promise_lhs", "promise_rhs", "axya", "passed"]
@@ -268,7 +267,7 @@ def cmd_onev(args) -> int:
     for p in args.p:
         scan = onev_scan(p, grid)
         results[repr(float(p))] = to_jsonable(scan)
-        violated |= scan.inf_double_ratio <= 2.0
+        violated |= not scan.inf_double_ratio > 2.0
     write_json(args.out, {"results": results}, config=_config_dict(args))
     print(f"onev: p={args.p} -> {args.out}")
     return EXIT_VIOLATION if violated else EXIT_OK
@@ -300,60 +299,60 @@ def build_parser() -> argparse.ArgumentParser:
     cert = subs.add_parser("certify", help="estimate convexity/doubling/balance constants")
     _add_common(cert, "certify.json")
     cert.add_argument("--samples", type=int, default=100000, help="sample count")
-    cert.add_argument("--r", type=float, default=0.25, help="sampling radius")
+    cert.add_argument("--r", type=finite, default=0.25, help="sampling radius")
     cert.add_argument("--mode", choices=("full", "tangent"), default="tangent")
-    cert.add_argument("--balanced-bound", type=float, default=0.5)
-    cert.add_argument("--uniform-p", type=float, default=None)
-    cert.add_argument("--uniform-q", type=float, default=2.0)
+    cert.add_argument("--balanced-bound", type=finite, default=0.5)
+    cert.add_argument("--uniform-p", type=finite, default=None)
+    cert.add_argument("--uniform-q", type=finite, default=2.0)
     cert.set_defaults(func=cmd_certify)
 
     stk = subs.add_parser("sticks", help="pairwise endpoint-bound checks on a ray family")
     _add_common(stk, "sticks.csv")
     stk.add_argument("--sites", type=int, default=4)
     stk.add_argument("--queries", type=int, default=40)
-    stk.add_argument("--length", type=float, default=1.0)
-    stk.add_argument("--box", type=float, default=2.0)
+    stk.add_argument("--length", type=finite, default=1.0)
+    stk.add_argument("--box", type=finite, default=2.0)
     stk.add_argument("--pairs", type=int, default=None, help="cap on sampled pairs")
-    stk.add_argument("--q", type=float, default=None, help="smoothness exponent")
-    stk.add_argument("--p-exp", type=float, default=None, help="convexity exponent")
+    stk.add_argument("--q", type=finite, default=None, help="smoothness exponent")
+    stk.add_argument("--p-exp", type=finite, default=None, help="convexity exponent")
     stk.set_defaults(func=cmd_sticks)
 
     strp = subs.add_parser("strip", help="strip-confinement experiment")
     _add_common(strp, "strip.csv")
     strp.add_argument("--count", type=int, default=100)
-    strp.add_argument("--lambda", dest="lam", type=float, required=True,
+    strp.add_argument("--lambda", dest="lam", type=finite, required=True,
                       help="certified geometric-convexity constant at radius 1")
-    strp.add_argument("--k", type=float, required=True, help="certified balanced constant")
-    strp.add_argument("--delta", type=float, default=1e-4)
-    strp.add_argument("--rho", type=float, default=0.36)
-    strp.add_argument("--big-r", type=float, default=0.05,
+    strp.add_argument("--k", type=finite, required=True, help="certified balanced constant")
+    strp.add_argument("--delta", type=finite, default=1e-4)
+    strp.add_argument("--rho", type=finite, default=0.36)
+    strp.add_argument("--big-r", type=finite, default=0.05,
                       help="balanced-condition radius (endpoint gap cap)")
     strp.set_defaults(func=cmd_strip)
 
     shp = subs.add_parser("sharpness", help="Hölder-exponent sharpness curve")
     _add_common(shp, "sharpness.csv", norm=False)
-    shp.add_argument("--p", type=float, required=True)
+    shp.add_argument("--p", type=finite, required=True)
     shp.add_argument("--points", type=int, default=40)
-    shp.add_argument("--param-min", type=float, default=None)
-    shp.add_argument("--param-max", type=float, default=None)
+    shp.add_argument("--param-min", type=finite, default=None)
+    shp.add_argument("--param-max", type=finite, default=None)
     shp.set_defaults(func=cmd_sharpness)
 
     atl = subs.add_parser("atlas", help="build and export a distance-ray family")
     _add_common(atl, "atlas.json")
     atl.add_argument("--sites", type=int, default=5)
     atl.add_argument("--queries", type=int, default=50)
-    atl.add_argument("--length", type=float, default=1.0)
-    atl.add_argument("--box", type=float, default=2.0)
+    atl.add_argument("--length", type=finite, default=1.0)
+    atl.add_argument("--box", type=finite, default=2.0)
     atl.add_argument("--csv", default=None, help="also export sticks as CSV")
     atl.set_defaults(func=cmd_atlas)
 
     onv = subs.add_parser("onev", help="scan the scalar p-norm profile ratios")
     _add_common(onv, "onev.json", norm=False)
-    onv.add_argument("--p", type=float, action="append", required=True,
+    onv.add_argument("--p", type=finite, action="append", required=True,
                      help="exponent (repeatable)")
     onv.add_argument("--points", type=int, default=100000)
-    onv.add_argument("--z-min", type=float, default=1e-6)
-    onv.add_argument("--z-max", type=float, default=1e6)
+    onv.add_argument("--z-min", type=finite, default=1e-6)
+    onv.add_argument("--z-max", type=finite, default=1e6)
     onv.set_defaults(func=cmd_onev)
 
     return parser

@@ -20,9 +20,10 @@ with witnesses:
 
 each over ||y|| <= r ||x||, either unrestricted ("full") or restricted to
 the tangent plane <y, N(x)> = 0 ("tangent").  Each estimator draws one
-batch of unit x and computes (||x||, N(x)) for it once; the tangent
-projection and every gap at that x (through `gap._gap_at`) reuse it, so a
-sample batch costs one normal-map evaluation.  `transfer_check` verifies the
+batch of unit x and computes N(x) for it once, through the one sampler
+`_sample` for Lambda, T and K; the tangent projection and every gap at that
+x reuse it.  Every h here but the BFGS polish's is `gap._gap_at`.
+`transfer_check` verifies the
 quantitative bridge from tangent-plane constants to full-space ratios, and
 `onev_scan` verifies the scalar reduction that powers the p-norm proofs.
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from statistics import NormalDist
 from typing import Optional
 
@@ -50,7 +50,8 @@ FLOOR_SCALE = 1e-12
 
 
 class DegenerateSampleError(RuntimeError):
-    """Every sampled ratio fell below the denominator floor."""
+    """A seeded sample left nothing to estimate or check: no ratio above its
+    floor, or too few admissible configurations or sticks.  CLI exit 2."""
 
 
 class TransferWindowError(ValueError):
@@ -83,23 +84,16 @@ def _primes(count: int) -> list:
     return primes
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@cache
 def _halton_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy directions on the Euclidean sphere.
 
     Points 1..count of the unscrambled Halton sequence (point 0 is the
     origin): coordinate j is the radical inverse of the point's index in the
     j-th prime base, its digits mirrored about the radix point.  The points
-    are mapped through the Gaussian quantile and normalized.  Built once per
-    (dim, count) and returned read-only.
+    are mapped through the Gaussian quantile and normalized.
     """
     if dim == 1:
-        return _read_only(np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count])
+        return np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count]
     u = np.zeros((count, dim))
     for j, base in enumerate(_primes(dim)):
         index, scale = np.arange(1, count + 1), 1.0 / base
@@ -109,24 +103,21 @@ def _halton_directions(dim: int, count: int) -> np.ndarray:
     g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
     nrm = np.sqrt(np.sum(g * g, axis=-1))
     nrm[nrm < 1e-12] = 1.0
-    return _read_only(g / nrm[:, None])
+    return g / nrm[:, None]
 
 
-@cache
 def _coarse_directions(dim: int) -> np.ndarray:
-    """Cheap quasi-uniform direction sweep used to seed the multi-start;
-    built once per dim and returned read-only."""
+    """Cheap quasi-uniform direction sweep of the sphere in dim 2 or 3, used
+    to seed the multi-start."""
     if dim == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        return _read_only(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
-    if dim == 3:
-        count = 1500
-        i = np.arange(count) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / count)
-        theta = np.pi * (1.0 + math.sqrt(5.0)) * i
-        return _read_only(np.stack([np.cos(theta) * np.sin(phi),
-                                    np.sin(theta) * np.sin(phi), np.cos(phi)], axis=-1))
-    raise ValueError("coarse sweep supports dim 2 and 3")
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    count = 1500
+    i = np.arange(count) + 0.5
+    phi = np.arccos(1.0 - 2.0 * i / count)
+    theta = np.pi * (1.0 + math.sqrt(5.0)) * i
+    return np.stack([np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)],
+                    axis=-1)
 
 
 def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
@@ -172,12 +163,6 @@ def _kkt(norm: Norm, x, t: float, y, n_of_x) -> tuple[np.ndarray, float, float]:
     return n_of_y, alpha, kkt
 
 
-def _h(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """h(x, x+y) = ||x+y|| - <x+y, N(x)> over the last axis, broadcast."""
-    z = x + y
-    return norm._value(z) - _row_sum(z * n_of_x)
-
-
 def _ascent(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, t: np.ndarray, y: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected ascent of h(x, x+y) on the spheres ||y|| = t from the starts
@@ -186,7 +171,7 @@ def _ascent(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, t: np.ndarray, y: np.
     own step, grown 1.3x on success and halved on failure, and a problem
     freezes once all of its steps are below 1e-9 t.  Returns the final
     starts, their values and each problem's iteration count."""
-    f = _h(norm, x, n_of_x, y)
+    f = _gap_at(norm, n_of_x, x + y)
     step = np.broadcast_to(0.3 * t, f.shape).copy()
     iterations = np.full(len(f), max_iter)
     live = np.arange(len(f))
@@ -200,7 +185,7 @@ def _ascent(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, t: np.ndarray, y: np.
         cand = np.where(ok[..., None], cand, yl)
         nc = np.where(ok, nc, tl)
         cand = tl[..., None] * cand / nc[..., None]
-        fc = _h(norm, xl, nl, cand)
+        fc = _gap_at(norm, nl, xl + cand)
         better = fc > fl
         y[live] = np.where(better[..., None], cand, yl)
         f[live] = np.where(better, fc, fl)
@@ -217,11 +202,11 @@ def _ascent(norm: Norm, x: np.ndarray, n_of_x: np.ndarray, t: np.ndarray, y: np.
 
 
 def _problem(norm: Norm, x, t) -> tuple[np.ndarray, float]:
-    """One modulus problem (x, t), checked: x a vector of the norm's dim, t > 0."""
+    """One modulus problem (x, t), checked: x a vector of the norm's dim, 0 < t < inf."""
     x = as_vector(x, norm.dim)
     t = float(t)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t!r}")
     return x, t
 
 
@@ -244,7 +229,7 @@ def _ascended(norm: Norm, rows: list, radii: list, normals: list, n_starts: int,
         # problem at a time, so its arrays stay (sweep, dim) in size.
         sweep = _coarse_directions(n)
         v_sweep = norm._value(sweep)[:, None]
-        top = [np.argsort(_h(norm, xi, ni, ti * sweep / v_sweep))[::-1][:4]
+        top = [np.argsort(_gap_at(norm, ni, xi + ti * sweep / v_sweep))[::-1][:4]
                for xi, ti, ni in zip(rows, radii, normals)]
         u = np.concatenate([sweep[np.array(top)], np.broadcast_to(u, (len(rows), k, n))],
                            axis=1)
@@ -258,14 +243,13 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> li
     The problems are checked in order, as `modulus` checks one.  N(x) is
     computed one row at a time through `Norm.normal`, not by the row kernel
     on the stacked points, whose power can round differently in the last ulp
-    and move the polish starts.  The start sets are built once per
-    (dim, count).  The projected ascent runs once over arrays of shape
-    (problems, starts, dim), each problem stopping on its own rule.  Then
-    each problem ends in its own `modulus` call, handed its ascended starts,
-    which polishes and ranks them and judges convergence against KKT_TOL.
-    So the results equal those of per-problem `modulus` calls field for
-    field, and a wrapper of `modulus` (a call counter, a tracer) sees one
-    call and one result per problem.
+    and move the polish starts.  The projected ascent runs once over arrays
+    of shape (problems, starts, dim), each problem stopping on its own rule.
+    Then each problem ends in its own `modulus` call, handed its ascended
+    starts, which polishes and ranks them and judges convergence against
+    KKT_TOL.  So a problem's result does not depend on the batch it is in,
+    and a wrapper of `modulus` (a call counter, a tracer) sees one call and
+    one result per problem.
     """
     rows, radii, normals = [], [], []
     for x, t in zip(xs, ts, strict=True):
@@ -296,14 +280,12 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     at once, hands one problem its share: the ascended starts (starts, dim)
     on the sphere, their values h(x, x+y) and the problem's iteration count.
     The arrays are not modified.  Given, no ascent runs here and n_starts
-    and max_iter are not read; left None, the ascent runs here as a batch
-    of one.
+    and max_iter are not read; left None, this is `moduli` of one problem.
     """
+    if ascent is None:
+        return moduli(norm, [x], [t], n_starts=n_starts, max_iter=max_iter)[0]
     x, t = _problem(norm, x, t)
     n_of_x = norm.normal(x)
-    if ascent is None:
-        y, f, iterations = _ascended(norm, [x], [t], [n_of_x], n_starts, max_iter)
-        ascent = (y[0], f[0], int(iterations[0]))
     y, f, iterations = ascent
     y, f = y.copy(), f.copy()
     for row in np.argsort(f)[::-1][:2]:
@@ -336,7 +318,7 @@ def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusRe
 
     def h_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = t * u / norm._value(u)[..., None]
-        return _h(norm, x, n_of_x, y), y
+        return _gap_at(norm, n_of_x, x + y), y
 
     if n == 1:
         u = np.array([[1.0], [-1.0]])
@@ -430,23 +412,37 @@ def _unit_vectors(norm: Norm, rng: np.random.Generator, count: int) -> np.ndarra
     return v / nv[:, None]
 
 
-def _sample_displacements(norm: Norm, rng: np.random.Generator, x: np.ndarray,
-                          n_of_x: np.ndarray, radius: float,
-                          mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Draw y with ||y|| log-uniform in [1e-4, 1] * radius; tangent mode projects
-    the direction onto <., N(x)> = 0 first.  Returns (y, validity mask)."""
-    count = x.shape[0]
-    v = rng.standard_normal((count, norm.dim))
-    mags = radius * 10.0 ** rng.uniform(-4.0, 0.0, size=count)
-    if mode == "tangent":
-        v = v - _row_sum(v * n_of_x)[:, None] * x
-    elif mode != "full":
-        raise ValueError("mode must be 'full' or 'tangent'")
+def _tangent(x: np.ndarray, n_of_x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v projected along unit x onto the tangent plane <., N(x)> = 0."""
+    return v - _row_sum(v * n_of_x)[:, None] * x
+
+
+def _scaled(norm: Norm, v: np.ndarray, size=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(size * v / ||v||, ||v|| > 1e-12) for rows v and a column or scalar
+    size; a row below that floor is divided by 1 instead and masked out."""
     nv = norm._value(v)
     good = nv > 1e-12
-    nv = np.where(good, nv, 1.0)
-    y = mags[:, None] * v / nv[:, None]
-    return y, good
+    return size * v / np.where(good, nv, 1.0)[:, None], good
+
+
+def _sample(norm: Norm, radius: float, mode: str, samples: int,
+            seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded unit x, N(x), y with ||y|| log-uniform in [1e-4, 1] * radius
+    (its direction first projected onto <., N(x)> = 0 in tangent mode) and
+    the mask of valid y: the sample of the Lambda, T and K estimators."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if mode not in ("full", "tangent"):
+        raise ValueError("mode must be 'full' or 'tangent'")
+    rng = np.random.default_rng(seed)
+    x = _unit_vectors(norm, rng, samples)
+    n_of_x = _value_and_normal(norm, x)[1]
+    v = rng.standard_normal((samples, norm.dim))
+    mags = radius * 10.0 ** rng.uniform(-4.0, 0.0, size=samples)
+    if mode == "tangent":
+        v = _tangent(x, n_of_x, v)
+    y, good = _scaled(norm, v, mags[:, None])
+    return x, n_of_x, y, good
 
 
 def _witness(x: np.ndarray, y: np.ndarray) -> list:
@@ -456,14 +452,9 @@ def _witness(x: np.ndarray, y: np.ndarray) -> list:
 def _doubling_ratios(norm: Norm, r: float, mode: str, samples: int, seed: int):
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = _unit_vectors(norm, rng, samples)
-    nx, n_of_x = _value_and_normal(norm, x)
-    y, good = _sample_displacements(norm, rng, x, n_of_x, r, mode)
-    h1 = _gap_at(norm, nx, n_of_x, x + y)
-    h2 = _gap_at(norm, nx, n_of_x, x + 2.0 * y)
+    x, n_of_x, y, good = _sample(norm, r, mode, samples, seed)
+    h1 = _gap_at(norm, n_of_x, x + y)
+    h2 = _gap_at(norm, n_of_x, x + 2.0 * y)
     ok = good & (h1 > FLOOR_SCALE * 2.0) & np.isfinite(h2)
     if not np.any(ok):
         raise DegenerateSampleError("no informative samples: every h(x, x+y) fell below the floor")
@@ -498,14 +489,9 @@ def estimate_balanced(norm: Norm, bound: float, mode: str = "full",
     """Supremum of h(x, x+y)/h(x, x-y) over ||y|| <= bound (the balanced constant K)."""
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = _unit_vectors(norm, rng, samples)
-    nx, n_of_x = _value_and_normal(norm, x)
-    y, good = _sample_displacements(norm, rng, x, n_of_x, bound, mode)
-    h_plus = _gap_at(norm, nx, n_of_x, x + y)
-    h_minus = _gap_at(norm, nx, n_of_x, x - y)
+    x, n_of_x, y, good = _sample(norm, bound, mode, samples, seed)
+    h_plus = _gap_at(norm, n_of_x, x + y)
+    h_minus = _gap_at(norm, n_of_x, x - y)
     ok = good & (h_minus > FLOOR_SCALE * 2.0) & (h_plus >= 0.0)
     if not np.any(ok):
         raise DegenerateSampleError("no informative samples: every h(x, x-y) fell below the floor")
@@ -554,9 +540,7 @@ def estimate_uniform_constants(norm: Norm, p: float, q: float,
     x = _unit_vectors(norm, rng, half)
     w2 = rng.standard_normal((half, norm.dim))
     s2 = 10.0 ** rng.uniform(-3.0, 0.0, size=half)
-    nw = norm._value(w2)
-    nw = np.where(nw > 1e-12, nw, 1.0)
-    y = s2[:, None] * w2 / nw[:, None]
+    y = _scaled(norm, w2, s2[:, None])[0]
     ny = norm._value(y)
     smooth = norm._value(x + y) + norm._value(x - y) - 2.0
     okb = ny > 1e-6
@@ -612,7 +596,7 @@ def onev_g(p: float, z) -> np.ndarray:
     Evaluated through expm1/log1p near z = 0, where the naive form loses
     all significant digits.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("need p > 1")
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 0.5
@@ -743,19 +727,15 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     rng = np.random.default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
     v = rng.standard_normal((samples, norm.dim))
-    nx, n_of_x = _value_and_normal(norm, x)
-    v = v - _row_sum(v * n_of_x)[:, None] * x
-    nv = norm._value(v)
-    good = nv > 1e-12
-    nv = np.where(good, nv, 1.0)
-    xp = v / nv[:, None]
+    n_of_x = _value_and_normal(norm, x)[1]
+    xp, good = _scaled(norm, _tangent(x, n_of_x, v))
     alpha = rng.uniform(-kappa, kappa, size=samples)
     eps = eps_max * 10.0 ** rng.uniform(-3.0, 0.0, size=samples)
 
     y = alpha[:, None] * x + eps[:, None] * xp
-    h1 = _gap_at(norm, nx, n_of_x, x + y)
-    h2 = _gap_at(norm, nx, n_of_x, x + 2.0 * y)
-    hm = _gap_at(norm, nx, n_of_x, x - y)
+    h1 = _gap_at(norm, n_of_x, x + y)
+    h2 = _gap_at(norm, n_of_x, x + 2.0 * y)
+    hm = _gap_at(norm, n_of_x, x - y)
 
     e_num = eps / (1.0 + 2.0 * alpha)
     e_den = eps / (1.0 + alpha)
@@ -768,39 +748,28 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
         raise DegenerateSampleError(
             "no informative samples in the admissibility window (kappa or r too small)")
 
-    scale = 1.0 + np.abs(h1) + np.abs(h2)
     conv_bound = lam * (1.0 + 2.0 * alpha) / (1.0 + alpha) * g_num / g_den
-    conv_viol = usable & (conv_bound * h1 - h2 > TRANSFER_SLACK * scale)
-
     aa = np.abs(alpha)
     doub_bound = t_const * (1.0 + 2.0 * alpha) / (1.0 + alpha) \
         * (1.0 + 4.0 * big_l * aa) / (1.0 - 2.0 * big_l * aa)
-    doub_viol = usable & (h2 - doub_bound * h1 > TRANSFER_SLACK * scale)
-
-    bal_viol = np.zeros(samples, dtype=bool)
+    # (samples a bound applies to, their excess over it), in report order.
+    checks = [(usable, conv_bound * h1 - h2), (usable, h2 - doub_bound * h1)]
     if k_const is not None:
-        usable_b = good & (hm > floor)
         bal_bound = k_const * (1.0 + alpha) / (1.0 - alpha) \
             * (1.0 + 2.0 * big_l * aa) / (1.0 - 2.0 * big_l * aa)
-        bal_viol = usable_b & (h1 - bal_bound * hm > TRANSFER_SLACK * scale)
+        checks.append((good & (hm > floor), h1 - bal_bound * hm))
 
-    max_violation = 0.0
-    witnesses = []
-    for mask, excess in ((conv_viol, conv_bound * h1 - h2),
-                         (doub_viol, h2 - doub_bound * h1)):
-        if np.any(mask):
-            i = int(np.argmax(np.where(mask, excess, -np.inf)))
+    slack = TRANSFER_SLACK * (1.0 + np.abs(h1) + np.abs(h2))
+    counts, max_violation, witnesses = [0, 0, 0], 0.0, []
+    for k, (applies, excess) in enumerate(checks):
+        violated = applies & (excess > slack)
+        counts[k] = int(np.count_nonzero(violated))
+        if counts[k]:
+            i = int(np.argmax(np.where(violated, excess, -np.inf)))
             max_violation = max(max_violation, float(excess[i]))
             witnesses.append(_witness(x[i], y[i]))
-    if k_const is not None and np.any(bal_viol):
-        excess = h1 - bal_bound * hm
-        i = int(np.argmax(np.where(bal_viol, excess, -np.inf)))
-        max_violation = max(max_violation, float(excess[i]))
-        witnesses.append(_witness(x[i], y[i]))
 
-    n_conv = int(np.count_nonzero(conv_viol))
-    n_doub = int(np.count_nonzero(doub_viol))
-    n_bal = int(np.count_nonzero(bal_viol))
+    n_conv, n_doub, n_bal = counts
     return TransferReport(
         norm=norm.descriptor(), samples=samples, seed=seed, kappa=float(kappa),
         lipschitz_l=float(big_l), checked=int(np.count_nonzero(usable)),

@@ -25,21 +25,18 @@ from .norms import Norm, ZERO_THRESHOLD, _check_batch, _row_sum, _value_and_norm
 def gap(norm: Norm, x, y) -> np.ndarray:
     """h(x, y), vectorized over broadcastable leading axes.
 
-    Rows with ||x|| below the zero threshold return 0 by convention.
+    Rows with ||x|| below the zero threshold return 0; the rest are `_gap_at`.
     """
-    return _gap(norm, _check_batch(x, norm.dim), _check_batch(y, norm.dim))
-
-
-def _gap(norm: Norm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`gap` on checked arrays."""
-    return _gap_at(norm, *_value_and_normal(norm, x), y)
-
-
-def _gap_at(norm: Norm, nx: np.ndarray, n_of_x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`_gap` at an x given by (||x||, N(x)), as `_value_and_normal` returns them,
-    so that one N(x) serves every gap taken at the same x."""
-    val = norm._value(y) - _row_sum(y * n_of_x)
+    x, y = _check_batch(x, norm.dim), _check_batch(y, norm.dim)
+    nx, n_of_x = _value_and_normal(norm, x)
+    val = _gap_at(norm, n_of_x, y)
     zero = nx < ZERO_THRESHOLD
     if np.any(zero):
         val = np.where(zero, 0.0, val)
     return val
+
+
+def _gap_at(norm: Norm, n_of_x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The one kernel of h: h(x, z) = ||z|| - <z, N(x)> over the last axis, broadcast,
+    for x != 0 given by N(x), so one N(x) serves every gap at x.  Unchecked."""
+    return norm._value(z) - _row_sum(z * n_of_x)

@@ -42,7 +42,7 @@ def solve_g(p: float, eps: float) -> float:
     """
     p = float(p)
     eps = float(eps)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("need p > 1")
     top = 2.0 ** p - 2.0
     if eps < -1e-15 or eps > top * (1.0 + 1e-12):
@@ -152,7 +152,7 @@ def holder_exponents(p: float) -> tuple[float, float]:
     """The exponents (q, p) of the p-norm's Hölder bound: (2, p) for p >= 2,
     (p, 2) below."""
     p = float(p)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("need p > 1")
     return (2.0, p) if p >= 2.0 else (p, 2.0)
 
@@ -187,11 +187,16 @@ def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
     (default [1e-5, 1e-2]).  For 1 < p < 2 they are values of x whose x^p
     are evenly spaced over the window of `construct_plt2`, pulled in by
     1e-9 relative at each end and narrowed to [param_min^p, param_max^p]
-    where given.
+    where given.  A bound lies in (0, 1), the deltas `construct_pgt2` takes,
+    or in [0, 1] for p < 2.
     """
     p = float(p)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("need p > 1")
+    window = "[0, 1]" if p < 2.0 else "(0, 1)"
+    for name, bound in (("param_min", param_min), ("param_max", param_max)):
+        if bound is not None and not (0.0 < bound < 1.0 or p < 2.0 and 0.0 <= bound <= 1.0):
+            raise ValueError(f"need {name} in {window} for p = {p!r}, got {bound!r}")
     if p >= 2.0:
         lo = param_min if param_min is not None else 1e-5
         hi = param_max if param_max is not None else 1e-2
@@ -212,8 +217,6 @@ def sharpness_curve(p: float, parameter_grid: Iterable[float]) -> SharpnessCurve
     2^-p <= x^p <= 1/2).  Degenerate rows with ||m|| = 0 are skipped.
     """
     p = float(p)
-    if p <= 1.0:
-        raise ValueError("need p > 1")
     expo = holder_exponent(p)
     rows = []
     for param in parameter_grid:

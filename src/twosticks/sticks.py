@@ -29,6 +29,7 @@ verdict slack is a fixed `*_SLACK` constant next to the bound it pads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,7 @@ from scipy.optimize import minimize_scalar
 # `modulus` has no caller here; perfbench/selftest.py wraps it under this name.
 from .convexity import moduli, modulus  # noqa: F401
 from .gap import _gap_at
-from .norms import EuclideanNorm, Norm, _check_batch, _value_and_normal, as_vector
+from .norms import EuclideanNorm, Norm, _check_batch, as_vector
 
 
 class DegenerateStickError(ValueError):
@@ -385,10 +386,10 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
     """`strip_experiment` of one configuration as a generator: it yields the
     modulus problems it needs as a list of (x, t), is sent their results in
     that order, and returns the StripReport."""
-    if lam <= 2.0:
-        raise PreconditionError("lambda_range", "geometric convexity requires Lambda > 2")
-    if k_const < 1.0:
-        raise PreconditionError("k_range", "balanced constant K must be >= 1")
+    if not 2.0 < lam < math.inf:
+        raise PreconditionError("lambda_range", f"need 2 < Lambda < inf, got {lam!r}")
+    if not 1.0 <= k_const < math.inf:
+        raise PreconditionError("k_range", f"need 1 <= K < inf, got {k_const!r}")
     v = _pair_checks(norm, *_stick_rows(norm, l, m))
     _require(v.two_sticks, v.equal_length, len_l=v.len_l)
     # Normalize to unit length; all input geometry scales with the sticks.
@@ -445,9 +446,9 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
     n_ybar = norm.normal(ybar)
     converged = mod_e.converged and mod_ebar.converged and ymax.converged
 
-    at_ebar = _value_and_normal(norm, ebar)
-    promise_lhs = float(_gap_at(norm, *at_ebar, m.end - l.start)
-                        + _gap_at(norm, *at_ebar, l.end - m.start))
+    n_of_ebar = norm.normal(ebar)
+    promise_lhs = float(_gap_at(norm, n_of_ebar, m.end - l.start)
+                        + _gap_at(norm, n_of_ebar, l.end - m.start))
     promise_rhs = lam / (lam - 2.0) * sigma_ebar
     projection = float(np.dot(l.end - m.end, n_ybar))
     axya_value = float(np.dot(ebar, n_ybar))

@@ -1,5 +1,6 @@
 """Command-line boundary: input checks, exit codes and the determinism contract."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import twosticks
-from twosticks import cli, norms
+from twosticks import atlas, cli, norms
 
 STRIP = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
          "--count", "2"]
@@ -49,6 +50,8 @@ class TestConfig:
         {"samples": [200]},             # list for a single-valued flag
         {"samples": None},              # null for a flag with a default
         {"command": "strip"},           # config written by another subcommand
+        {"r": float("nan")},            # JSON NaN for a float flag
+        {"balanced-bound": "inf"},      # a float flag's text, not finite
     ])
     def test_bad_values_rejected(self, tmp_path, doc):
         cfg = write_config(tmp_path, doc)
@@ -154,6 +157,69 @@ def test_exponents_not_above_1_are_config_errors(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error: need p > 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sharpness", "--p", "1.5", "--param-min=-0.5"],
+                                  ["sharpness", "--p", "1.5", "--param-max", "1e300"],
+                                  ["sharpness", "--p", "3", "--param-min", "0"],
+                                  ["sharpness", "--p", "3", "--param-max", "1"]])
+def test_sharpness_bounds_are_checked_before_use(argv, tmp_path, capsys):
+    # Checked before any log10 or power: no complex number, overflow or warning.
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: need param_")
+    assert not out.exists()
+
+
+# Each subcommand at a small size, with its float flags.
+FLOAT_FLAGS = {
+    "certify": (["certify", "--norm", "p:3", "--dim", "2", "--samples", "50", "--uniform-p", "3"],
+                ["--r", "--balanced-bound", "--uniform-p", "--uniform-q"]),
+    "sticks": (["sticks", "--norm", "p:3", "--dim", "2", "--queries", "6", "--pairs", "5"],
+               ["--length", "--box", "--q", "--p-exp"]),
+    "strip": (STRIP[:-1] + ["1"], ["--lambda", "--k", "--delta", "--rho", "--big-r"]),
+    "sharpness": (["sharpness", "--p", "3", "--points", "5"],
+                  ["--p", "--param-min", "--param-max"]),
+    "atlas": (["atlas", "--norm", "p:3", "--dim", "2", "--queries", "5"], ["--length", "--box"]),
+    "onev": (["onev", "--p", "3", "--points", "200"], ["--p", "--z-min", "--z-max"]),
+}
+
+
+def test_float_flags_are_all_listed():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        typed = [a.option_strings[0] for a in sub._actions if a.type not in (None, int)]
+        assert typed == FLOAT_FLAGS[command][1]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in FLOAT_FLAGS.items()
+                                           for f in flags])
+def test_no_float_flag_value_raises(command, flag, value, tmp_path, monkeypatch):
+    # Tier-1 turns warnings into errors, so a numpy warning fails this too.
+    # 100 proposals give the one strip configuration at seed 0, and bound the rest.
+    monkeypatch.setattr(atlas, "MAX_PROPOSALS", 100)
+    out = tmp_path / "out"
+    code = cli.main(FLOAT_FLAGS[command][0] + [f"{flag}={value}", "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DEGENERATE, cli.EXIT_VIOLATION)
+    if code == cli.EXIT_CONFIG:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--norm", "p:3", "--dim", "1", "--samples", "50"],
+    ["sticks", "--norm", "p:3", "--queries", "1"],
+    STRIP[:-1] + ["50"],
+], ids=["certify-dim1", "sticks-one-query", "strip-few-proposals"])
+def test_degenerate_runs_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(atlas, "MAX_PROPOSALS", 30)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
     assert not out.exists()
 
 

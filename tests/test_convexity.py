@@ -295,15 +295,6 @@ class TestBatchedModulus:
         assert np.array_equal(y[0], y0) and np.array_equal(f[0], f0)
         assert_same_result(res, modulus(norm, x, t, n_starts=8, max_iter=80))
 
-    def test_start_sets_are_cached_read_only(self):
-        for start_set in (_halton_directions(3, 8), _halton_directions(1, 2),
-                          _coarse_directions(2), _coarse_directions(3)):
-            assert not start_set.flags.writeable
-            with pytest.raises(ValueError):
-                start_set[0, 0] = 0.0
-        assert _halton_directions(3, 8) is _halton_directions(3, 8)
-        assert _coarse_directions(3) is _coarse_directions(3)
-
 
 class TestHaltonDirections:
     def test_matches_scipy_construction(self):
