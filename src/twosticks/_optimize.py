@@ -1,0 +1,665 @@
+"""BFGS and bounded Brent minimization, for the modulus polish and
+`sticks.segment_point_distance`.
+
+Both functions transcribe, operation for operation, the code paths that
+SciPy 1.17.1 takes for
+
+    scipy.optimize.minimize(fun, x0, jac=True, method="BFGS",
+                            options={"gtol": gtol, "maxiter": maxiter})
+    scipy.optimize.minimize_scalar(fun, bounds=bounds, method="bounded",
+                                   options={"xatol": xatol})
+
+so every iterate, and the returned x, equal SciPy's bit for bit.  The
+strip references pin values that move when the polished maximizer moves
+by about 1e-8, so nothing here may be reordered, fused or "simplified":
+the Python-float / numpy-scalar mix, the integer identity that starts the
+inverse Hessian, `np.dot` rather than `@`, `np.clip` and every
+`np.errstate` are SciPy's.  Only the branches that the options above
+cannot reach, the warnings and the result fields no caller reads are left
+out.  The paths are:
+
+* BFGS with the inf-norm gradient stop and SciPy's `xrtol = 0` step stop,
+  the objective evaluated once per distinct x (SciPy's one-slot cache);
+* its line search: MINPACK-2 DCSRCH/DCSTEP (More and Thuente, "Line search
+  algorithms with guaranteed sufficient decrease", ACM TOMS 20(3), 1994),
+  then, where that fails, the strong-Wolfe bracketing search with cubic and
+  quadratic zoom of Nocedal and Wright, "Numerical Optimization",
+  Algorithms 3.5 and 3.6; where both fail the polish stops and keeps x;
+* the bounded golden-section/parabolic search of Brent, "Algorithms for
+  Minimization without Derivatives", 1973, chapter 5.
+
+SciPy's license:
+
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+    All rights reserved.
+
+    Redistribution and use in source and binary forms, with or without
+    modification, are permitted provided that the following conditions
+    are met:
+
+    1. Redistributions of source code must retain the above copyright
+       notice, this list of conditions and the following disclaimer.
+
+    2. Redistributions in binary form must reproduce the above
+       copyright notice, this list of conditions and the following
+       disclaimer in the documentation and/or other materials provided
+       with the distribution.
+
+    3. Neither the name of the copyright holder nor the names of its
+       contributors may be used to endorse or promote products derived
+       from this software without specific prior written permission.
+
+    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+The notice of DCSRCH and DCSTEP, as SciPy carries it:
+
+    MINPACK-1 Project. June 1983.
+    Argonne National Laboratory.
+    Jorge J. More' and David J. Thuente.
+
+    MINPACK-2 Project. November 1993.
+    Argonne National Laboratory and University of Minnesota.
+    Brett M. Averick, Richard G. Carter, and Jorge J. More'.
+"""
+
+from __future__ import annotations
+
+from math import sqrt
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+# Wolfe constants (sufficient decrease, curvature) and the DCSRCH step
+# limits and relative width tolerance that SciPy's BFGS passes.
+C1 = 1e-4
+C2 = 0.9
+STPMIN = 1e-100
+STPMAX = 1e100
+XTOL = 1e-14
+
+
+class Result(NamedTuple):
+    """The minimizer and the iterations (BFGS) or evaluations (Brent) spent."""
+    x: object
+    nit: int
+
+
+def _vecnorm(x, ord=2):
+    if ord == np.inf:
+        return np.amax(np.abs(x))
+    return np.sum(np.abs(x) ** ord, axis=0) ** (1.0 / ord)
+
+
+def minimize(fun: Callable, x0, *, gtol: float, maxiter: int) -> Result:
+    """Minimize fun from x0 by BFGS; fun(x) returns (f(x), grad f(x)) as a
+    scalar and a 1-D array.  Stops once the largest gradient entry is at
+    most gtol, after maxiter iterations, or when no line search succeeds."""
+    cache_x = None
+    cache = None
+
+    def evaluate(x):
+        nonlocal cache_x, cache
+        if cache_x is None or not np.array_equal(x, cache_x):
+            cache_x, cache = x, fun(x)
+        return cache
+
+    def f(x):
+        return evaluate(x)[0]
+
+    def fprime(x):
+        return evaluate(x)[1]
+
+    x0 = np.asarray(x0).flatten()
+    old_fval = f(x0)
+    gfk = fprime(x0)
+
+    k = 0
+    N = len(x0)
+    I = np.eye(N, dtype=int)  # noqa: E741
+    Hk = I
+
+    # Sets the initial step guess to dx ~ 1
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+
+    xk = x0
+    gnorm = _vecnorm(gfk, ord=np.inf)
+    while (gnorm > gtol) and (k < maxiter):
+        pk = -np.dot(Hk, gfk)
+        ret = _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+        if ret is None:
+            ret = _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+        if ret is None:
+            break
+        alpha_k, old_fval, old_old_fval, gfkp1 = ret
+
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = fprime(xk)
+
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = _vecnorm(gfk, ord=np.inf)
+        if (gnorm <= gtol):
+            break
+
+        # SciPy's step-size stop alpha_k ||pk|| <= xrtol (xrtol + ||xk||) at
+        # xrtol = 0: a zero step, unless ||xk|| is not finite.
+        if alpha_k * _vecnorm(pk) <= 0 * _vecnorm(xk):
+            break
+
+        if not np.isfinite(old_fval):
+            break
+
+        rhok_inv = np.dot(yk, sk)
+        if rhok_inv == 0.:
+            rhok = 1000.0
+        else:
+            rhok = 1. / rhok_inv
+
+        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
+                                           sk[np.newaxis, :])
+    return Result(xk, k)
+
+
+def _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
+    """MINPACK-2 line search from xk along pk: (step, f, f at xk, gradient)
+    at a step meeting the strong Wolfe conditions, or None."""
+    gval = [gfk]
+
+    def phi(s):
+        return f(xk + s*pk)
+
+    def derphi(s):
+        gval[0] = fprime(xk + s*pk)
+        return np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    phi0 = old_fval
+    old_phi0 = old_old_fval
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01*2*(phi0 - old_phi0)/derphi0)
+        if alpha1 < 0:
+            alpha1 = 1.0
+    else:
+        alpha1 = 1.0
+
+    stp, phi1 = _dcsrch(phi, derphi, alpha1, phi0, derphi0)
+    if stp is None:
+        return None
+    return stp, phi1, phi0, gval[0]
+
+
+def _dcsrch(phi, derphi, stp, finit, ginit):
+    """DCSRCH from the trial step stp, given phi(0) = finit and phi'(0) =
+    ginit < 0: (step, phi(step)) once both Wolfe tests pass, or (None, _)
+    on an error or warning exit or after 100 evaluations."""
+    # ERROR exits of START; stp <= 1 < STPMAX, and C1, C2 and XTOL are valid.
+    if stp < STPMIN or ginit >= 0:
+        return None, finit
+    brackt = False
+    stage = 1
+    gtest = C1 * ginit
+    width = STPMAX - STPMIN
+    width1 = width / 0.5
+    stx, fx, gx = 0.0, finit, ginit
+    sty, fy, gy = 0.0, finit, ginit
+    stmin = 0
+    stmax = stp + 4.0 * stp
+
+    f = phi(stp)
+    g = derphi(stp)
+    for _ in range(99):
+        ftest = finit + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+        if f <= ftest and abs(g) <= C2 * -ginit:
+            return stp, f
+        if (brackt and (stp <= stmin or stp >= stmax)
+                or brackt and stmax - stmin <= XTOL * stmax
+                or stp == STPMAX and f <= ftest and g <= gtest
+                or stp == STPMIN and (f > ftest or g >= gtest)):
+            return None, f
+
+        # In the first stage, while no step has both a decrease and a
+        # nonnegative derivative, step on the modified function
+        # psi(stp) = phi(stp) - phi(0) - stp * gtest.
+        if stage == 1 and f <= fx and f > ftest:
+            fm = f - stp * gtest
+            fxm = fx - stx * gtest
+            fym = fy - sty * gtest
+            gm = g - gtest
+            gxm = gx - gtest
+            gym = gy - gtest
+            with np.errstate(invalid="ignore", over="ignore"):
+                stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                    stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax)
+            fx = fxm + stx * gtest
+            fy = fym + sty * gtest
+            gx = gxm + gtest
+            gy = gym + gtest
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax)
+
+        # Bisect when the bracket does not shrink by 2/3 in two steps.
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1 = width
+            width = abs(sty - stx)
+            stmin = min(stx, sty)
+            stmax = max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+        stp = np.clip(stp, STPMIN, STPMAX)
+        if (brackt and (stp <= stmin or stp >= stmax)
+                or (brackt and stmax - stmin <= XTOL * stmax)):
+            stp = stx
+        if not np.isfinite(stp):
+            return None, f
+        f = phi(stp)
+        g = derphi(stp)
+    return None, f
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """DCSTEP: the safeguarded cubic/quadratic step of DCSRCH, and the update
+    of the interval [stx, sty] that contains a step satisfying the tests."""
+    sgn_dp = np.sign(dp)
+    sgn_dx = np.sign(dx)
+    sgnd = sgn_dp * sgn_dx
+    if fp > fx:
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - dx / s * (dp / s))
+        if stp < stx:
+            gamma *= -1
+        p = gamma - dx + theta
+        q = gamma - dx + gamma + dp
+        r = p / q
+        stpc = stx + r * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        if abs(stpc - stx) <= abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0.0:
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - dx / s * (dp / s))
+        if stp > stx:
+            gamma *= -1
+        p = gamma - dp + theta
+        q = gamma - dp + gamma + dx
+        r = p / q
+        stpc = stp + r * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if abs(stpc - stp) > abs(stpq - stp):
+            stpf = stpc
+        else:
+            stpf = stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt(max(0, (theta / s) ** 2 - dx / s * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = gamma - dp + theta
+        q = gamma + (dx - dp) + gamma
+        r = p / q
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if brackt:
+            if abs(stpc - stp) < abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            if abs(stpc - stp) > abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            stpf = np.clip(stpf, stpmin, stpmax)
+    elif brackt:
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - dy / s * (dp / s))
+        if stp > sty:
+            gamma = -gamma
+        p = gamma - dp + theta
+        q = gamma - dp + gamma + dy
+        r = p / q
+        stpc = stp + r * (sty - stp)
+        stpf = stpc
+    elif stp > stx:
+        stpf = stpmax
+    else:
+        stpf = stpmin
+
+    if fp > fx:
+        sty = stp
+        fy = fp
+        dy = dp
+    else:
+        if sgnd < 0:
+            sty = stx
+            fy = fx
+            dy = dx
+        stx = stp
+        fx = fp
+        dx = dp
+    stp = stpf
+    return stx, fx, dx, sty, fy, dy, stp, brackt
+
+
+def _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
+    """Bracketing strong-Wolfe line search from xk along pk, at most 10
+    trial steps: (step, f, f at xk, gradient or None), or None."""
+    gval = [None]
+
+    def phi(alpha):
+        return f(xk + alpha * pk)
+
+    def derphi(alpha):
+        gval[0] = fprime(xk + alpha * pk)
+        return np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha_star, phi_star, old_fval, derphi_star = _scalar_search_wolfe2(
+        phi, derphi, old_fval, old_old_fval, derphi0)
+    if alpha_star is None:
+        return None
+    if derphi_star is not None:
+        derphi_star = gval[0]
+    return alpha_star, phi_star, old_fval, derphi_star
+
+
+def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
+    amax = 1e100
+    maxiter = 10
+    alpha0 = 0
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01*2*(phi0 - old_phi0)/derphi0)
+    else:
+        alpha1 = 1.0
+
+    if alpha1 < 0:
+        alpha1 = 1.0
+
+    alpha1 = min(alpha1, amax)
+
+    phi_a1 = phi(alpha1)
+
+    phi_a0 = phi0
+    derphi_a0 = derphi0
+
+    for i in range(maxiter):
+        if alpha1 == 0 or alpha0 > amax:
+            # Rounding errors prevent progress, or no solution up to amax.
+            alpha_star = None
+            phi_star = phi0
+            phi0 = old_phi0
+            derphi_star = None
+            break
+
+        not_first_iteration = i > 0
+        if (phi_a1 > phi0 + C1 * alpha1 * derphi0) or \
+           ((phi_a1 >= phi_a0) and not_first_iteration):
+            alpha_star, phi_star, derphi_star = \
+                _zoom(alpha0, alpha1, phi_a0,
+                      phi_a1, derphi_a0, phi, derphi,
+                      phi0, derphi0)
+            break
+
+        derphi_a1 = derphi(alpha1)
+        if (abs(derphi_a1) <= -C2*derphi0):
+            alpha_star = alpha1
+            phi_star = phi_a1
+            derphi_star = derphi_a1
+            break
+
+        if (derphi_a1 >= 0):
+            alpha_star, phi_star, derphi_star = \
+                _zoom(alpha1, alpha0, phi_a1,
+                      phi_a0, derphi_a1, phi, derphi,
+                      phi0, derphi0)
+            break
+
+        alpha2 = 2 * alpha1  # increase by factor of two on each iteration
+        alpha2 = min(alpha2, amax)
+        alpha0 = alpha1
+        alpha1 = alpha2
+        phi_a0 = phi_a1
+        phi_a1 = phi(alpha1)
+        derphi_a0 = derphi_a1
+
+    else:
+        # stopping test maxiter reached
+        alpha_star = alpha1
+        phi_star = phi_a1
+        derphi_star = None
+
+    return alpha_star, phi_star, phi0, derphi_star
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
+    fpa at a, or None if there is none."""
+    # f(x) = A *(x-a)^3 + B*(x-a)^2 + C*(x-a) + D
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        try:
+            C = fpa
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc ** 2
+            d1[0, 1] = -db ** 2
+            d1[1, 0] = -dc ** 3
+            d1[1, 1] = db ** 3
+            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db,
+                                            fc - fa - C * dc]).flatten())
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * C
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa
+    at a, or None if there is none."""
+    # f(x) = B*(x-a)^2 + C*(x-a) + D
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        try:
+            D = fa
+            C = fpa
+            db = b - a * 1.0
+            B = (fb - D - C * db) / (db * db)
+            xmin = a - C / (2.0 * B)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
+    """Zoom of the bracketing search (Nocedal and Wright, Algorithm 3.6):
+    (step, phi, phi') inside [a_lo, a_hi], or three Nones after 11 trials."""
+    maxiter = 10
+    i = 0
+    delta1 = 0.2  # cubic interpolant check
+    delta2 = 0.1  # quadratic interpolant check
+    phi_rec = phi0
+    a_rec = 0
+    while True:
+        # Interpolate by a cubic through phi_lo, phi_hi and the last
+        # discarded point; if the result lies within delta * dalpha of an
+        # end, try a quadratic, and bisect if that fails too.
+        dalpha = a_hi - a_lo
+        if dalpha < 0:
+            a, b = a_hi, a_lo
+        else:
+            a, b = a_lo, a_hi
+
+        if (i > 0):
+            cchk = delta1 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi,
+                            a_rec, phi_rec)
+        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
+            qchk = delta2 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if (a_j is None) or (a_j > b-qchk) or (a_j < a+qchk):
+                a_j = a_lo + 0.5*dalpha
+
+        phi_aj = phi(a_j)
+        if (phi_aj > phi0 + C1*a_j*derphi0) or (phi_aj >= phi_lo):
+            phi_rec = phi_hi
+            a_rec = a_hi
+            a_hi = a_j
+            phi_hi = phi_aj
+        else:
+            derphi_aj = derphi(a_j)
+            if abs(derphi_aj) <= -C2*derphi0:
+                a_star = a_j
+                val_star = phi_aj
+                valprime_star = derphi_aj
+                break
+            if derphi_aj*(a_hi - a_lo) >= 0:
+                phi_rec = phi_hi
+                a_rec = a_hi
+                a_hi = a_lo
+                phi_hi = phi_lo
+            else:
+                phi_rec = phi_lo
+                a_rec = a_lo
+            a_lo = a_j
+            phi_lo = phi_aj
+            derphi_lo = derphi_aj
+        i += 1
+        if (i > maxiter):
+            # Failed to find a conforming step size
+            a_star = None
+            val_star = None
+            valprime_star = None
+            break
+    return a_star, val_star, valprime_star
+
+
+def minimize_scalar(fun: Callable, bounds: tuple[float, float], *, xatol: float) -> Result:
+    """Minimize fun over the finite interval bounds = (x1, x2), x1 <= x2, by
+    Brent's bounded search to the absolute tolerance xatol, in at most 500
+    evaluations."""
+    maxfun = 500
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = fun(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:      # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean*e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return Result(xf, num)

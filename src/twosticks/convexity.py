@@ -39,8 +39,9 @@ from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from numpy.random import default_rng
 
+from ._optimize import minimize
 from .gap import _gap_at
 from .norms import Norm, ZERO_THRESHOLD, _row_sum, _value_and_normal, as_vector
 
@@ -138,9 +139,7 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
         grad_u = (t / nu) * (g - (float(np.dot(u, g)) / nu) * n_of_u)
         return -val, -grad_u
 
-    res = minimize(neg, y0, jac=True, method="BFGS",
-                   options={"gtol": 1e-12, "maxiter": 200})
-    u = res.x
+    u = minimize(neg, y0, gtol=1e-12, maxiter=200).x
     nu = float(norm._value(u))
     if nu < ZERO_THRESHOLD:
         return y0, -np.inf
@@ -434,7 +433,7 @@ def _sample(norm: Norm, radius: float, mode: str, samples: int,
         raise ValueError("samples must be >= 1")
     if mode not in ("full", "tangent"):
         raise ValueError("mode must be 'full' or 'tangent'")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
     n_of_x = _value_and_normal(norm, x)[1]
     v = rng.standard_normal((samples, norm.dim))
@@ -517,7 +516,7 @@ def estimate_uniform_constants(norm: Norm, p: float, q: float,
         raise ValueError("need 1 < q <= p")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     half = samples // 2 + 1
 
     e = _unit_vectors(norm, rng, half)
@@ -629,12 +628,23 @@ def onev_scan(p: float, z_grid: Optional[np.ndarray] = None) -> OnevScanResult:
 
     The observed limits average the ratios at the paired grid endpoints +-z,
     which cancels the odd leading correction in both asymptotic regimes.
+    A grid on which g(2z) overflows is rejected, with the largest z_max
+    that p admits.
     """
     if z_grid is None:
         z_grid = onev_default_grid()
     z = np.asarray(z_grid, dtype=float)
     if np.any(z == 0.0):
         raise ValueError("grid must exclude z = 0")
+    # g is convex with g(0) = 0, so g(+-2 z_max) bound every value below.
+    z_max = float(np.max(np.abs(z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge = onev_g(p, np.array([-2.0 * z_max, 2.0 * z_max]))
+    if not np.all(np.isfinite(edge)):
+        # g(2z) < (1 + 2z)^p stays finite while 1 + 2z < (float max)^(1/p).
+        limit = 0.5 * (np.finfo(float).max ** (1.0 / p) - 1.0) * (1.0 - 1e-5)
+        raise ValueError(f"g(2z) overflows for p = {p!r} at z_max = {z_max!r}; "
+                         f"need z_max <= {limit:.6g}")
     g1 = onev_g(p, z)
     g2 = onev_g(p, 2.0 * z)
     gm = onev_g(p, -z)
@@ -724,7 +734,7 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
         raise TransferWindowError(
             f"admissibility window empty: (1 - 2*kappa)*r = {eps_max!r} <= 0")
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     x = _unit_vectors(norm, rng, samples)
     v = rng.standard_normal((samples, norm.dim))
     n_of_x = _value_and_normal(norm, x)[1]

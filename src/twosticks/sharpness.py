@@ -23,10 +23,17 @@ import numpy as np
 from .norms import PNorm
 
 
+def _two_power(p: float) -> float:
+    """2^p, rejecting a p for which it overflows a float (p >= 1024)."""
+    if p >= 1024.0:
+        raise ValueError(f"need p < 1024, where 2^p is a finite float, got {p!r}")
+    return 2.0 ** p
+
+
 def _two_power_sum(p: float, r: float) -> float:
     """(1-r)^p + (1+r)^p - 2, computed without cancellation for small r."""
     if r == 1.0:
-        return 2.0 ** p - 2.0
+        return _two_power(p) - 2.0
     return math.expm1(p * math.log1p(-r)) + math.expm1(p * math.log1p(r))
 
 
@@ -44,7 +51,7 @@ def solve_g(p: float, eps: float) -> float:
     eps = float(eps)
     if not p > 1.0:
         raise ValueError("need p > 1")
-    top = 2.0 ** p - 2.0
+    top = _two_power(p) - 2.0
     if eps < -1e-15 or eps > top * (1.0 + 1e-12):
         raise ValueError(f"eps = {eps!r} outside [0, {top!r}]")
     eps = min(max(eps, 0.0), top)
@@ -106,7 +113,7 @@ def construct_pgt2(p: float, delta: float) -> SharpnessInstance:
         raise ValueError("need 0 < delta < 1")
     dp = delta ** p
     eps = 2.0 * dp / (1.0 - dp)
-    if eps > 2.0 ** p - 2.0:
+    if eps > _two_power(p) - 2.0:
         raise ValueError(f"delta = {delta!r} too large for the p = {p!r} construction")
     x = ((1.0 - dp) / 2.0) ** (1.0 / p)
     y = x * solve_g(p, eps)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._optimize import minimize_scalar
 # `modulus` has no caller here; perfbench/selftest.py wraps it under this name.
 from .convexity import moduli, modulus  # noqa: F401
 from .gap import _gap_at
@@ -329,9 +329,7 @@ def segment_point_distance(norm: Norm, stick: Stick, point) -> tuple[float, floa
     def dist(t: float) -> float:
         return float(norm._value(stick.point_at(t) - point))
 
-    res = minimize_scalar(dist, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-12})
-    t_best = float(res.x)
+    t_best = float(minimize_scalar(dist, (0.0, 1.0), xatol=1e-12).x)
     best = dist(t_best)
     for t_end in (0.0, 1.0):
         d = dist(t_end)

@@ -160,6 +160,21 @@ def test_exponents_not_above_1_are_config_errors(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sharpness", "--p", "1e5"], "need p < 1024"),
+    (["onev", "--p", "200", "--points", "200"], "need z_max <= 16.8876"),
+    (["onev", "--p", "50"], "need z_max <= 731240"),
+], ids=["sharpness-2^p", "onev-inf/inf", "onev-inf"])
+def test_exponents_that_overflow_are_config_errors(argv, message, tmp_path, capsys):
+    # 2^p overflowed into an OverflowError traceback; with the default z_max,
+    # g(2z) overflowed into a false violation (inf/inf) or an Infinity ratio.
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["sharpness", "--p", "1.5", "--param-min=-0.5"],
                                   ["sharpness", "--p", "1.5", "--param-max", "1e300"],
                                   ["sharpness", "--p", "3", "--param-min", "0"],
@@ -268,13 +283,24 @@ class TestDeterminism:
         assert "out" not in docs[0]["config"]
 
 
-def test_import_does_not_load_scipy_stats():
+def test_import_does_not_load_scipy_stats(tmp_path):
+    # SciPy is a test dependency only: neither importing the CLI nor running
+    # the strip, sticks and certify checks loads any scipy module.
     src = str(Path(twosticks.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, twosticks.cli; print('scipy.stats' in sys.modules)"
+    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in (STRIP, STICKS, CERTIFY)]
+    probe = (
+        "import json, sys, twosticks.cli\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [scipy()]\n"
+        f"codes = [twosticks.cli.main(argv) for argv in {runs!r}]\n"
+        "seen.append(scipy())\n"
+        "print(json.dumps([codes, seen]))\n")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    codes, seen = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * 3
+    assert seen == [[], []]
 
 
 # Small versions of the benchmark's three calls, and the subcommands no

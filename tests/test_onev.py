@@ -99,6 +99,14 @@ class TestOnevScan:
         # margin recorded: the scalar convexity constant has real room above 2
         assert scan.inf_double_ratio - 2.0 > 0.1
 
+    @pytest.mark.parametrize("p", [50.0, 200.0, 1000.0])
+    def test_overflowing_grid_rejected_with_its_limit(self, p):
+        with pytest.raises(ValueError, match="need z_max <= ") as err:
+            onev_scan(p, onev_default_grid(200))
+        limit = float(str(err.value).rsplit(" ", 1)[1])
+        scan = onev_scan(p, onev_default_grid(200, z_max=limit))
+        assert np.isfinite(scan.sup_double_ratio) and scan.inf_double_ratio > 2.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             onev_scan(3.0, np.array([-1.0, 0.0, 1.0]))
