@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import default_rng
 
 from .convexity import DegenerateSampleError
 from .norms import Norm, as_vector
@@ -141,7 +140,7 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         raise ValueError(f"rho must exceed 3 * delta, got rho = {rho!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = norm.dim
     out = []
     tries = 0

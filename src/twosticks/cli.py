@@ -32,7 +32,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import __version__
 from .atlas import SiteSet, build_ray_family, generate_strip_pairs
@@ -171,7 +170,7 @@ def cmd_sticks(args) -> int:
     norm = parse_norm(args.norm, args.dim)
     if args.pairs is not None and args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
-    rng = default_rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     family = _random_family(norm, rng, args.sites, args.queries, args.length, args.box)
     if len(family) < 2:
         raise DegenerateSampleError("family has fewer than two sticks; enlarge --queries")
@@ -245,7 +244,7 @@ def cmd_sharpness(args) -> int:
 
 def cmd_atlas(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    rng = default_rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     family = _random_family(norm, rng, args.sites, args.queries, args.length, args.box)
     payload = to_jsonable(family)
     payload["norm"] = norm.descriptor()

@@ -39,6 +39,8 @@ from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
+# numpy loads `numpy.random` lazily; importing it here keeps that load in a
+# CLI call's start-up, since `cli` imports `atlas` and `atlas` this module.
 from numpy.random import default_rng
 
 from ._optimize import minimize

@@ -5,6 +5,8 @@ references pin values that move when the polished maximizer moves by about
 1e-8.  So every case here compares x with `np.array_equal`, the iteration
 count and the number of objective calls, and the sweeps must reach the rare
 line-search paths, counted through the module attributes the port calls.
+The oracle is SciPy 1.17, the release the port transcribes; earlier releases
+take other paths (a compiled MINPACK-2 line search, BFGS without xrtol).
 """
 
 from collections import Counter
