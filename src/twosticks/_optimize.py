@@ -1,13 +1,11 @@
-"""BFGS and bounded Brent minimization, for the modulus polish and
+"""BFGS minimization for the modulus polish, and a bracket search for
 `sticks.segment_point_distance`.
 
-Both functions transcribe, operation for operation, the code paths that
-SciPy 1.17.1 takes for
+`minimize` transcribes, operation for operation, the code path that SciPy
+1.17.1 takes for
 
     scipy.optimize.minimize(fun, x0, jac=True, method="BFGS",
                             options={"gtol": gtol, "maxiter": maxiter})
-    scipy.optimize.minimize_scalar(fun, bounds=bounds, method="bounded",
-                                   options={"xatol": xatol})
 
 so every iterate, and the returned x, equal SciPy's bit for bit.  The
 strip references pin values that move when the polished maximizer moves
@@ -24,9 +22,10 @@ out.  The paths are:
   algorithms with guaranteed sufficient decrease", ACM TOMS 20(3), 1994),
   then, where that fails, the strong-Wolfe bracketing search with cubic and
   quadratic zoom of Nocedal and Wright, "Numerical Optimization",
-  Algorithms 3.5 and 3.6; where both fail the polish stops and keeps x;
-* the bounded golden-section/parabolic search of Brent, "Algorithms for
-  Minimization without Derivatives", 1973, chapter 5.
+  Algorithms 3.5 and 3.6; where both fail the polish stops and keeps x.
+
+`minimize_scalar` is no port: no output depends on the last bits of the
+segment-point argmin.
 
 SciPy's license:
 
@@ -74,7 +73,6 @@ The notice of DCSRCH and DCSTEP, as SciPy carries it:
 
 from __future__ import annotations
 
-from math import sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,7 +87,7 @@ XTOL = 1e-14
 
 
 class Result(NamedTuple):
-    """The minimizer and the iterations (BFGS) or evaluations (Brent) spent."""
+    """The minimizer and the iterations (BFGS) or rounds (bracket search) spent."""
     x: object
     nit: int
 
@@ -579,87 +577,20 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
 
 
 def minimize_scalar(fun: Callable, bounds: tuple[float, float], *, xatol: float) -> Result:
-    """Minimize fun over the finite interval bounds = (x1, x2), x1 <= x2, by
-    Brent's bounded search to the absolute tolerance xatol, in at most 500
-    evaluations."""
-    maxfun = 500
-    sqrt_eps = sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - sqrt(5.0))
-    a, b = bounds
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = fun(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
-        # Check for parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:      # do a golden-section step
-                golden = 1
-
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean*e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = fun(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
-
-    return Result(xf, num)
+    """Minimize fun, convex on bounds = (lo, hi), to within xatol (Kiefer,
+    Proc. AMS 4(3), 1953): each round calls fun once on 17 equally spaced t
+    and keeps the two cells around the first argmin, where a convex minimum
+    lies.  Returns the first best t evaluated and the rounds."""
+    lo, hi = bounds
+    best_t, best_f = lo, np.inf
+    rounds = 0
+    while True:
+        t = np.linspace(lo, hi, 17)
+        f = fun(t)
+        rounds += 1
+        i = int(np.argmin(f))
+        if f[i] < best_f:
+            best_t, best_f = float(t[i]), f[i]
+        if hi - lo <= xatol:
+            return Result(best_t, rounds)
+        lo, hi = t[max(i - 1, 0)], t[min(i + 1, 16)]

@@ -590,16 +590,28 @@ def extend_constants_to(r: float, lam: float, radius: float) -> tuple[float, flo
 # scalar reduction for p-norms
 # ---------------------------------------------------------------------------
 
+def _onev_z_limit(p: float) -> float:
+    """The largest |z| at which `onev_g(p, z)` is finite, with 1e-6 of the
+    float range to spare: 0 <= g(z) <= (1 + |z|)^p + p|z|."""
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"need p > 1 and finite, got {p!r}")
+    big = np.finfo(float).max * (1.0 - 1e-6)
+    a = math.expm1(math.log(big) / p)      # (1 + a)^p = big
+    # Either bound of p|z|, by p a or by p (1 + |z|)^p, keeps the sum within big.
+    return math.expm1(math.log(max(big - p * a, big / (1.0 + p))) / p)
+
+
 def onev_g(p: float, z) -> np.ndarray:
     """g(z) = |1+z|^p - 1 - p z: the coordinate term |x+y|^p - |x|^p - p y
     |x|^(p-1) sign(x) of the p-norm is |x|^p g(y/x).
 
     Evaluated through expm1/log1p near z = 0, where the naive form loses
-    all significant digits.
+    all significant digits.  Rejects a |z| at which g would overflow.
     """
-    if not p > 1.0:
-        raise ValueError("need p > 1")
+    limit = _onev_z_limit(p)
     z = np.asarray(z, dtype=float)
+    if not np.all(np.abs(z) <= limit):
+        raise ValueError(f"g overflows for p = {p!r}; need |z| <= {limit!r}")
     small = np.abs(z) < 0.5
     zs = np.where(small, z, 0.0)
     precise = np.expm1(p * np.log1p(zs)) - p * zs
@@ -640,13 +652,11 @@ def onev_scan(p: float, z_grid: Optional[np.ndarray] = None) -> OnevScanResult:
         raise ValueError("grid must exclude z = 0")
     # g is convex with g(0) = 0, so g(+-2 z_max) bound every value below.
     z_max = float(np.max(np.abs(z)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        edge = onev_g(p, np.array([-2.0 * z_max, 2.0 * z_max]))
-    if not np.all(np.isfinite(edge)):
-        # g(2z) < (1 + 2z)^p stays finite while 1 + 2z < (float max)^(1/p).
-        limit = 0.5 * (np.finfo(float).max ** (1.0 / p) - 1.0) * (1.0 - 1e-5)
+    limit = _onev_z_limit(p)
+    if 2.0 * z_max > limit:
+        # 1e-5 to spare keeps the 6-digit z_max below the exact limit.
         raise ValueError(f"g(2z) overflows for p = {p!r} at z_max = {z_max!r}; "
-                         f"need z_max <= {limit:.6g}")
+                         f"need z_max <= {0.5 * limit * (1.0 - 1e-5):.6g}")
     g1 = onev_g(p, z)
     g2 = onev_g(p, 2.0 * z)
     gm = onev_g(p, -z)

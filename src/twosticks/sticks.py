@@ -321,21 +321,18 @@ def _special_index(sigmas: list) -> int:
 # ---------------------------------------------------------------------------
 
 def segment_point_distance(norm: Norm, stick: Stick, point) -> tuple[float, float]:
-    """min_t ||stick(t) - point|| over t in [0, 1]; returns (distance, argmin t)."""
+    """min_t ||stick(t) - point|| over t in [0, 1], a convex function of t;
+    returns (distance, argmin t), the argmin to 1e-12 and exactly 0.0 or 1.0
+    at an end (`minimize_scalar`'s first round evaluates both)."""
     if stick.dim != norm.dim:
         raise ValueError(f"dimension mismatch: {stick.dim}-d stick, {norm.dim}-d norm")
     point = as_vector(point, norm.dim)
 
-    def dist(t: float) -> float:
-        return float(norm._value(stick.point_at(t) - point))
+    def dist(t):
+        return norm._value(_point(stick.start, stick.end, t) - point)
 
-    t_best = float(minimize_scalar(dist, (0.0, 1.0), xatol=1e-12).x)
-    best = dist(t_best)
-    for t_end in (0.0, 1.0):
-        d = dist(t_end)
-        if d < best:
-            best, t_best = d, t_end
-    return best, t_best
+    t_best = minimize_scalar(dist, (0.0, 1.0), xatol=1e-12).x
+    return float(dist(t_best)), t_best
 
 
 # Slack of every window and bound of the strip experiment, scaled by 1 + its size.

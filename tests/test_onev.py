@@ -73,6 +73,16 @@ class TestOnevG:
         for p in PS:
             assert float(np.min(onev_g(p, z))) > 0.0
 
+    @pytest.mark.parametrize("p, z", [(1e300, 1e-6), (200.0, 40.0), (1e300, 1e10), (1.0001, 1e308)])
+    def test_overflow_rejected_with_the_largest_admissible_z(self, p, z):
+        # g overflowed into inf (with a RuntimeWarning) or nan; for p near 1
+        # the p|z| term binds at negative z.
+        with pytest.raises(ValueError, match=r"need \|z\| <= ") as err:
+            onev_g(p, [z])
+        limit = float(str(err.value).rsplit(" ", 1)[1])
+        assert 0.0 < limit < z
+        assert np.all(np.isfinite(onev_g(p, [-limit, -0.5 * limit, 0.5 * limit, limit])))
+
 
 class TestOnevScan:
     def test_quadratic_exact(self):

@@ -1,24 +1,30 @@
-"""`twosticks._optimize` against SciPy, which it transcribes.
+"""`twosticks._optimize` against its oracles.
 
-The port must take SciPy's floating-point path step for step: the strip
-references pin values that move when the polished maximizer moves by about
-1e-8.  So every case here compares x with `np.array_equal`, the iteration
-count and the number of objective calls, and the sweeps must reach the rare
-line-search paths, counted through the module attributes the port calls.
-The oracle is SciPy 1.17, the release the port transcribes; earlier releases
-take other paths (a compiled MINPACK-2 line search, BFGS without xrtol).
+The BFGS polish must take SciPy's floating-point path step for step: the
+strip references pin values that move when the polished maximizer moves by
+about 1e-8.  So every BFGS case compares x with `np.array_equal`, the
+iteration count and the number of objective calls, and the sweeps must reach
+the rare line-search paths, counted through the module attributes the port
+calls.  The oracle is SciPy 1.17, the release the port transcribes; earlier
+releases take other paths (a compiled MINPACK-2 line search, BFGS without
+xrtol).
+
+No output depends on the last bits of `segment_point_distance`, so its
+bracket search is checked by value: against the clamped Euclidean
+projection, against SciPy's bounded search and both ends for p-norms, and
+on the exact cases (a minimum at an end, a zero-length stick, a point on
+the stick).
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize as scipy_optimize
 
-from twosticks import _optimize, convexity, sticks
+from twosticks import _optimize, convexity
 from twosticks.norms import EuclideanNorm, PNorm
 from twosticks.sticks import Stick, segment_point_distance
-
-scipy_optimize = pytest.importorskip("scipy.optimize")
 
 # The options of the modulus polish and of `segment_point_distance`.
 GTOL, MAXITER = 1e-12, 200
@@ -108,30 +114,78 @@ def test_zero_curvature_update_matches_scipy(paths):
     assert paths["_line_search_wolfe2"] > 0 and paths["_line_search_wolfe2:none"] == 0
 
 
-def test_bounded_search_matches_scipy_bit_for_bit(monkeypatch):
-    # `segment_point_distance` runs its own distance function through both.
-    cases = []
-
-    def both(fun, bounds, *, xatol):
-        assert (bounds, xatol) == ((0.0, 1.0), XATOL)
-        ours, our_calls = _counted(fun)
-        theirs, their_calls = _counted(fun)
-        got = _optimize.minimize_scalar(ours, bounds, xatol=xatol)
-        ref = scipy_optimize.minimize_scalar(theirs, bounds=bounds, method="bounded",
-                                             options={"xatol": xatol})
-        assert float(got.x) == float(ref.x)
-        assert got.nit == ref.nfev == our_calls[0] == their_calls[0]
-        cases.append(got.nit)
-        return got
-
-    monkeypatch.setattr(sticks, "minimize_scalar", both)
-    rng = np.random.default_rng(3)
+def _cases(seed, per_scale):
+    """(dim, a, b, point) with Gaussian rows at each scale of each dimension."""
+    rng = np.random.default_rng(seed)
     for dim in (2, 3, 4):
-        for norm in (PNorm(1.5, dim), PNorm(3, dim), EuclideanNorm(dim)):
-            for scale in (1e-3, 1.0, 1e3):
-                for _ in range(3):
-                    a, b, point = scale * rng.standard_normal((3, dim))
-                    segment_point_distance(norm, Stick(a, b), point)
-    assert len(cases) == 3 * 3 * 3 * 3
-    # Parabolic steps end the search long before the evaluation cap.
-    assert max(cases) < 500
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(per_scale):
+                a, b, point = scale * rng.standard_normal((3, dim))
+                yield dim, a, b, point
+
+
+def test_search_returns_the_first_best_point_it_evaluated():
+    # Every call adds one to all its values, so the first round's argmin
+    # stays the best point seen however the later rounds go.
+    calls = []
+
+    def rising(t):
+        calls.append(t)
+        return np.abs(t - 1.0 / 3.0) + len(calls)
+
+    got = _optimize.minimize_scalar(rising, (0.0, 1.0), xatol=XATOL)
+    assert got.x == 5.0 / 16.0 and got.nit == len(calls)
+    assert all(t.shape == (17,) for t in calls)
+    # The last round is the first whose bracket is no wider than xatol.
+    assert calls[-1][-1] - calls[-1][0] <= XATOL < calls[-2][-1] - calls[-2][0]
+
+
+def test_euclidean_distance_matches_the_clamped_projection():
+    ends = set()
+    for dim, a, b, point in _cases(0, 10):
+        d, t = segment_point_distance(EuclideanNorm(dim), Stick(a, b), point)
+        e = b - a
+        t_ref = min(max(float(np.dot(point - a, e) / np.dot(e, e)), 0.0), 1.0)
+        d_ref = float(np.linalg.norm(a + t_ref * e - point))
+        assert abs(d - d_ref) <= 4e-15 * d_ref, (a, b, point)
+        if t_ref in (0.0, 1.0):
+            assert t == t_ref
+            ends.add(t_ref)
+    assert ends == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_p_norm_distance_is_no_worse_than_scipy_and_the_ends(p):
+    for dim, a, b, point in _cases(1, 3):
+        norm, stick = PNorm(p, dim), Stick(a, b)
+
+        def dist(s):
+            return float(norm._value(stick.point_at(s) - point))
+
+        d, t = segment_point_distance(norm, stick, point)
+        ref = scipy_optimize.minimize_scalar(dist, bounds=(0.0, 1.0), method="bounded",
+                                             options={"xatol": XATOL})
+        assert 0.0 <= t <= 1.0 and d == dist(t)
+        assert d <= min(dist(ref.x), dist(0.0), dist(1.0)) * (1.0 + 1e-15), (a, b, point)
+
+
+@pytest.mark.parametrize("norm_of", [EuclideanNorm, lambda dim: PNorm(1.5, dim),
+                                     lambda dim: PNorm(3, dim), lambda dim: PNorm(4, dim)],
+                         ids=["euclidean", "p1.5", "p3", "p4"])
+def test_exact_cases(norm_of):
+    rng = np.random.default_rng(2)
+    for dim, a, b, point in _cases(3, 2):
+        norm = norm_of(dim)
+        e = b - a
+        # Beyond either end on the line through the stick.
+        c = rng.uniform(0.1, 2.0)
+        assert segment_point_distance(norm, Stick(a, b), a - c * e)[1] == 0.0
+        assert segment_point_distance(norm, Stick(a, b), b + c * e)[1] == 1.0
+        # A point on the stick, at an end or inside it.
+        assert segment_point_distance(norm, Stick(a, b), a) == (0.0, 0.0)
+        assert segment_point_distance(norm, Stick(a, b), b) == (0.0, 1.0)
+        d, t = segment_point_distance(norm, Stick(a, b), a + 0.3 * e)
+        assert d <= 1e-13 * float(norm._value(e)) and abs(t - 0.3) <= 1e-12
+        # A zero-length stick is the point a, up to the rounding of (1-t)a + ta.
+        d, t = segment_point_distance(norm, Stick(a, a.copy()), point)
+        assert d == pytest.approx(float(norm._value(a - point)), rel=1e-15) and 0.0 <= t <= 1.0
