@@ -15,7 +15,6 @@ from .norms import (
     PluginNorm,
     PNorm,
     ZeroVectorError,
-    finite_diff_gradient,
 )
 from .gap import gap
 from .convexity import (
@@ -32,7 +31,6 @@ from .convexity import (
     extend_constants_to,
     moduli,
     modulus,
-    modulus_grid,
     onev_default_grid,
     onev_g,
     onev_scan,
@@ -73,12 +71,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EuclideanNorm", "Norm", "PluginNorm", "PNorm", "ZeroVectorError",
-    "finite_diff_gradient",
     "gap",
     "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
     "TransferReport", "estimate_balanced", "estimate_doubling",
     "estimate_lambda", "estimate_uniform_constants", "extend_constants",
-    "extend_constants_to", "moduli", "modulus", "modulus_grid", "onev_default_grid",
+    "extend_constants_to", "moduli", "modulus", "onev_default_grid",
     "onev_g", "onev_scan", "transfer_check",
     "DegenerateStickError", "PairVerdicts", "PreconditionError",
     "Stick", "StripReport", "holder_ratio", "pair_verdicts",

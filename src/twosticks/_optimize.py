@@ -1,11 +1,10 @@
 """BFGS minimization for the modulus polish, and a bracket search for
 `sticks.segment_point_distance`.
 
-`minimize` transcribes, operation for operation, the code path that SciPy
-1.17.1 takes for
+Each row of `minimize` transcribes, operation for operation, the code
+path that SciPy 1.17.1's `optimize.minimize` takes from that row with
 
-    scipy.optimize.minimize(fun, x0, jac=True, method="BFGS",
-                            options={"gtol": gtol, "maxiter": maxiter})
+    jac=True, method="BFGS", options={"gtol": gtol, "maxiter": maxiter}
 
 so every iterate, and the returned x, equal SciPy's bit for bit.  The
 strip references pin values that move when the polished maximizer moves
@@ -14,7 +13,16 @@ the Python-float / numpy-scalar mix, the integer identity that starts the
 inverse Hessian, `np.dot` rather than `@`, `np.clip` and every
 `np.errstate` are SciPy's.  Only the branches that the options above
 cannot reach, the warnings and the result fields no caller reads are left
-out.  The paths are:
+out.
+
+`minimize` runs a batch of such minimizations in lockstep.  Each row is
+one run of the port, written as a generator: every objective call of
+SciPy's code is a `yield from`, which yields the point on a miss of the
+row's one-slot cache and is sent back (f, gradient), so the row's own
+arithmetic is the port's, untouched.  The driver stacks the points that
+all unfinished rows ask for and makes one batched objective call per
+round; f reaches the rows as Python floats, as a one-vector objective
+returns it.  The paths are:
 
 * BFGS with the inf-norm gradient stop and SciPy's `xrtol = 0` step stop,
   the objective evaluated once per distinct x (SciPy's one-slot cache);
@@ -98,28 +106,58 @@ def _vecnorm(x, ord=2):
     return np.sum(np.abs(x) ** ord, axis=0) ** (1.0 / ord)
 
 
-def minimize(fun: Callable, x0, *, gtol: float, maxiter: int) -> Result:
-    """Minimize fun from x0 by BFGS; fun(x) returns (f(x), grad f(x)) as a
-    scalar and a 1-D array.  Stops once the largest gradient entry is at
-    most gtol, after maxiter iterations, or when no line search succeeds."""
+def minimize(fun: Callable, x0, *, gtol: float, maxiter: int) -> list[Result]:
+    """Minimize by BFGS from each row of x0, of shape (k, n), all rows in
+    lockstep.  Each row runs the transcribed SciPy path on its own and stops
+    on its own: once its largest gradient entry is at most gtol, after
+    maxiter iterations, or when no line search succeeds.  A round collects
+    the point every unfinished row asks for and makes one call
+    fun(index, points), with index the (m,) rows asking and points their
+    (m, n) points; fun returns f of shape (m,) and the gradients (m, n).
+    A row asks only on a miss of its own one-slot cache, so it sees the
+    calls, the values and the iterates SciPy's run from that row sees.
+    Returns one Result per row, in row order."""
+    runs = [_bfgs(row, gtol, maxiter) for row in np.asarray(x0)]
+    results = [None] * len(runs)
+    asks = {}
+
+    def advance(i, sent):
+        try:
+            asks[i] = runs[i].send(sent)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while asks:
+        index = list(asks)
+        f, g = fun(np.array(index), np.stack([asks.pop(i) for i in index]))
+        for i, fi, gi in zip(index, f.tolist(), g):
+            advance(i, (fi, gi))
+    return results
+
+
+def _bfgs(x0, gtol, maxiter):
+    """One row of `minimize`: a generator that yields each point whose
+    (f, gradient) it needs, is sent them, and returns its Result."""
     cache_x = None
     cache = None
 
     def evaluate(x):
         nonlocal cache_x, cache
         if cache_x is None or not np.array_equal(x, cache_x):
-            cache_x, cache = x, fun(x)
+            cache_x, cache = x, (yield x)
         return cache
 
     def f(x):
-        return evaluate(x)[0]
+        return (yield from evaluate(x))[0]
 
     def fprime(x):
-        return evaluate(x)[1]
+        return (yield from evaluate(x))[1]
 
     x0 = np.asarray(x0).flatten()
-    old_fval = f(x0)
-    gfk = fprime(x0)
+    old_fval = yield from f(x0)
+    gfk = yield from fprime(x0)
 
     k = 0
     N = len(x0)
@@ -133,9 +171,10 @@ def minimize(fun: Callable, x0, *, gtol: float, maxiter: int) -> Result:
     gnorm = _vecnorm(gfk, ord=np.inf)
     while (gnorm > gtol) and (k < maxiter):
         pk = -np.dot(Hk, gfk)
-        ret = _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+        ret = yield from _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
         if ret is None:
-            ret = _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+            ret = yield from _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval,
+                                                 old_old_fval)
         if ret is None:
             break
         alpha_k, old_fval, old_old_fval, gfkp1 = ret
@@ -143,7 +182,7 @@ def minimize(fun: Callable, x0, *, gtol: float, maxiter: int) -> Result:
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
-            gfkp1 = fprime(xk)
+            gfkp1 = yield from fprime(xk)
 
         yk = gfkp1 - gfk
         gfk = gfkp1
@@ -179,10 +218,10 @@ def _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
     gval = [gfk]
 
     def phi(s):
-        return f(xk + s*pk)
+        return (yield from f(xk + s*pk))
 
     def derphi(s):
-        gval[0] = fprime(xk + s*pk)
+        gval[0] = yield from fprime(xk + s*pk)
         return np.dot(gval[0], pk)
 
     derphi0 = np.dot(gfk, pk)
@@ -195,7 +234,7 @@ def _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
     else:
         alpha1 = 1.0
 
-    stp, phi1 = _dcsrch(phi, derphi, alpha1, phi0, derphi0)
+    stp, phi1 = yield from _dcsrch(phi, derphi, alpha1, phi0, derphi0)
     if stp is None:
         return None
     return stp, phi1, phi0, gval[0]
@@ -218,8 +257,8 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
     stmin = 0
     stmax = stp + 4.0 * stp
 
-    f = phi(stp)
-    g = derphi(stp)
+    f = yield from phi(stp)
+    g = yield from derphi(stp)
     for _ in range(99):
         ftest = finit + stp * gtest
         if stage == 1 and f <= ftest and g >= 0:
@@ -271,8 +310,8 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
             stp = stx
         if not np.isfinite(stp):
             return None, f
-        f = phi(stp)
-        g = derphi(stp)
+        f = yield from phi(stp)
+        g = yield from derphi(stp)
     return None, f
 
 
@@ -383,14 +422,14 @@ def _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
     gval = [None]
 
     def phi(alpha):
-        return f(xk + alpha * pk)
+        return (yield from f(xk + alpha * pk))
 
     def derphi(alpha):
-        gval[0] = fprime(xk + alpha * pk)
+        gval[0] = yield from fprime(xk + alpha * pk)
         return np.dot(gval[0], pk)
 
     derphi0 = np.dot(gfk, pk)
-    alpha_star, phi_star, old_fval, derphi_star = _scalar_search_wolfe2(
+    alpha_star, phi_star, old_fval, derphi_star = yield from _scalar_search_wolfe2(
         phi, derphi, old_fval, old_old_fval, derphi0)
     if alpha_star is None:
         return None
@@ -413,7 +452,7 @@ def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
 
     alpha1 = min(alpha1, amax)
 
-    phi_a1 = phi(alpha1)
+    phi_a1 = yield from phi(alpha1)
 
     phi_a0 = phi0
     derphi_a0 = derphi0
@@ -430,13 +469,13 @@ def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
         not_first_iteration = i > 0
         if (phi_a1 > phi0 + C1 * alpha1 * derphi0) or \
            ((phi_a1 >= phi_a0) and not_first_iteration):
-            alpha_star, phi_star, derphi_star = \
+            alpha_star, phi_star, derphi_star = yield from \
                 _zoom(alpha0, alpha1, phi_a0,
                       phi_a1, derphi_a0, phi, derphi,
                       phi0, derphi0)
             break
 
-        derphi_a1 = derphi(alpha1)
+        derphi_a1 = yield from derphi(alpha1)
         if (abs(derphi_a1) <= -C2*derphi0):
             alpha_star = alpha1
             phi_star = phi_a1
@@ -444,7 +483,7 @@ def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
             break
 
         if (derphi_a1 >= 0):
-            alpha_star, phi_star, derphi_star = \
+            alpha_star, phi_star, derphi_star = yield from \
                 _zoom(alpha1, alpha0, phi_a1,
                       phi_a0, derphi_a1, phi, derphi,
                       phi0, derphi0)
@@ -455,7 +494,7 @@ def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
         alpha0 = alpha1
         alpha1 = alpha2
         phi_a0 = phi_a1
-        phi_a1 = phi(alpha1)
+        phi_a1 = yield from phi(alpha1)
         derphi_a0 = derphi_a1
 
     else:
@@ -542,14 +581,14 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             if (a_j is None) or (a_j > b-qchk) or (a_j < a+qchk):
                 a_j = a_lo + 0.5*dalpha
 
-        phi_aj = phi(a_j)
+        phi_aj = yield from phi(a_j)
         if (phi_aj > phi0 + C1*a_j*derphi0) or (phi_aj >= phi_lo):
             phi_rec = phi_hi
             a_rec = a_hi
             a_hi = a_j
             phi_hi = phi_aj
         else:
-            derphi_aj = derphi(a_j)
+            derphi_aj = yield from derphi(a_j)
             if abs(derphi_aj) <= -C2*derphi0:
                 a_star = a_j
                 val_star = phi_aj

@@ -8,10 +8,21 @@ whose maximizers lie on the sphere ||y|| = t and satisfy the stationarity
 condition N(x+y) - N(x) = alpha * N(y) with alpha > 0.  `moduli` solves a
 batch of such problems: one projected ascent over arrays of shape
 (problems, starts, dim), with each problem's N(x) computed one row at a time
-through `Norm.normal`; then each problem's ascended starts go to a
-`modulus` call, which runs the BFGS polish.  `modulus` alone ascends a
-batch of one.  Around the modulus this module estimates, by seeded sampling
-with witnesses:
+through `Norm.normal`; then one BFGS polish of the two best starts of every
+problem, all in lockstep with one objective call per round; then each
+problem's `modulus` call ranks its starts and judges the KKT residual.
+`modulus` alone solves a batch of one.
+
+A polished row must equal, bit for bit, the polish of its start alone: the
+strip references move when a maximizer moves by about 1e-8.  So the batched
+polish objective takes each row's norms through `Norm._row_values`, whose
+p-norm root is the scalar pow of a one-vector call and not numpy's SIMD
+pow, and each row's dot products through `_row_dot`, numpy's FMA dot of
+one pair of vectors; every other step is elementwise, which agrees lane for
+lane.
+
+Around the modulus this module estimates, by seeded sampling with
+witnesses:
 
 * geometric convexity   Lambda = inf h(x, x+2y) / h(x, x+y)   (> 2 wanted)
 * doubling              T      = sup h(x, x+2y) / h(x, x+y)
@@ -123,31 +134,59 @@ def _coarse_directions(dim: int) -> np.ndarray:
                     axis=-1)
 
 
-def _polish_on_sphere(norm: Norm, x: np.ndarray, t: float, y0: np.ndarray,
-                      n_of_x: np.ndarray) -> tuple[np.ndarray, float]:
-    """BFGS refinement of a sphere maximizer via the parametrization y = t*u/||u||."""
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a[i], b[i]> for rows of shape (rows, dim), equal bit for bit to
+    `np.dot(a[i], b[i])`: a stacked matmul takes numpy's dot of each pair,
+    the same FMA chain, where `np.einsum` rounds differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    def neg(u: np.ndarray):
-        vu = norm._value(u)
-        nu = float(vu)
-        if nu < ZERO_THRESHOLD:
-            return 0.0, np.zeros_like(u)
-        y = t * u / nu
-        z = x + y
-        vz, n_of_z = _value_and_normal(norm, z)
-        val = float(vz - np.dot(z, n_of_x))
-        g = n_of_z - n_of_x
-        n_of_u = norm._normal(u, vu)
-        grad_u = (t / nu) * (g - (float(np.dot(u, g)) / nu) * n_of_u)
-        return -val, -grad_u
 
-    u = minimize(neg, y0, gtol=1e-12, maxiter=200).x
-    nu = float(norm._value(u))
-    if nu < ZERO_THRESHOLD:
-        return y0, -np.inf
-    y = t * u / nu
+def _polish_on_sphere(norm: Norm, x: np.ndarray, t: np.ndarray, y0: np.ndarray,
+                      n_of_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BFGS refinement of sphere maximizers via the parametrization
+    y = t*u/||u||: row i maximizes h(x[i], x[i] + y) on ||y|| = t[i] from
+    y0[i], with N(x[i]) = n_of_x[i].  Every row's BFGS runs in lockstep
+    (`minimize`), one `neg` call per round.  Returns the polished y and h
+    there, of shapes (rows, dim) and (rows,); a row whose u reached the
+    origin keeps its y0 with h = -inf.
+
+    Each row of `neg` equals, bit for bit, what the objective gives on that
+    row's vector alone, so a row's polish does not depend on its batch:
+    norms by `Norm._row_values`, dot products by `_row_dot`, every other
+    step elementwise.  A row with ||u|| below ZERO_THRESHOLD gives +0.0 and
+    a zero gradient, and a zero row of z takes N(e1) without recomputing
+    the other rows' norms."""
+    e1 = np.eye(norm.dim)[0]
+
+    def neg(index: np.ndarray, u: np.ndarray):
+        f = np.zeros(len(u))
+        grad = np.zeros(u.shape)
+        nu = norm._row_values(u)
+        live = nu >= ZERO_THRESHOLD
+        if not np.all(live):
+            index, u, nu = index[live], u[live], nu[live]
+        tl, n_x = t[index][:, None], n_of_x[index]
+        z = x[index] + tl * u / nu[:, None]
+        vz = norm._row_values(z)
+        zero = vz < ZERO_THRESHOLD
+        if np.any(zero):
+            n_of_z = norm._normal(np.where(zero[:, None], e1, z),
+                                  np.where(zero, norm._row_values(e1[None, :])[0], vz))
+        else:
+            n_of_z = norm._normal(z, vz)
+        g = n_of_z - n_x
+        n_of_u = norm._normal(u, nu)
+        f[live] = -(vz - _row_dot(z, n_x))
+        grad[live] = -((tl / nu[:, None]) * (g - (_row_dot(u, g) / nu)[:, None] * n_of_u))
+        return f, grad
+
+    u = np.stack([res.x for res in minimize(neg, y0, gtol=1e-12, maxiter=200)])
+    nu = norm._row_values(u)
+    live = nu >= ZERO_THRESHOLD
+    y = t[:, None] * u / np.where(live, nu, 1.0)[:, None]
     z = x + y
-    return y, float(norm._value(z) - np.dot(z, n_of_x))
+    return (np.where(live[:, None], y, y0),
+            np.where(live, norm._row_values(z) - _row_dot(z, n_of_x), -np.inf))
 
 
 # Largest KKT residual (see `_kkt`) of a maximizer that `modulus` calls converged.
@@ -239,18 +278,22 @@ def _ascended(norm: Norm, rows: list, radii: list, normals: list, n_starts: int,
 
 
 def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> list[ModulusResult]:
-    """`modulus` of each problem (xs[i], ts[i]), from one batched ascent.
+    """`modulus` of each problem (xs[i], ts[i]), from one batched ascent and
+    one batched polish.
 
     The problems are checked in order, as `modulus` checks one.  N(x) is
     computed one row at a time through `Norm.normal`, not by the row kernel
     on the stacked points, whose power can round differently in the last ulp
     and move the polish starts.  The projected ascent runs once over arrays
     of shape (problems, starts, dim), each problem stopping on its own rule.
-    Then each problem ends in its own `modulus` call, handed its ascended
-    starts, which polishes and ranks them and judges convergence against
-    KKT_TOL.  So a problem's result does not depend on the batch it is in,
-    and a wrapper of `modulus` (a call counter, a tracer) sees one call and
-    one result per problem.
+    Then the two best starts of every problem go to one `_polish_on_sphere`
+    call, whose BFGS runs all of them in lockstep, and a polished start
+    replaces its ascended one where it is higher.  Each row of the polish
+    takes the arithmetic of that start polished alone, so a problem's result
+    does not depend on the batch it is in.  Last, each problem's `modulus`
+    call ranks its starts and judges convergence against KKT_TOL, so a
+    wrapper of `modulus` (a call counter, a tracer) sees one call and one
+    result per problem.
     """
     rows, radii, normals = [], [], []
     for x, t in zip(xs, ts, strict=True):
@@ -261,12 +304,19 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> li
     if not rows:
         return []
     y, f, iterations = _ascended(norm, rows, radii, normals, n_starts, max_iter)
-    return [modulus(norm, x, t, ascent=(y[i], f[i], int(iterations[i])))
+    prob, start = np.array([(i, row) for i in range(len(rows))
+                            for row in np.argsort(f[i])[::-1][:2]]).T
+    yp, fp = _polish_on_sphere(norm, np.stack(rows)[prob], np.array(radii)[prob],
+                               y[prob, start], np.stack(normals)[prob])
+    better = fp > f[prob, start]
+    y[prob[better], start[better]] = yp[better]
+    f[prob[better], start[better]] = fp[better]
+    return [modulus(norm, x, t, starts=(y[i], f[i], int(iterations[i])))
             for i, (x, t) in enumerate(zip(rows, radii))]
 
 
 def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
-            ascent: Optional[tuple[np.ndarray, np.ndarray, int]] = None) -> ModulusResult:
+            starts: Optional[tuple[np.ndarray, np.ndarray, int]] = None) -> ModulusResult:
     """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
     Starts come from a deterministic low-discrepancy set, so the result is
     reproducible; for dim 2 and 3 the four best directions of a coarse sweep
@@ -277,27 +327,23 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     KKT residual of the winner is at most KKT_TOL and its multiplier is not
     negative; non-convergence is reported there, never silently.
 
-    `ascent` is how `moduli`, which runs the ascent of a batch of problems
-    at once, hands one problem its share: the ascended starts (starts, dim)
-    on the sphere, their values h(x, x+y) and the problem's iteration count.
-    The arrays are not modified.  Given, no ascent runs here and n_starts
-    and max_iter are not read; left None, this is `moduli` of one problem.
+    `starts` is how `moduli`, which ascends and polishes a batch of problems
+    at once, hands one problem its share: the polished starts (starts, dim)
+    on the sphere, their values h(x, x+y) and the problem's ascent iteration
+    count.  Given, this only ranks them and computes the KKT residual, and
+    n_starts and max_iter are not read; left None, this is `moduli` of one
+    problem.
     """
-    if ascent is None:
+    if starts is None:
         return moduli(norm, [x], [t], n_starts=n_starts, max_iter=max_iter)[0]
     x, t = _problem(norm, x, t)
     n_of_x = norm.normal(x)
-    y, f, iterations = ascent
-    y, f = y.copy(), f.copy()
-    for row in np.argsort(f)[::-1][:2]:
-        yp, fp = _polish_on_sphere(norm, x, t, y[row], n_of_x)
-        if fp > f[row]:
-            y[row], f[row] = yp, fp
+    y, f, iterations = starts
 
     # First start within 1e-9 of the best value, in start order.
     best_val = float(np.max(f))
     best = int(np.nonzero(f >= best_val - 1e-9)[0][0])
-    y_best = y[best]
+    y_best = y[best].copy()
     sigma = float(f[best])
 
     n_of_y, alpha, kkt = _kkt(norm, x, t, y_best, n_of_x)
@@ -305,74 +351,6 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
                          kkt_residual=kkt, kkt_multiplier=alpha, converged=converged,
                          iterations=iterations)
-
-
-def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusResult:
-    """Brute-force modulus by dense angular search; oracle/fallback for dim <= 3.
-
-    The sphere of directions is scanned at `resolution` radians (after local
-    refinement), independently of the ascent in `modulus`.
-    """
-    x, t = _problem(norm, x, t)
-    n = norm.dim
-    n_of_x = norm.normal(x)
-
-    def h_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = t * u / norm._value(u)[..., None]
-        return _gap_at(norm, n_of_x, x + y), y
-
-    if n == 1:
-        u = np.array([[1.0], [-1.0]])
-        vals, ys = h_of(u)
-    elif n == 2:
-        theta = np.arange(0.0, 2.0 * np.pi, min(resolution, 2e-2))
-        for _ in range(3):
-            u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            vals, ys = h_of(u)
-            i = int(np.argmax(vals))
-            width = max(theta[1] - theta[0], resolution) if len(theta) > 1 else resolution
-            theta = np.linspace(theta[i] - width, theta[i] + width, 101)
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        vals, ys = h_of(u)
-    elif n == 3:
-        coarse = max(resolution, 1.5e-2)
-        phi = np.linspace(0.0, np.pi, int(np.pi / coarse) + 1)
-        theta = np.arange(0.0, 2.0 * np.pi, coarse)
-        tt, pp = np.meshgrid(theta, phi)
-        u = np.stack([np.sin(pp) * np.cos(tt), np.sin(pp) * np.sin(tt), np.cos(pp)], axis=-1)
-        u = u.reshape(-1, 3)
-        vals, ys = h_of(u)
-        order = np.argsort(vals)[::-1][:16]
-        best_val, best_y = float(vals[order[0]]), ys[order[0]]
-        for idx in order:
-            tc, pc = float(tt.reshape(-1)[idx]), float(pp.reshape(-1)[idx])
-            width = 2.0 * coarse
-            while width > resolution / 2.0:
-                tg = np.linspace(tc - width, tc + width, 13)
-                pg = np.linspace(pc - width, pc + width, 13)
-                t2, p2 = np.meshgrid(tg, pg)
-                uu = np.stack([np.sin(p2) * np.cos(t2), np.sin(p2) * np.sin(t2),
-                               np.cos(p2)], axis=-1).reshape(-1, 3)
-                keep = np.sqrt(np.sum(uu * uu, axis=-1)) > 1e-9
-                uu = uu[keep]
-                v2, y2 = h_of(uu)
-                j = int(np.argmax(v2))
-                if float(v2[j]) > best_val:
-                    best_val, best_y = float(v2[j]), y2[j]
-                ang = uu[j]
-                pc = math.acos(np.clip(ang[2] / np.linalg.norm(ang), -1, 1))
-                tc = math.atan2(ang[1], ang[0])
-                width /= 5.0
-        vals, ys = np.array([best_val]), best_y[None, :]
-    else:
-        raise ValueError("grid search supports dim <= 3 only")
-
-    i = int(np.argmax(vals))
-    y_best = ys[i] if ys.ndim > 1 else ys
-    sigma = float(vals[i])
-    n_of_y, alpha, kkt = _kkt(norm, x, t, y_best, n_of_x)
-    return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
-                         kkt_residual=kkt, kkt_multiplier=alpha, converged=True)
 
 
 # ---------------------------------------------------------------------------

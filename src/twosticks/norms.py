@@ -20,6 +20,9 @@ Input is checked once, at the boundary: the public ``Norm.value`` and
 entry is finite, and ``normal`` raises `ZeroVectorError` at the origin.  Each
 class implements only the unchecked kernels ``_value(x)`` and ``_normal(x, v)``
 (with ``v = _value(x)`` nonzero), which take arrays already checked or generated.
+``_row_values(x)`` is ``_value`` of each row exactly as a one-vector call
+gives it, for the lockstep polish of `convexity`; only `PNorm`, whose root
+rounds differently on a batch, needs its own.
 
 The kernels reduce over the last axis column by column (`_row_sum`,
 `_row_max`): ``a[..., 0] + a[..., 1] + ...`` in left-to-right order, rather
@@ -103,6 +106,12 @@ class Norm:
     def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _row_values(self, x: np.ndarray) -> np.ndarray:
+        """`_value` of each row of x (rows, dim), equal bit for bit to the
+        one-vector `_value(x[i])`.  A kernel made of elementwise ops and
+        `_row_sum`/`_row_max` is that already; `PNorm` overrides this."""
+        return self._value(x)
+
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Richardson-extrapolated central differences, one row at a time."""
         out = np.empty(x.shape)
@@ -140,14 +149,27 @@ class PNorm(Norm):
             raise ValueError("p-norm requires 1 < p < inf")
         self.p = p
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        # Scale by the max coordinate before powering so that extreme p
-        # neither overflows nor underflows.
+    def _scaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Scale by the max coordinate m before powering so that extreme p
+        # neither overflows nor underflows: the norm is safe * s ** (1/p),
+        # or 0 where m is 0.
         a = np.abs(x)
         m = _row_max(a)
         safe = np.where(m > 0.0, m, 1.0)
-        s = _row_sum((a / safe[..., None]) ** self.p) ** (1.0 / self.p)
-        return np.where(m > 0.0, safe * s, 0.0)
+        return m, safe, _row_sum((a / safe[..., None]) ** self.p)
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        m, safe, s = self._scaled(x)
+        return np.where(m > 0.0, safe * s ** (1.0 / self.p), 0.0)
+
+    def _row_values(self, x: np.ndarray) -> np.ndarray:
+        # A one-vector `_value` takes the root of a numpy scalar, by libm's
+        # pow; a batch's array root is numpy's SIMD pow, which differs in the
+        # last bit for about 5% of values.  So each row's root is the scalar
+        # pow, which `math.pow` calls too.
+        m, safe, s = self._scaled(x)
+        inv = 1.0 / self.p
+        return np.where(m > 0.0, safe * [math.pow(v, inv) for v in s.tolist()], 0.0)
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = x / v[..., None]
@@ -189,16 +211,6 @@ def _value_and_normal(norm: Norm, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return v, norm._normal(z, v)
     z = np.where(zero[..., None], np.eye(norm.dim)[0], z)
     return v, norm._normal(z, norm._value(z))
-
-
-def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
-    """Centered-difference gradient of the norm; O(step^2) oracle for `Norm.normal`."""
-    x = as_vector(x, norm.dim)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if float(norm._value(x)) < ZERO_THRESHOLD:
-        raise ZeroVectorError("gradient undefined at the origin")
-    return _central_difference(norm, x, step)
 
 
 def _central_difference(norm: Norm, x: np.ndarray, step: float) -> np.ndarray:

@@ -1,0 +1,145 @@
+"""Reference implementations the tests compare the library against.
+
+* `modulus_grid`: the modulus of geometric convexity by dense angular
+  search, independent of the ascent and polish of `convexity.moduli`.
+* `finite_diff_gradient`: a centered-difference gradient of the norm, the
+  O(step^2) oracle for `Norm.normal`.
+* `polish_objective` and `polish_one`: the modulus polish one start at a
+  time, as it ran before `convexity._polish_on_sphere` polished every start
+  in lockstep.  The objective takes one vector and its norms and dot
+  products are one-vector numpy calls; the BFGS is SciPy's, which
+  `_optimize.minimize` transcribes.  Each row of the lockstep polish must
+  equal `polish_one` from that row bit for bit.
+"""
+
+import math
+
+import numpy as np
+import scipy.optimize as scipy_optimize
+
+from twosticks.convexity import ModulusResult, _kkt, _problem
+from twosticks.gap import _gap_at
+from twosticks.norms import (
+    ZERO_THRESHOLD,
+    Norm,
+    ZeroVectorError,
+    _central_difference,
+    _value_and_normal,
+    as_vector,
+)
+
+# The options of the modulus polish.
+GTOL, MAXITER = 1e-12, 200
+
+
+def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
+    """Centered-difference gradient of the norm; O(step^2) oracle for `Norm.normal`."""
+    x = as_vector(x, norm.dim)
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if float(norm._value(x)) < ZERO_THRESHOLD:
+        raise ZeroVectorError("gradient undefined at the origin")
+    return _central_difference(norm, x, step)
+
+
+def polish_objective(norm: Norm, x, t: float, n_of_x):
+    """-h(x, x + t u/||u||) and its gradient in u, for one vector u: the
+    scale-invariant objective of the polish, zero at a zero u."""
+
+    def neg(u: np.ndarray):
+        vu = norm._value(u)
+        nu = float(vu)
+        if nu < ZERO_THRESHOLD:
+            return 0.0, np.zeros_like(u)
+        y = t * u / nu
+        z = x + y
+        vz, n_of_z = _value_and_normal(norm, z)
+        val = float(vz - np.dot(z, n_of_x))
+        g = n_of_z - n_of_x
+        n_of_u = norm._normal(u, vu)
+        grad_u = (t / nu) * (g - (float(np.dot(u, g)) / nu) * n_of_u)
+        return -val, -grad_u
+
+    return neg
+
+
+def polish_one(norm: Norm, x, t: float, y0, n_of_x) -> tuple[np.ndarray, float, int]:
+    """The polish of one start y0 on ||y|| = t: (y, h(x, x + y), BFGS iterations),
+    or (y0, -inf, iterations) when u reaches the origin."""
+    res = scipy_optimize.minimize(polish_objective(norm, x, t, n_of_x), y0, jac=True,
+                                  method="BFGS", options={"gtol": GTOL, "maxiter": MAXITER})
+    u = res.x
+    nu = float(norm._value(u))
+    if nu < ZERO_THRESHOLD:
+        return y0, -np.inf, res.nit
+    y = t * u / nu
+    z = x + y
+    return y, float(norm._value(z) - np.dot(z, n_of_x)), res.nit
+
+
+def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusResult:
+    """Brute-force modulus by dense angular search, for dim <= 3.
+
+    The sphere of directions is scanned at `resolution` radians (after local
+    refinement), independently of the ascent in `modulus`.
+    """
+    x, t = _problem(norm, x, t)
+    n = norm.dim
+    n_of_x = norm.normal(x)
+
+    def h_of(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = t * u / norm._value(u)[..., None]
+        return _gap_at(norm, n_of_x, x + y), y
+
+    if n == 1:
+        u = np.array([[1.0], [-1.0]])
+        vals, ys = h_of(u)
+    elif n == 2:
+        theta = np.arange(0.0, 2.0 * np.pi, min(resolution, 2e-2))
+        for _ in range(3):
+            u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            vals, ys = h_of(u)
+            i = int(np.argmax(vals))
+            width = max(theta[1] - theta[0], resolution) if len(theta) > 1 else resolution
+            theta = np.linspace(theta[i] - width, theta[i] + width, 101)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        vals, ys = h_of(u)
+    elif n == 3:
+        coarse = max(resolution, 1.5e-2)
+        phi = np.linspace(0.0, np.pi, int(np.pi / coarse) + 1)
+        theta = np.arange(0.0, 2.0 * np.pi, coarse)
+        tt, pp = np.meshgrid(theta, phi)
+        u = np.stack([np.sin(pp) * np.cos(tt), np.sin(pp) * np.sin(tt), np.cos(pp)], axis=-1)
+        u = u.reshape(-1, 3)
+        vals, ys = h_of(u)
+        order = np.argsort(vals)[::-1][:16]
+        best_val, best_y = float(vals[order[0]]), ys[order[0]]
+        for idx in order:
+            tc, pc = float(tt.reshape(-1)[idx]), float(pp.reshape(-1)[idx])
+            width = 2.0 * coarse
+            while width > resolution / 2.0:
+                tg = np.linspace(tc - width, tc + width, 13)
+                pg = np.linspace(pc - width, pc + width, 13)
+                t2, p2 = np.meshgrid(tg, pg)
+                uu = np.stack([np.sin(p2) * np.cos(t2), np.sin(p2) * np.sin(t2),
+                               np.cos(p2)], axis=-1).reshape(-1, 3)
+                keep = np.sqrt(np.sum(uu * uu, axis=-1)) > 1e-9
+                uu = uu[keep]
+                v2, y2 = h_of(uu)
+                j = int(np.argmax(v2))
+                if float(v2[j]) > best_val:
+                    best_val, best_y = float(v2[j]), y2[j]
+                ang = uu[j]
+                pc = math.acos(np.clip(ang[2] / np.linalg.norm(ang), -1, 1))
+                tc = math.atan2(ang[1], ang[0])
+                width /= 5.0
+        vals, ys = np.array([best_val]), best_y[None, :]
+    else:
+        raise ValueError("grid search supports dim <= 3 only")
+
+    i = int(np.argmax(vals))
+    y_best = ys[i] if ys.ndim > 1 else ys
+    sigma = float(vals[i])
+    n_of_y, alpha, kkt = _kkt(norm, x, t, y_best, n_of_x)
+    return ModulusResult(sigma=sigma, t=t, maximizer_y=y_best, normal_at_y=n_of_y,
+                         kkt_residual=kkt, kkt_multiplier=alpha, converged=True)

@@ -160,11 +160,12 @@ def test_strip_makes_two_batched_solves(tmp_path, monkeypatch):
     argv = [*STRIP_ARGV, "--count", "5", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == cli.EXIT_OK
     # 15 problems (sigma(e), sigma(ebar), ybar per configuration) in two
-    # ascents; each problem ends in its own `modulus` call, polished from its
-    # two best starts, as when every problem had its own solve.
+    # ascents and two polishes, each polish taking the two best starts of
+    # every problem of its batch; each problem ends in its own `modulus`
+    # call, which ranks its starts.
     assert calls == {"sticks.moduli": 2, "sticks.modulus": 0, "convexity.modulus": 15,
                      "convexity._ascended": 2, "convexity._ascent": 2,
-                     "convexity._polish_on_sphere": 30}
+                     "convexity._polish_on_sphere": 2}
 
 
 def test_traced_strip_records_every_modulus_problem(tmp_path, monkeypatch):

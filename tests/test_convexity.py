@@ -23,9 +23,9 @@ from twosticks import (
     gap,
     moduli,
     modulus,
-    modulus_grid,
     transfer_check,
 )
+from twosticks import convexity
 from twosticks.convexity import (
     TransferWindowError,
     _ascended,
@@ -33,9 +33,13 @@ from twosticks.convexity import (
     _halton_directions,
     _kkt,
     _polish_on_sphere,
+    _row_dot,
 )
 from twosticks.norms import ZERO_THRESHOLD, _value_and_normal
 from twosticks.reporting import to_jsonable
+
+import oracles
+from oracles import modulus_grid, polish_one
 
 
 def unit(norm, seed):
@@ -176,7 +180,7 @@ class TestModulus:
 def oracle_modulus(norm, x, t, *, n_starts=32, max_iter=200):
     """The per-problem solver `moduli` batches: one problem's multi-start
     projected ascent with N(x) from the one-vector `Norm.normal`, then the
-    same polish and ranking."""
+    one-start-at-a-time polish of its two best starts, and the ranking."""
     x = np.asarray(x, dtype=float)
     t = float(t)
     n_of_x = norm.normal(x)
@@ -216,7 +220,7 @@ def oracle_modulus(norm, x, t, *, n_starts=32, max_iter=200):
             iterations = it + 1
             break
     for row in np.argsort(f)[::-1][:2]:
-        yp, fp = _polish_on_sphere(norm, x, t, y[row], n_of_x)
+        yp, fp, _ = polish_one(norm, x, t, y[row], n_of_x)
         if fp > f[row]:
             y[row], f[row] = yp, fp
     best = int(np.nonzero(f >= float(np.max(f)) - 1e-9)[0][0])
@@ -290,10 +294,101 @@ class TestBatchedModulus:
     def test_modulus_leaves_the_handed_ascent_unchanged(self):
         norm, x, t = PNorm(3, 3), np.array([1.0, 0.0, 0.0]), 0.2
         y, f, iterations = _ascended(norm, [x], [t], [norm.normal(x)], 8, 80)
-        y0, f0 = y[0].copy(), f[0].copy()
-        res = modulus(norm, x, t, ascent=(y[0], f[0], int(iterations[0])))
-        assert np.array_equal(y[0], y0) and np.array_equal(f[0], f0)
-        assert_same_result(res, modulus(norm, x, t, n_starts=8, max_iter=80))
+        y, f = y[0], f[0]
+        # Starts 1 and 3 tie within 1e-9 of the best, start 3 the higher.
+        f[1], f[3] = f.max() + 1.0, f.max() + 1.0 + 5e-10
+        y0, f0 = y.copy(), f.copy()
+        res = modulus(norm, x, t, starts=(y, f, 7))
+        assert np.array_equal(y, y0) and np.array_equal(f, f0)
+        assert res.sigma == f[1] and np.array_equal(res.maximizer_y, y[1])
+        assert not np.shares_memory(res.maximizer_y, y)
+        assert res.iterations == 7
+
+
+def norm_of(kind, dim):
+    if kind == "euclidean":
+        return EuclideanNorm(dim)
+    if kind == "plugin":
+        return plugin_norm(dim)
+    return PNorm(float(kind[1:]), dim)
+
+
+class TestLockstepPolish:
+    @pytest.mark.parametrize("kind", ["euclidean", "p1.5", "p3", "p4", "plugin"])
+    def test_equals_one_start_at_a_time(self, kind, monkeypatch):
+        # One batch per dimension: the two best ascended starts and one
+        # random start of problems at radii 1e-6 to 0.5, a start with z = 0
+        # and a zero start.  The batched objective must equal the one-vector
+        # one byte for byte (so +0.0, not -0.0, at u = 0), and each polished
+        # row the polish of its start alone.
+        objectives = []
+
+        def spy(fun, x0, **opts):
+            objectives.append(fun)
+            return minimize(fun, x0, **opts)
+
+        minimize = convexity.minimize
+        monkeypatch.setattr(convexity, "minimize", spy)
+        nits = set()
+        for dim in (1, 2, 3, 4):
+            norm = norm_of(kind, dim)
+            rng = np.random.default_rng(dim)
+            ts = [1e-6, 1e-3, 0.05, 0.5, 0.5]
+            xs = [rng.standard_normal(dim) * rng.uniform(0.5, 2.0) for _ in ts[:-1]]
+            e1 = np.eye(dim)[0]
+            xs.append(e1 / norm.value(e1) * 0.5)          # z = 0 from u = -e1
+            ns = [norm.normal(x) for x in xs]
+            y, f, _ = _ascended(norm, xs[:-1], ts[:-1], ns[:-1], 8, 80)
+            rows = [(i, y[i, j]) for i in range(len(ts) - 1)
+                    for j in np.argsort(f[i])[::-1][:2]]
+            rows += [(i, rng.standard_normal(dim)) for i in range(len(ts) - 1)]
+            rows += [(4, -e1), (0, np.zeros(dim))]
+            prob = [i for i, _ in rows]
+            y0 = np.stack([start for _, start in rows])
+            got_y, got_f = _polish_on_sphere(norm, np.stack(xs)[prob], np.array(ts)[prob],
+                                             y0, np.stack(ns)[prob])
+
+            f0, g0 = objectives[-1](np.arange(len(rows)), y0)
+            want = [oracles.polish_objective(norm, xs[i], ts[i], ns[i])(start)
+                    for i, start in rows]
+            assert f0.tobytes() == np.array([w[0] for w in want]).tobytes()
+            assert g0.tobytes() == np.stack([w[1] for w in want]).tobytes()
+            for k, (i, start) in enumerate(rows):
+                want_y, want_f, nit = polish_one(norm, xs[i], ts[i], start, ns[i])
+                assert np.array_equal(got_y[k], want_y), (dim, k)
+                assert got_f[k] == want_f, (dim, k)
+                nits.add(nit)
+            assert got_f[-1] == -np.inf and np.array_equal(got_y[-1], y0[-1])
+        # The rows of a batch stop in different rounds.
+        assert len(nits) > 3
+
+
+class TestPolishArithmetic:
+    """The two numeric facts the lockstep polish rests on, on this host's numpy."""
+
+    def test_row_dot_is_numpys_dot(self):
+        rng = np.random.default_rng(3)
+        for dim in range(1, 6):
+            a, b = rng.standard_normal((2, 4000, dim))
+            want = np.array([np.dot(ai, bi) for ai, bi in zip(a, b)])
+            assert np.array_equal(_row_dot(a, b), want), dim
+
+    @pytest.mark.parametrize("kind", ["euclidean", "p1.5", "p3", "p4", "plugin"])
+    def test_row_values_equal_one_vector_values(self, kind):
+        rng = np.random.default_rng(4)
+        differ = 0
+        for dim in (1, 2, 3, 4):
+            norm = norm_of(kind, dim)
+            rows = rng.standard_normal((400 if kind == "plugin" else 4000, dim))
+            rows[0] = 0.0
+            one = np.array([norm._value(row) for row in rows])
+            assert np.array_equal(norm._row_values(rows), one), dim
+            differ += np.count_nonzero(norm._value(rows) != one)
+        if kind not in ("euclidean", "plugin") and differ == 0:
+            # Where numpy's array pow is libm's pow (aarch64, or x86 without
+            # the AVX-512 loop), batch and one-vector roots never differ, and
+            # the equality above shows nothing about the scalar root.
+            pytest.skip("array pow rounds as scalar pow on this host")
 
 
 class TestHaltonDirections:

@@ -10,9 +10,10 @@ from twosticks import (
     PluginNorm,
     PNorm,
     ZeroVectorError,
-    finite_diff_gradient,
 )
 from twosticks import norms
+
+from oracles import finite_diff_gradient
 
 RNG = np.random.default_rng(20240901)
 

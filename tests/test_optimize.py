@@ -2,12 +2,14 @@
 
 The BFGS polish must take SciPy's floating-point path step for step: the
 strip references pin values that move when the polished maximizer moves by
-about 1e-8.  So every BFGS case compares x with `np.array_equal`, the
-iteration count and the number of objective calls, and the sweeps must reach
-the rare line-search paths, counted through the module attributes the port
-calls.  The oracle is SciPy 1.17, the release the port transcribes; earlier
-releases take other paths (a compiled MINPACK-2 line search, BFGS without
-xrtol).
+about 1e-8.  `minimize` runs the rows of a batch in lockstep, so every BFGS
+case is a batch of rows with different objectives, and each row is
+compared with SciPy run from that row alone: x with `np.array_equal`, the
+iteration count and the number of objective calls that row made.  The
+sweeps must reach the rare line-search paths, counted through the module
+attributes the port calls.  The oracle is SciPy 1.17, the release the port
+transcribes; earlier releases take other paths (a compiled MINPACK-2 line
+search, BFGS without xrtol).
 
 No output depends on the last bits of `segment_point_distance`, so its
 bracket search is checked by value: against the clamped Euclidean
@@ -22,33 +24,57 @@ import numpy as np
 import pytest
 import scipy.optimize as scipy_optimize
 
-from twosticks import _optimize, convexity
+from twosticks import _optimize
+from twosticks.convexity import _ascended
 from twosticks.norms import EuclideanNorm, PNorm
 from twosticks.sticks import Stick, segment_point_distance
 
-# The options of the modulus polish and of `segment_point_distance`.
-GTOL, MAXITER = 1e-12, 200
+from oracles import GTOL, MAXITER, polish_objective
+
+# The option of `segment_point_distance`.
 XATOL = 1e-12
 
 
-def _counted(fun):
-    calls = [0]
-
-    def wrapped(x):
-        calls[0] += 1
-        return fun(x)
-    return wrapped, calls
+def neg_square(x):
+    # On -||x||^2 no step meets the curvature test, so wolfe2 zooms, and the
+    # cubic through the zoom points has no minimizer.
+    return -float(x @ x), -2.0 * x
 
 
-def _assert_bfgs_matches_scipy(fun, x0, maxiter=MAXITER):
-    ours, our_calls = _counted(fun)
-    theirs, their_calls = _counted(fun)
-    got = _optimize.minimize(ours, x0, gtol=GTOL, maxiter=maxiter)
-    ref = scipy_optimize.minimize(theirs, x0, jac=True, method="BFGS",
-                                  options={"gtol": GTOL, "maxiter": maxiter})
-    assert np.array_equal(got.x, ref.x), (x0, got.x, ref.x)
-    assert got.nit == ref.nit
-    assert our_calls[0] == their_calls[0]
+def linear(x):
+    # The gradient never changes, so y_k = 0 and every update takes the
+    # rho_k^-1 == 0 branch (rho_k = 1000), after wolfe2 ran out of its 10
+    # doublings and kept the last step.
+    return -float(np.sum(x)), -np.ones_like(x)
+
+
+def _assert_rows_match_scipy(objectives, x0, maxiter=MAXITER):
+    """Minimize the batch whose row i has the one-vector objective
+    objectives[i] and start x0[i]; check each row against SciPy from x0[i]."""
+    calls = Counter()
+
+    def batched(index, points):
+        assert len(index) == len(set(index.tolist())) == len(points)
+        out = []
+        for i, point in zip(index.tolist(), points):
+            calls[i] += 1
+            out.append(objectives[i](point))
+        return np.array([f for f, _ in out]), np.stack([g for _, g in out])
+
+    got = _optimize.minimize(batched, x0, gtol=GTOL, maxiter=maxiter)
+    assert len(got) == len(x0)
+    for i, (fun, row) in enumerate(zip(objectives, x0)):
+        their_calls = Counter()
+
+        def counted(x, fun=fun):
+            their_calls[0] += 1
+            return fun(x)
+
+        ref = scipy_optimize.minimize(counted, row, jac=True, method="BFGS",
+                                      options={"gtol": GTOL, "maxiter": maxiter})
+        assert np.array_equal(got[i].x, ref.x), (i, row, got[i].x, ref.x)
+        assert got[i].nit == ref.nit, i
+        assert calls[i] == their_calls[0], i
     return got
 
 
@@ -56,35 +82,48 @@ def _assert_bfgs_matches_scipy(fun, x0, maxiter=MAXITER):
 def paths(monkeypatch):
     """Calls of the rarer paths, and how many of them failed (":none")."""
     seen = Counter()
-    for name in ("_line_search_wolfe2", "_zoom", "_cubicmin"):
+
+    def count(name, out):
+        seen[name] += 1
+        if out is None or isinstance(out, tuple) and out[0] is None:
+            seen[name + ":none"] += 1
+        return out
+
+    for name in ("_line_search_wolfe2", "_zoom"):
         def counting(*args, _name=name, _fn=getattr(_optimize, name)):
-            out = _fn(*args)
-            seen[_name] += 1
-            if out is None or isinstance(out, tuple) and out[0] is None:
-                seen[_name + ":none"] += 1
-            return out
+            return count(_name, (yield from _fn(*args)))
         monkeypatch.setattr(_optimize, name, counting)
+    cubicmin = _optimize._cubicmin
+    monkeypatch.setattr(_optimize, "_cubicmin", lambda *args: count("_cubicmin",
+                                                                    cubicmin(*args)))
     return seen
 
 
-def test_polish_matches_scipy_bit_for_bit(monkeypatch, paths):
-    # Every BFGS call of `moduli` runs on the real polish objective from the
-    # starts `convexity._ascended` hands it, through both minimizers.
-    cases = []
+def _polish_rows(dim, rng):
+    """The polish objectives and starts of the two best ascended starts of
+    two problems for each norm and radius: the rows `moduli` polishes."""
+    objectives, starts = [], []
+    for norm in (PNorm(1.5, dim), PNorm(3, dim), PNorm(4, dim), EuclideanNorm(dim)):
+        for t in (1e-6, 1e-3, 0.05, 0.5):
+            xs = [x for x in rng.standard_normal((2, dim))]
+            ns = [norm.normal(x) for x in xs]
+            y, f, _ = _ascended(norm, xs, [t, t], ns, 8, 80)
+            for i in range(2):
+                for j in np.argsort(f[i])[::-1][:2]:
+                    objectives.append(polish_objective(norm, xs[i], t, ns[i]))
+                    starts.append(y[i, j])
+    return objectives, starts
 
-    def both(fun, x0, *, gtol, maxiter):
-        assert (gtol, maxiter) == (GTOL, MAXITER)
-        cases.append(x0)
-        return _assert_bfgs_matches_scipy(fun, x0)
 
-    monkeypatch.setattr(convexity, "minimize", both)
+def test_polish_matches_scipy_bit_for_bit(paths):
+    # Per dimension, one batch of 64 polish rows and four -||x||^2 rows.
     rng = np.random.default_rng(7)
     for dim in (2, 3, 4):
-        for norm in (PNorm(1.5, dim), PNorm(3, dim), PNorm(4, dim), EuclideanNorm(dim)):
-            for t in (1e-6, 1e-3, 0.05, 0.5):
-                convexity.moduli(norm, rng.standard_normal((2, dim)), [t, t],
-                                 n_starts=8, max_iter=80)
-    assert len(cases) == 3 * 4 * 4 * 2 * 2
+        objectives, starts = _polish_rows(dim, rng)
+        objectives += [neg_square] * 4
+        starts += list(rng.standard_normal((4, dim)))
+        got = _assert_rows_match_scipy(objectives, np.stack(starts))
+        assert len({res.nit for res in got}) > 3
     # The wolfe1 -> wolfe2 fallback, its zoom, and the stop after both fail.
     assert paths["_line_search_wolfe2"] > 0
     assert paths["_zoom"] > 0
@@ -92,26 +131,39 @@ def test_polish_matches_scipy_bit_for_bit(monkeypatch, paths):
 
 
 def test_cubic_interpolation_failure_matches_scipy(paths):
-    # On -||x||^2 no step meets the curvature test, so wolfe2 zooms, and the
-    # cubic through the zoom points has no minimizer.  The polish objective
-    # never produced that.
+    # -||x||^2 rows, with polish rows, reach a zoom cubic with no minimizer;
+    # the polish objective never produced that.
     rng = np.random.default_rng(0)
-    for _ in range(4):
-        _assert_bfgs_matches_scipy(lambda x: (-float(x @ x), -2.0 * x), rng.standard_normal(2))
+    objectives, starts = _polish_rows(2, rng)
+    objectives, starts = objectives[:8] + [neg_square] * 4, starts[:8]
+    starts += list(rng.standard_normal((4, 2)))
+    _assert_rows_match_scipy(objectives, np.stack(starts))
     assert paths["_cubicmin:none"] > 0
 
 
 def test_zero_curvature_update_matches_scipy(paths):
-    # On a linear objective the gradient never changes, so y_k = 0 and every
-    # update takes the rho_k^-1 == 0 branch (rho_k = 1000), after wolfe2 ran
-    # out of its 10 doublings and kept the last step.  The polish objective
-    # never produced that; 3 iterations stay clear of overflow.
+    # Four linear rows, with polish and -||x||^2 rows; 3 iterations keep the
+    # linear rows clear of overflow.
     rng = np.random.default_rng(1)
-    for _ in range(4):
-        got = _assert_bfgs_matches_scipy(lambda x: (-float(np.sum(x)), -np.ones_like(x)),
-                                         rng.standard_normal(3), maxiter=3)
-        assert got.nit == 3
+    objectives, starts = _polish_rows(3, rng)
+    objectives, starts = objectives[:8] + [neg_square] * 2 + [linear] * 4, starts[:8]
+    starts += list(rng.standard_normal((6, 3)))
+    got = _assert_rows_match_scipy(objectives, np.stack(starts), maxiter=3)
+    assert [res.nit for res in got[-4:]] == [3] * 4
+    # The linear rows alone: every wolfe2 call is theirs, and each keeps its
+    # last step rather than failing.
+    paths.clear()
+    got = _assert_rows_match_scipy([linear] * 4, rng.standard_normal((4, 3)), maxiter=3)
+    assert [res.nit for res in got] == [3] * 4
     assert paths["_line_search_wolfe2"] > 0 and paths["_line_search_wolfe2:none"] == 0
+
+
+def test_batch_of_one_and_empty_batch():
+    x0 = np.array([[0.3, -1.2]])
+    got = _assert_rows_match_scipy([neg_square], x0)
+    assert got[0].x.shape == (2,)
+    assert _optimize.minimize(lambda index, points: None, np.zeros((0, 2)),
+                              gtol=GTOL, maxiter=MAXITER) == []
 
 
 def _cases(seed, per_scale):

@@ -21,7 +21,6 @@ from twosticks import (
     generate_strip_pairs,
     holder_ratio,
     modulus,
-    modulus_grid,
     pair_verdicts,
     segment_point_distance,
     strip_experiment,
@@ -33,6 +32,8 @@ from twosticks import convexity as convexity_module
 from twosticks import sticks as sticks_module
 from twosticks.sticks import (INTERP_SLACK, INTERP_TS, LIPSCHITZ_SLACK, MONOTONICITY_SLACK,
                               StripReport, _special_index)
+
+from oracles import modulus_grid
 
 
 def euclid_family(dim=2, queries=25, seed=0, length=1.0):
