@@ -32,6 +32,21 @@ returns it.  The paths are:
   quadratic zoom of Nocedal and Wright, "Numerical Optimization",
   Algorithms 3.5 and 3.6; where both fail the polish stops and keeps x.
 
+SciPy's layers map onto the port as follows.  `_minimize_bfgs` is
+`_bfgs`.  Its helper that tries `line_search_wolfe1`, then
+`line_search_wolfe2` (line_search_wolfe12, with a leading underscore) is
+the line-search step in `_bfgs`'s loop, which builds phi and derphi,
+phi'(0) and the first trial step once for both searches.
+`line_search_wolfe1` with `scalar_search_wolfe1` is `_dcsrch`, and
+`line_search_wolfe2` with `scalar_search_wolfe2` is `_scalar_search_wolfe2`
+with `_zoom`.  Where SciPy's wrappers ask the cache again for each
+gradient, derphi(s) reads the gradient that phi(s) kept.  It is the same
+value, because each search calls derphi(s) only right after phi(s) at the
+same s; for the same reason the gradient at the accepted step is the one
+phi kept last.  (A trial point with a NaN entry never matches SciPy's
+cache, so SciPy evaluates it a second time for its gradient; the port
+evaluates it once.)
+
 `minimize_scalar` is no port: no output depends on the last bits of the
 segment-point argmin.
 
@@ -149,15 +164,8 @@ def _bfgs(x0, gtol, maxiter):
             cache_x, cache = x, (yield x)
         return cache
 
-    def f(x):
-        return (yield from evaluate(x))[0]
-
-    def fprime(x):
-        return (yield from evaluate(x))[1]
-
     x0 = np.asarray(x0).flatten()
-    old_fval = yield from f(x0)
-    gfk = yield from fprime(x0)
+    old_fval, gfk = yield from evaluate(x0)
 
     k = 0
     N = len(x0)
@@ -171,18 +179,37 @@ def _bfgs(x0, gtol, maxiter):
     gnorm = _vecnorm(gfk, ord=np.inf)
     while (gnorm > gtol) and (k < maxiter):
         pk = -np.dot(Hk, gfk)
-        ret = yield from _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
-        if ret is None:
-            ret = yield from _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval,
-                                                 old_old_fval)
-        if ret is None:
+
+        # The line search along pk.  phi(s) is f at xk + s*pk and keeps the
+        # gradient there; derphi(s) is the slope from that gradient, since
+        # each search asks for it only right after phi(s) at the same s.
+        gval = None
+
+        def phi(s):
+            nonlocal gval
+            f, gval = yield from evaluate(xk + s*pk)
+            return f
+
+        def derphi(s):
+            return np.dot(gval, pk)
+
+        derphi0 = np.dot(gfk, pk)
+        if derphi0 != 0:
+            alpha1 = min(1.0, 1.01*2*(old_fval - old_old_fval)/derphi0)
+            if alpha1 < 0:
+                alpha1 = 1.0
+        else:
+            alpha1 = 1.0
+        alpha_k, fval = yield from _dcsrch(phi, derphi, alpha1, old_fval, derphi0)
+        if alpha_k is None:
+            alpha_k, fval = yield from _scalar_search_wolfe2(phi, derphi, alpha1, old_fval,
+                                                             derphi0)
+        if alpha_k is None:
             break
-        alpha_k, old_fval, old_old_fval, gfkp1 = ret
+        old_old_fval, old_fval, gfkp1 = old_fval, fval, gval
 
         sk = alpha_k * pk
         xk = xk + sk
-        if gfkp1 is None:
-            gfkp1 = yield from fprime(xk)
 
         yk = gfkp1 - gfk
         gfk = gfkp1
@@ -212,34 +239,6 @@ def _bfgs(x0, gtol, maxiter):
     return Result(xk, k)
 
 
-def _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
-    """MINPACK-2 line search from xk along pk: (step, f, f at xk, gradient)
-    at a step meeting the strong Wolfe conditions, or None."""
-    gval = [gfk]
-
-    def phi(s):
-        return (yield from f(xk + s*pk))
-
-    def derphi(s):
-        gval[0] = yield from fprime(xk + s*pk)
-        return np.dot(gval[0], pk)
-
-    derphi0 = np.dot(gfk, pk)
-    phi0 = old_fval
-    old_phi0 = old_old_fval
-    if derphi0 != 0:
-        alpha1 = min(1.0, 1.01*2*(phi0 - old_phi0)/derphi0)
-        if alpha1 < 0:
-            alpha1 = 1.0
-    else:
-        alpha1 = 1.0
-
-    stp, phi1 = yield from _dcsrch(phi, derphi, alpha1, phi0, derphi0)
-    if stp is None:
-        return None
-    return stp, phi1, phi0, gval[0]
-
-
 def _dcsrch(phi, derphi, stp, finit, ginit):
     """DCSRCH from the trial step stp, given phi(0) = finit and phi'(0) =
     ginit < 0: (step, phi(step)) once both Wolfe tests pass, or (None, _)
@@ -258,7 +257,7 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
     stmax = stp + 4.0 * stp
 
     f = yield from phi(stp)
-    g = yield from derphi(stp)
+    g = derphi(stp)
     for _ in range(99):
         ftest = finit + stp * gtest
         if stage == 1 and f <= ftest and g >= 0:
@@ -311,7 +310,7 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
         if not np.isfinite(stp):
             return None, f
         f = yield from phi(stp)
-        g = yield from derphi(stp)
+        g = derphi(stp)
     return None, f
 
 
@@ -416,94 +415,47 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stp, brackt
 
 
-def _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
-    """Bracketing strong-Wolfe line search from xk along pk, at most 10
-    trial steps: (step, f, f at xk, gradient or None), or None."""
-    gval = [None]
-
-    def phi(alpha):
-        return (yield from f(xk + alpha * pk))
-
-    def derphi(alpha):
-        gval[0] = yield from fprime(xk + alpha * pk)
-        return np.dot(gval[0], pk)
-
-    derphi0 = np.dot(gfk, pk)
-    alpha_star, phi_star, old_fval, derphi_star = yield from _scalar_search_wolfe2(
-        phi, derphi, old_fval, old_old_fval, derphi0)
-    if alpha_star is None:
-        return None
-    if derphi_star is not None:
-        derphi_star = gval[0]
-    return alpha_star, phi_star, old_fval, derphi_star
-
-
-def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
-    amax = 1e100
+def _scalar_search_wolfe2(phi, derphi, alpha1, phi0, derphi0):
+    """Bracketing strong-Wolfe search from the trial step alpha1, given
+    phi(0) = phi0 and phi'(0) = derphi0, at most 10 trial steps before a
+    zoom: (step, phi(step)), or (None, _)."""
+    # alpha1 <= 1 and at most 10 doublings keep every step below SciPy's
+    # amax = 1e100, so its caps and its "no solution up to amax" exit are
+    # left out.
     maxiter = 10
     alpha0 = 0
-    if derphi0 != 0:
-        alpha1 = min(1.0, 1.01*2*(phi0 - old_phi0)/derphi0)
-    else:
-        alpha1 = 1.0
-
-    if alpha1 < 0:
-        alpha1 = 1.0
-
-    alpha1 = min(alpha1, amax)
-
     phi_a1 = yield from phi(alpha1)
 
     phi_a0 = phi0
     derphi_a0 = derphi0
 
     for i in range(maxiter):
-        if alpha1 == 0 or alpha0 > amax:
-            # Rounding errors prevent progress, or no solution up to amax.
-            alpha_star = None
-            phi_star = phi0
-            phi0 = old_phi0
-            derphi_star = None
-            break
+        if alpha1 == 0:
+            # Rounding errors prevent progress.
+            return None, phi0
 
         not_first_iteration = i > 0
         if (phi_a1 > phi0 + C1 * alpha1 * derphi0) or \
            ((phi_a1 >= phi_a0) and not_first_iteration):
-            alpha_star, phi_star, derphi_star = yield from \
-                _zoom(alpha0, alpha1, phi_a0,
-                      phi_a1, derphi_a0, phi, derphi,
-                      phi0, derphi0)
-            break
+            return (yield from _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi,
+                                     phi0, derphi0))
 
-        derphi_a1 = yield from derphi(alpha1)
+        derphi_a1 = derphi(alpha1)
         if (abs(derphi_a1) <= -C2*derphi0):
-            alpha_star = alpha1
-            phi_star = phi_a1
-            derphi_star = derphi_a1
-            break
+            return alpha1, phi_a1
 
         if (derphi_a1 >= 0):
-            alpha_star, phi_star, derphi_star = yield from \
-                _zoom(alpha1, alpha0, phi_a1,
-                      phi_a0, derphi_a1, phi, derphi,
-                      phi0, derphi0)
-            break
+            return (yield from _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi,
+                                     phi0, derphi0))
 
-        alpha2 = 2 * alpha1  # increase by factor of two on each iteration
-        alpha2 = min(alpha2, amax)
         alpha0 = alpha1
-        alpha1 = alpha2
+        alpha1 = 2 * alpha1  # increase by factor of two on each iteration
         phi_a0 = phi_a1
         phi_a1 = yield from phi(alpha1)
         derphi_a0 = derphi_a1
 
-    else:
-        # stopping test maxiter reached
-        alpha_star = alpha1
-        phi_star = phi_a1
-        derphi_star = None
-
-    return alpha_star, phi_star, phi0, derphi_star
+    # stopping test maxiter reached
+    return alpha1, phi_a1
 
 
 def _cubicmin(a, fa, fpa, b, fb, c, fc):
@@ -554,7 +506,7 @@ def _quadmin(a, fa, fpa, b, fb):
 
 def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
     """Zoom of the bracketing search (Nocedal and Wright, Algorithm 3.6):
-    (step, phi, phi') inside [a_lo, a_hi], or three Nones after 11 trials."""
+    (step, phi(step)) inside [a_lo, a_hi], or (None, None) after 11 trials."""
     maxiter = 10
     i = 0
     delta1 = 0.2  # cubic interpolant check
@@ -588,12 +540,9 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             a_hi = a_j
             phi_hi = phi_aj
         else:
-            derphi_aj = yield from derphi(a_j)
+            derphi_aj = derphi(a_j)
             if abs(derphi_aj) <= -C2*derphi0:
-                a_star = a_j
-                val_star = phi_aj
-                valprime_star = derphi_aj
-                break
+                return a_j, phi_aj
             if derphi_aj*(a_hi - a_lo) >= 0:
                 phi_rec = phi_hi
                 a_rec = a_hi
@@ -608,11 +557,7 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
         i += 1
         if (i > maxiter):
             # Failed to find a conforming step size
-            a_star = None
-            val_star = None
-            valprime_star = None
-            break
-    return a_star, val_star, valprime_star
+            return None, None
 
 
 def minimize_scalar(fun: Callable, bounds: tuple[float, float], *, xatol: float) -> Result:

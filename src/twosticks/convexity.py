@@ -56,7 +56,7 @@ from numpy.random import default_rng
 
 from ._optimize import minimize
 from .gap import _gap_at
-from .norms import Norm, ZERO_THRESHOLD, _row_sum, _value_and_normal, as_vector
+from .norms import Norm, ZERO_THRESHOLD, _row_dot, _row_sum, _value_and_normal, as_vector
 
 # Ratio denominators below 1e-12 * (1 + ||x||) are excluded: along
 # positively-parallel directions both sides vanish and 0/0 says nothing.
@@ -132,13 +132,6 @@ def _coarse_directions(dim: int) -> np.ndarray:
     theta = np.pi * (1.0 + math.sqrt(5.0)) * i
     return np.stack([np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)],
                     axis=-1)
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a[i], b[i]> for rows of shape (rows, dim), equal bit for bit to
-    `np.dot(a[i], b[i])`: a stacked matmul takes numpy's dot of each pair,
-    the same FMA chain, where `np.einsum` rounds differently."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _polish_on_sphere(norm: Norm, x: np.ndarray, t: np.ndarray, y0: np.ndarray,
@@ -598,8 +591,14 @@ def onev_g(p: float, z) -> np.ndarray:
 
 
 def onev_default_grid(points: int = 100000, z_min: float = 1e-6, z_max: float = 1e6) -> np.ndarray:
-    """Sign-symmetric logarithmic grid over z_min <= |z| <= z_max, zero excluded."""
-    half = max(2, points // 2)
+    """Sign-symmetric logarithmic grid over z_min <= |z| <= z_max, zero
+    excluded: 2 * (points // 2) values, at least 4."""
+    if points < 4:
+        raise ValueError(f"need points >= 4, got {points!r}")
+    for name, bound in (("z_min", z_min), ("z_max", z_max)):
+        if not bound > 0.0:
+            raise ValueError(f"need {name} > 0, got {bound!r}")
+    half = points // 2
     mags = np.logspace(math.log10(z_min), math.log10(z_max), half)
     return np.concatenate([-mags[::-1], mags])
 

@@ -54,6 +54,13 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a[i], b[i]> for rows of shape (rows, dim), equal bit for bit to
+    `np.dot(a[i], b[i])`: a stacked matmul takes numpy's dot of each pair,
+    the same FMA chain, where `np.einsum` rounds differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """Max over the last axis, one column at a time."""
     m = a[..., 0]

@@ -200,6 +200,8 @@ def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
     p = float(p)
     if not p > 1.0:
         raise ValueError("need p > 1")
+    if points < 1:
+        raise ValueError(f"need points >= 1, got {points!r}")
     window = "[0, 1]" if p < 2.0 else "(0, 1)"
     for name, bound in (("param_min", param_min), ("param_max", param_max)):
         if bound is not None and not (0.0 < bound < 1.0 or p < 2.0 and 0.0 <= bound <= 1.0):

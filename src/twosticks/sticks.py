@@ -39,7 +39,7 @@ from ._optimize import minimize_scalar
 # `modulus` has no caller here; perfbench/selftest.py wraps it under this name.
 from .convexity import moduli, modulus  # noqa: F401
 from .gap import _gap_at
-from .norms import EuclideanNorm, Norm, _check_batch, as_vector
+from .norms import EuclideanNorm, Norm, _check_batch, _row_dot, as_vector
 
 
 class DegenerateStickError(ValueError):
@@ -147,11 +147,6 @@ def _point(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     return (1.0 - t) * a + t * b
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise <a, b>, through the dot kernel `np.dot` uses on two vectors."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _pair_checks(norm: Norm, l0, l1, m0, m1) -> PairVerdicts:
     """Lengths, the two-sticks predicate (`CHECK_SLACK`) and the equal-length
     predicate (`EQUAL_LENGTH_SLACK`)."""
@@ -204,7 +199,7 @@ def _holder(norm: Norm, l0, l1, m0, m1, length, t, q: float, p: float) -> np.nda
 
 def _monotonicity(l0, l1, m0, m1) -> np.ndarray:
     """<l1 - m1, l0 - m0>."""
-    return _dot(l1 - m1, l0 - m0)
+    return _row_dot(l1 - m1, l0 - m0)
 
 
 def _interp_residual(l0, l1, m0, m1, t: float) -> np.ndarray:
@@ -218,9 +213,9 @@ def _interp_residual(l0, l1, m0, m1, t: float) -> np.ndarray:
 def _lipschitz(l0, l1, m0, m1, s, t) -> np.ndarray:
     """t |l1-m1| / (2 |l_s-m_t|): 0 where the terminal points coincide, inf
     where only l_s and m_t do."""
-    num = np.sqrt(_dot(l1 - m1, l1 - m1))
+    num = np.sqrt(_row_dot(l1 - m1, l1 - m1))
     gap_st = _point(l0, l1, s) - _point(m0, m1, t)
-    den = np.sqrt(_dot(gap_st, gap_st))
+    den = np.sqrt(_row_dot(gap_st, gap_st))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = t * num / (2.0 * den)
     return np.where(num == 0.0, 0.0, np.where(den < 1e-300, np.inf, ratio))
@@ -437,8 +432,7 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
         raise PreconditionError("lst", "interior gap exceeded 4*delta")
 
     (ymax,) = yield [(ebar, width)]
-    ybar = ymax.maximizer_y
-    n_ybar = norm.normal(ybar)
+    ybar, n_ybar = ymax.maximizer_y, ymax.normal_at_y
     converged = mod_e.converged and mod_ebar.converged and ymax.converged
 
     n_of_ebar = norm.normal(ebar)

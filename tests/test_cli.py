@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,27 @@ def test_sharpness_bounds_are_checked_before_use(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: need param_")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["onev", "--p", "3", "--z-min", "0"], "config error: need z_min > 0, got 0.0"),
+    (["onev", "--p", "3", "--z-min=-1"], "config error: need z_min > 0, got -1.0"),
+    (["onev", "--p", "3", "--z-max", "0"], "config error: need z_max > 0, got 0.0"),
+    (["onev", "--p", "3", "--points", "0"], "config error: need points >= 4, got 0"),
+    (["onev", "--p", "3", "--points=-5"], "config error: need points >= 4, got -5"),
+    (["sharpness", "--p", "3", "--points=-2"], "config error: need points >= 1, got -2"),
+], ids=["onev-z-min-0", "onev-z-min-negative", "onev-z-max-0", "onev-points-0",
+        "onev-points-negative", "sharpness-points-negative"])
+def test_counts_and_log_bounds_are_checked_before_use(argv, message, tmp_path, capsys):
+    # Not a math domain error from log10, a silent 4-point scan, or numpy's
+    # message about sample counts: the error names the parameter.
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert caught == []
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 

@@ -33,9 +33,8 @@ from twosticks.convexity import (
     _halton_directions,
     _kkt,
     _polish_on_sphere,
-    _row_dot,
 )
-from twosticks.norms import ZERO_THRESHOLD, _value_and_normal
+from twosticks.norms import ZERO_THRESHOLD, _row_dot, _value_and_normal
 from twosticks.reporting import to_jsonable
 
 import oracles

@@ -89,7 +89,7 @@ def paths(monkeypatch):
             seen[name + ":none"] += 1
         return out
 
-    for name in ("_line_search_wolfe2", "_zoom"):
+    for name in ("_scalar_search_wolfe2", "_zoom"):
         def counting(*args, _name=name, _fn=getattr(_optimize, name)):
             return count(_name, (yield from _fn(*args)))
         monkeypatch.setattr(_optimize, name, counting)
@@ -125,9 +125,9 @@ def test_polish_matches_scipy_bit_for_bit(paths):
         got = _assert_rows_match_scipy(objectives, np.stack(starts))
         assert len({res.nit for res in got}) > 3
     # The wolfe1 -> wolfe2 fallback, its zoom, and the stop after both fail.
-    assert paths["_line_search_wolfe2"] > 0
+    assert paths["_scalar_search_wolfe2"] > 0
     assert paths["_zoom"] > 0
-    assert paths["_line_search_wolfe2:none"] > 0
+    assert paths["_scalar_search_wolfe2:none"] > 0
 
 
 def test_cubic_interpolation_failure_matches_scipy(paths):
@@ -155,7 +155,7 @@ def test_zero_curvature_update_matches_scipy(paths):
     paths.clear()
     got = _assert_rows_match_scipy([linear] * 4, rng.standard_normal((4, 3)), maxiter=3)
     assert [res.nit for res in got] == [3] * 4
-    assert paths["_line_search_wolfe2"] > 0 and paths["_line_search_wolfe2:none"] == 0
+    assert paths["_scalar_search_wolfe2"] > 0 and paths["_scalar_search_wolfe2:none"] == 0
 
 
 def test_batch_of_one_and_empty_batch():

@@ -934,7 +934,8 @@ class TestStripExperiment:
         def ybar_along_ebar(norm, xs, ts, **opts):
             results = real(norm, xs, ts, **opts)
             if len(xs) == 1:    # the ybar solve: ybar = +-ebar gives axya = +-1
-                results[0].maximizer_y = sign * np.asarray(xs[0])
+                ybar = sign * np.asarray(xs[0])
+                results[0].maximizer_y, results[0].normal_at_y = ybar, norm.normal(ybar)
             return results
 
         monkeypatch.setattr(sticks_module, "moduli", ybar_along_ebar)
