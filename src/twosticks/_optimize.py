@@ -8,12 +8,29 @@ path that SciPy 1.17.1's `optimize.minimize` takes from that row with
 
 so every iterate, and the returned x, equal SciPy's bit for bit.  The
 strip references pin values that move when the polished maximizer moves
-by about 1e-8, so nothing here may be reordered, fused or "simplified":
-the Python-float / numpy-scalar mix, the integer identity that starts the
-inverse Hessian, `np.dot` rather than `@`, `np.clip` and every
-`np.errstate` are SciPy's.  Only the branches that the options above
-cannot reach, the warnings and the result fields no caller reads are left
-out.
+by about 1e-8, so no operation may be reordered or fused.
+
+Every scalar is a Python float.  A float's +, -, *, / and comparisons
+round as numpy's float64 scalars do (IEEE 754 double), its `**` calls
+the same C `pow`, and `math.sqrt` is correctly rounded as `np.sqrt` is.
+numpy stays only where the bits come from numpy or BLAS: the dot
+products (`np.dot(gfk, pk)`, `np.dot(Hk, gfk)`, `np.dot(yk, sk)`, each
+slope, and the 2x2 one in `_cubicmin`), the inverse-Hessian update from
+SciPy's integer identity, the trial point `xk + s*pk`, and the 2-norms
+of the first gradient and of the step stop, whose sums run in numpy's
+order.  The two kinds of scalar differ only on an exceptional operation.
+Python raises on a division by zero, an overflowing `**` and the root of
+a negative number, where numpy under the errstate SciPy sets around
+DCSTEP returns inf or NaN; and under the errstate(raise) of `_cubicmin`
+and `_quadmin` numpy raises where Python overflows to inf.  So
+`_dcstep`, `_cubicmin` and `_quadmin` catch those cases and run the same
+body once more on np.float64, under SciPy's errstate.  Elsewhere SciPy
+sets no errstate: where numpy scalars would warn of an overflow, the
+port reaches the same inf or NaN without a warning.  (Which NaN an
+operation on two NaNs returns, IEEE 754 leaves open, and CPython's float
+operations may pick another one than numpy's; no branch reads a NaN's
+sign.)  Only the branches that the options above cannot reach, the
+warnings and the result fields no caller reads are left out.
 
 `minimize` runs a batch of such minimizations in lockstep.  Each row is
 one run of the port, written as a generator: every objective call of
@@ -96,6 +113,7 @@ The notice of DCSRCH and DCSTEP, as SciPy carries it:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,10 +133,30 @@ class Result(NamedTuple):
     nit: int
 
 
-def _vecnorm(x, ord=2):
-    if ord == np.inf:
-        return np.amax(np.abs(x))
-    return np.sum(np.abs(x) ** ord, axis=0) ** (1.0 / ord)
+def _vecnorm(x):
+    """SciPy's 2-norm: the sum of squares, to the power 1/2, as numpy rounds them."""
+    return np.sum(np.abs(x) ** 2, axis=0) ** 0.5
+
+
+def _infnorm(x) -> float:
+    """max |x_i|, NaN if an entry is NaN, as SciPy's np.amax(np.abs(x))."""
+    a = [abs(v) for v in x.tolist()]
+    return math.nan if any(map(math.isnan, a)) else max(a)
+
+
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) on floats, as numpy 2.4 computes it: a NaN lo,
+    else a NaN hi, else a NaN x comes out, and a tie keeps x (its sign of
+    zero too)."""
+    if lo != lo:
+        return lo
+    if hi != hi:
+        return hi
+    if x < lo:
+        x = lo
+    if x > hi:
+        x = hi
+    return x
 
 
 def minimize(fun: Callable, x0, *, gtol: float, maxiter: int) -> list[Result]:
@@ -159,9 +197,12 @@ def _bfgs(x0, gtol, maxiter):
     cache = None
 
     def evaluate(x):
+        # SciPy's np.array_equal(x, cache_x) on lists: -0.0 equals 0.0, and
+        # a NaN entry never matches.
         nonlocal cache_x, cache
-        if cache_x is None or not np.array_equal(x, cache_x):
-            cache_x, cache = x, (yield x)
+        key = x.tolist()
+        if key != cache_x:
+            cache_x, cache = key, (yield x)
         return cache
 
     x0 = np.asarray(x0).flatten()
@@ -173,10 +214,10 @@ def _bfgs(x0, gtol, maxiter):
     Hk = I
 
     # Sets the initial step guess to dx ~ 1
-    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+    old_old_fval = old_fval + float(np.linalg.norm(gfk)) / 2
 
     xk = x0
-    gnorm = _vecnorm(gfk, ord=np.inf)
+    gnorm = _infnorm(gfk)
     while (gnorm > gtol) and (k < maxiter):
         pk = -np.dot(Hk, gfk)
 
@@ -191,9 +232,9 @@ def _bfgs(x0, gtol, maxiter):
             return f
 
         def derphi(s):
-            return np.dot(gval, pk)
+            return float(np.dot(gval, pk))
 
-        derphi0 = np.dot(gfk, pk)
+        derphi0 = float(np.dot(gfk, pk))
         if derphi0 != 0:
             alpha1 = min(1.0, 1.01*2*(old_fval - old_old_fval)/derphi0)
             if alpha1 < 0:
@@ -214,7 +255,7 @@ def _bfgs(x0, gtol, maxiter):
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
-        gnorm = _vecnorm(gfk, ord=np.inf)
+        gnorm = _infnorm(gfk)
         if (gnorm <= gtol):
             break
 
@@ -223,10 +264,10 @@ def _bfgs(x0, gtol, maxiter):
         if alpha_k * _vecnorm(pk) <= 0 * _vecnorm(xk):
             break
 
-        if not np.isfinite(old_fval):
+        if not math.isfinite(old_fval):
             break
 
-        rhok_inv = np.dot(yk, sk)
+        rhok_inv = float(np.dot(yk, sk))
         if rhok_inv == 0.:
             rhok = 1000.0
         else:
@@ -280,17 +321,15 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
             gm = g - gtest
             gxm = gx - gtest
             gym = gy - gtest
-            with np.errstate(invalid="ignore", over="ignore"):
-                stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
-                    stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax)
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax)
             fx = fxm + stx * gtest
             fy = fym + sty * gtest
             gx = gxm + gtest
             gy = gym + gtest
         else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                    stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax)
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax)
 
         # Bisect when the bracket does not shrink by 2/3 in two steps.
         if brackt:
@@ -303,11 +342,11 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
         else:
             stmin = stp + 1.1 * (stp - stx)
             stmax = stp + 4.0 * (stp - stx)
-        stp = np.clip(stp, STPMIN, STPMAX)
+        stp = _clip(stp, STPMIN, STPMAX)
         if (brackt and (stp <= stmin or stp >= stmax)
                 or (brackt and stmax - stmin <= XTOL * stmax)):
             stp = stx
-        if not np.isfinite(stp):
+        if not math.isfinite(stp):
             return None, f
         f = yield from phi(stp)
         g = derphi(stp)
@@ -316,14 +355,30 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """DCSTEP: the safeguarded cubic/quadratic step of DCSRCH, and the update
-    of the interval [stx, sty] that contains a step satisfying the tests."""
-    sgn_dp = np.sign(dp)
-    sgn_dx = np.sign(dx)
-    sgnd = sgn_dp * sgn_dx
+    of the interval [stx, sty] that contains a step satisfying the tests.
+
+    It runs on the floats it is given.  Where Python raises (a division by
+    zero, an overflowing power, the root of a negative radicand) it runs
+    again on np.float64 under SciPy's errstate, for the inf or NaN numpy
+    returns there."""
+    floats = (stx, fx, dx, sty, fy, dy, stp, fp, dp)
+    try:
+        return _dcstep_on(math.sqrt, *floats, brackt, stpmin, stpmax)
+    except (ArithmeticError, ValueError):
+        with np.errstate(invalid="ignore", over="ignore"):
+            *out, brackt = _dcstep_on(np.sqrt, *map(np.float64, floats), brackt,
+                                      np.float64(stpmin), np.float64(stpmax))
+        return (*map(float, out), brackt)
+
+
+def _dcstep_on(sqrt, stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """The body of `_dcstep`, with the square root for its kind of scalar."""
+    # SciPy's np.sign(dp) * np.sign(dx) < 0: derivatives of opposite sign.
+    sgnd_neg = dp < 0 < dx or dx < 0 < dp
     if fp > fx:
         theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * np.sqrt((theta / s) ** 2 - dx / s * (dp / s))
+        gamma = s * sqrt((theta / s) ** 2 - dx / s * (dp / s))
         if stp < stx:
             gamma *= -1
         p = gamma - dx + theta
@@ -336,10 +391,10 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         else:
             stpf = stpc + (stpq - stpc) / 2.0
         brackt = True
-    elif sgnd < 0.0:
+    elif sgnd_neg:
         theta = 3 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * np.sqrt((theta / s) ** 2 - dx / s * (dp / s))
+        gamma = s * sqrt((theta / s) ** 2 - dx / s * (dp / s))
         if stp > stx:
             gamma *= -1
         p = gamma - dp + theta
@@ -355,7 +410,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     elif abs(dp) < abs(dx):
         theta = 3 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * np.sqrt(max(0, (theta / s) ** 2 - dx / s * (dp / s)))
+        gamma = s * sqrt(max(0, (theta / s) ** 2 - dx / s * (dp / s)))
         if stp > stx:
             gamma = -gamma
         p = gamma - dp + theta
@@ -382,11 +437,11 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
                 stpf = stpc
             else:
                 stpf = stpq
-            stpf = np.clip(stpf, stpmin, stpmax)
+            stpf = _clip(stpf, stpmin, stpmax)
     elif brackt:
         theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
         s = max(abs(theta), abs(dy), abs(dp))
-        gamma = s * np.sqrt((theta / s) ** 2 - dy / s * (dp / s))
+        gamma = s * sqrt((theta / s) ** 2 - dy / s * (dp / s))
         if stp > sty:
             gamma = -gamma
         p = gamma - dp + theta
@@ -404,7 +459,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         fy = fp
         dy = dp
     else:
-        if sgnd < 0:
+        if sgnd_neg:
             sty = stx
             fy = fx
             dy = dx
@@ -458,50 +513,76 @@ def _scalar_search_wolfe2(phi, derphi, alpha1, phi0, derphi0):
     return alpha1, phi_a1
 
 
-def _cubicmin(a, fa, fpa, b, fb, c, fc):
-    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
-    fpa at a, or None if there is none."""
-    # f(x) = A *(x-a)^3 + B*(x-a)^2 + C*(x-a) + D
+def _vertex(terms, *args):
+    """The minimizer that terms(*args) returns with the divisor of its last
+    division, as numpy computes it on np.float64 under SciPy's
+    errstate(raise): None where numpy raises or the minimizer is not finite.
+
+    On the floats it is given the result is numpy's unless some
+    intermediate is not finite, and a non-finite intermediate either
+    reaches the minimizer, makes Python raise (a later divisor of zero, the
+    root of -inf) or is that last divisor.  So the floats' minimizer stands
+    when it and the divisor are finite and nothing raised; otherwise the
+    body runs again on np.float64.  There `math.sqrt` of a negative number raises ValueError
+    where `np.sqrt` raises FloatingPointError: None either way."""
+    try:
+        xmin, divisor = terms(*args)
+        if math.isfinite(divisor) and math.isfinite(xmin):
+            return xmin
+    except (ArithmeticError, ValueError):
+        pass
     with np.errstate(divide='raise', over='raise', invalid='raise'):
         try:
-            C = fpa
-            db = b - a
-            dc = c - a
-            denom = (db * dc) ** 2 * (db - dc)
-            d1 = np.empty((2, 2))
-            d1[0, 0] = dc ** 2
-            d1[0, 1] = -db ** 2
-            d1[1, 0] = -dc ** 3
-            d1[1, 1] = db ** 3
-            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db,
-                                            fc - fa - C * dc]).flatten())
-            A /= denom
-            B /= denom
-            radical = B * B - 3 * A * C
-            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
-        except ArithmeticError:
+            xmin, _ = terms(*map(np.float64, args))
+        except (ArithmeticError, ValueError):
             return None
     if not np.isfinite(xmin):
         return None
-    return xmin
+    return float(xmin)
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
+    fpa at a, or None if there is none."""
+    return _vertex(_cubic_vertex, a, fa, fpa, b, fb, c, fc)
+
+
+def _cubic_vertex(a, fa, fpa, b, fb, c, fc):
+    # f(x) = A *(x-a)^3 + B*(x-a)^2 + C*(x-a) + D
+    C = fpa
+    db = b - a
+    dc = c - a
+    denom = (db * dc) ** 2 * (db - dc)
+    d1 = np.empty((2, 2))
+    d1[0, 0] = dc ** 2
+    d1[0, 1] = -db ** 2
+    d1[1, 0] = -dc ** 3
+    d1[1, 1] = db ** 3
+    # np.dot checks numpy's error state, so it raises on floats too; and
+    # .tolist() keeps A and B the kind of the other scalars after /= denom.
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        [A, B] = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc])).tolist()
+    A /= denom
+    B /= denom
+    radical = B * B - 3 * A * C
+    divisor = 3 * A
+    return a + (-B + math.sqrt(radical)) / divisor, divisor
 
 
 def _quadmin(a, fa, fpa, b, fb):
     """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa
     at a, or None if there is none."""
+    return _vertex(_quadratic_vertex, a, fa, fpa, b, fb)
+
+
+def _quadratic_vertex(a, fa, fpa, b, fb):
     # f(x) = B*(x-a)^2 + C*(x-a) + D
-    with np.errstate(divide='raise', over='raise', invalid='raise'):
-        try:
-            D = fa
-            C = fpa
-            db = b - a * 1.0
-            B = (fb - D - C * db) / (db * db)
-            xmin = a - C / (2.0 * B)
-        except ArithmeticError:
-            return None
-    if not np.isfinite(xmin):
-        return None
-    return xmin
+    D = fa
+    C = fpa
+    db = b - a * 1.0
+    B = (fb - D - C * db) / (db * db)
+    divisor = 2.0 * B
+    return a - C / divisor, divisor
 
 
 def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
@@ -560,6 +641,19 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             return None, None
 
 
+_STEPS = np.arange(17.0)
+
+
+def _grid(lo, hi):
+    """np.linspace(lo, hi, 17), bit for bit, without its overhead: steps of
+    (hi - lo) / 16 from lo and hi itself last; where that step underflows
+    to zero, linspace scales each step fraction k/16 by the width instead."""
+    step = (hi - lo) / 16
+    t = _STEPS * step + lo if step else _STEPS / 16 * (hi - lo) + lo
+    t[-1] = hi
+    return t
+
+
 def minimize_scalar(fun: Callable, bounds: tuple[float, float], *, xatol: float) -> Result:
     """Minimize fun, convex on bounds = (lo, hi), to within xatol (Kiefer,
     Proc. AMS 4(3), 1953): each round calls fun once on 17 equally spaced t
@@ -569,7 +663,7 @@ def minimize_scalar(fun: Callable, bounds: tuple[float, float], *, xatol: float)
     best_t, best_f = lo, np.inf
     rounds = 0
     while True:
-        t = np.linspace(lo, hi, 17)
+        t = _grid(lo, hi)
         f = fun(t)
         rounds += 1
         i = int(np.argmin(f))

@@ -239,6 +239,22 @@ def test_strip_pairs_match_the_one_proposal_loop(make_norm, dim):
     assert kept <= 0.1 * proposals, (kept, proposals)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 28, 2**40 + 3])
+@pytest.mark.parametrize("size, dim", [(1, 2), (7, 3), (300, 4)])
+def test_draw_block_matches_a_loop_of_rng_uniform(seed, size, dim):
+    # The same bits as drawing each proposal with rng.uniform, and the
+    # generator left in the same state.
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    normals, uniforms = atlas._draw_block(rng, size, dim)
+    for z, u in zip(normals, uniforms):
+        draws = [ref.standard_normal(dim), ref.standard_normal(dim), ref.uniform(0.5, 4.0),
+                 ref.standard_normal(dim), ref.uniform(0.42, 0.58), ref.standard_normal(dim),
+                 ref.uniform(0.0, 1.0), ref.standard_normal(dim), ref.uniform(0.0, 1.0)]
+        assert z.tobytes() == np.array(draws[0:2] + draws[3:8:2]).tobytes()
+        assert u.tobytes() == np.array(draws[2:9:2]).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 STRIP_P3 = (PNorm(3, 3), 20, 1e-4, 0.36)
 
 

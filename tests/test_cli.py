@@ -325,6 +325,32 @@ def test_import_does_not_load_scipy_stats(tmp_path):
     assert seen == [[], []]
 
 
+def test_strip_writes_no_warning_where_the_polish_takes_numpy_values(tmp_path):
+    # At p = 1.5 in two dimensions the zoom of the BFGS polish meets a 0/0 in
+    # `_quadmin`, where the port reruns the body on numpy scalars.  pytest's
+    # filterwarnings does not see what a child process prints, so the child
+    # shows every warning and its stderr must stay empty.
+    src = str(Path(twosticks.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["strip", "--norm", "p:1.5", "--dim", "2", "--lambda", "2.0279", "--k", "3.5555",
+            "--count", "20", "--seed", "0", "--out", str(tmp_path / "strip.csv")]
+    probe = (
+        "import numpy as np, twosticks.cli\n"
+        "from twosticks import _optimize\n"
+        "body, numpy_runs = _optimize._quadratic_vertex, []\n"
+        "def counting(*args):\n"
+        "    numpy_runs.append(isinstance(args[0], np.float64))\n"
+        "    return body(*args)\n"
+        "_optimize._quadratic_vertex = counting\n"
+        f"code = twosticks.cli.main({argv!r})\n"
+        "print(code, sum(numpy_runs))\n")
+    out = subprocess.run([sys.executable, "-W", "always", "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    code, numpy_runs = map(int, out.stdout.split()[-2:])
+    assert out.stderr == ""
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION) and numpy_runs > 0
+
+
 # Small versions of the benchmark's three calls, and the subcommands no
 # benchmark workload runs, with the sha256 of each output less its timestamp
 # line (recorded with numpy 2.4 on x86-64).  The benchmark compares values

@@ -11,6 +11,11 @@ attributes the port calls.  The oracle is SciPy 1.17, the release the port
 transcribes; earlier releases take other paths (a compiled MINPACK-2 line
 search, BFGS without xrtol).
 
+The exceptional branches (a division by zero, an overflow, the root of a
+negative number, inf and NaN) are rare in a run, so `_dcstep`, `_cubicmin`
+and `_quadmin` are also compared with SciPy's own functions on adversarial
+inputs, bit for bit and warning for warning.
+
 No output depends on the last bits of `segment_point_distance`, so its
 bracket search is checked by value: against the clamped Euclidean
 projection, against SciPy's bounded search and both ends for p-norms, and
@@ -18,11 +23,14 @@ on the exact cases (a minimum at an end, a zero-length stick, a point on
 the stick).
 """
 
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.optimize as scipy_optimize
+from scipy.optimize import _dcsrch as scipy_dcsrch, _linesearch as scipy_linesearch
 
 from twosticks import _optimize
 from twosticks.convexity import _ascended
@@ -164,6 +172,130 @@ def test_batch_of_one_and_empty_batch():
     assert got[0].x.shape == (2,)
     assert _optimize.minimize(lambda index, points: None, np.zeros((0, 2)),
                               gtol=GTOL, maxiter=MAXITER) == []
+
+
+# Signed zeros, subnormals, values whose products, squares or cubes
+# overflow, inf and NaN.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-160, -1e-154, 1.0, -1.0, 0.5, 3.0, -2.0,
+           1e100, 1e154, -1e200, 1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+def _adversarial(seed, count, width):
+    """count lists of width floats, each entry from SPECIAL or a Gaussian at
+    a random scale; in a quarter of them two entries are made equal."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        row = [float(rng.choice(SPECIAL)) if rng.random() < 0.5
+               else float(rng.standard_normal() * 10.0 ** rng.integers(-4, 5))
+               for _ in range(width)]
+        if rng.random() < 0.25:
+            i, j = rng.choice(width, 2, replace=False)
+            row[i] = row[j]
+        yield row
+
+
+def _bits(values):
+    """Each value's bits, any NaN as "nan": IEEE 754 leaves open which NaN an
+    operation on two NaNs returns, and CPython's specialized float operations
+    may pick the other one than its generic ones."""
+    return [None if v is None else "nan" if v != v else np.float64(v).tobytes()
+            for v in values]
+
+
+def _warned(fn, *args):
+    """fn(*args), and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Runs of the bodies of `_dcstep`, `_cubicmin` and `_quadmin`, on the
+    given floats and on np.float64 (numpy's values where Python raises)."""
+    seen = Counter()
+    for name in ("_dcstep_on", "_cubic_vertex", "_quadratic_vertex"):
+        def counting(*args, _name=name, _fn=getattr(_optimize, name)):
+            on_numpy = any(isinstance(v, np.float64) for v in args)
+            seen[_name, "numpy" if on_numpy else "float"] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_optimize, name, counting)
+    return seen
+
+
+def test_dcstep_matches_scipy_on_exceptional_inputs(lanes):
+    # SciPy's DCSRCH calls dcstep on numpy scalars under this errstate; a
+    # division by zero still warns, and the port must warn the same.
+    cases = [
+        # stp == stx: a division by zero.
+        ([0.0, 0.0, -1.0, 2.0, 1.0, 1.0, 0.0, 1.0, -0.5], True),
+        # fp == fy and dp == dy == dx == 0 in a bracket: s == 0, so 0/0.
+        ([0.0, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0, 1.0, 0.0], True),
+        # theta == 0 with dx == dp == 1.5: a negative radicand.
+        ([0.0, 0.0, 1.5, 2.0, 1.0, 1.0, 1.0, 1.0, 1.5], False),
+    ]
+    cases = [(row + [0.0, 5.0], brackt) for row, brackt in cases]
+    cases += [(row, i % 2 == 0) for i, row in enumerate(_adversarial(3, 3000, 11))]
+    for row, brackt in cases:
+        args = (*row[:9], brackt, *row[9:])
+        got, got_warned = _warned(_optimize._dcstep, *args)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want, want_warned = _warned(scipy_dcsrch.dcstep, *map(np.float64, row[:9]),
+                                        brackt, *map(np.float64, row[9:]))
+        assert _bits(got) == _bits(want), args
+        assert got_warned == want_warned, args
+    assert lanes["_dcstep_on", "numpy"] > 20 and lanes["_dcstep_on", "float"] > 2000
+
+
+def test_zoom_interpolants_match_scipy_on_exceptional_inputs(lanes):
+    quadratic = [
+        (1.0, 0.0, -1.0, 1.0, 2.0),        # b == a: a division by zero
+        (1.0, 1.0, 0.0, 1.0, 1.0),         # 0/0
+        (0.0, 0.0, 1.0, 1e-154, 1.0),      # 2B overflows, and C/(2B) hides it
+        (0.0, 0.0, -1.0, 2.5e-310, 1.0),   # a subnormal b - a
+    ]
+    cubic = [
+        (0.0, 0.0, -1.0, 1e100, 1.0, -1e100, 2.0),   # (db*dc)**2 overflows
+        (0.0, 0.0, -1.0, 1.0, 1.0, 1.0, 2.0),        # b == c: denom == 0
+        (0.0, 0.0, 1.0, 1.0, 2.0, -1.0, -2.0),       # x^3 + x: a negative radical
+        (0.0, 0.0, -1.0, 1.0, 0.5, 2.0, 1.0),        # an ordinary minimizer
+    ]
+    quadratic += [tuple(row) for row in _adversarial(4, 3000, 5)]
+    cubic += [tuple(row) for row in _adversarial(5, 3000, 7)]
+    for ours, theirs, cases in ((_optimize._quadmin, scipy_linesearch._quadmin, quadratic),
+                                (_optimize._cubicmin, scipy_linesearch._cubicmin, cubic)):
+        for args in cases:
+            got, got_warned = _warned(ours, *args)
+            want, want_warned = _warned(theirs, *map(np.float64, args))
+            assert _bits([got]) == _bits([want]), (ours.__name__, args)
+            assert got_warned == want_warned == [], (ours.__name__, args)
+    for body in ("_quadratic_vertex", "_cubic_vertex"):
+        assert lanes[body, "numpy"] > 1000 and lanes[body, "float"] > 2000, lanes
+
+
+def test_scalar_helpers_match_numpy():
+    # _clip computes nothing, so even the NaN it returns is np.clip's.
+    values = SPECIAL + [-v for v in SPECIAL[2:]]
+    for x in values:
+        for lo in values:
+            for hi in (-1.0, 0.0, -0.0, 1e100, math.inf, math.nan, -math.nan, lo):
+                got = np.float64(_optimize._clip(x, lo, hi)).tobytes()
+                assert got == np.clip(x, lo, hi).tobytes(), (x, lo, hi)
+    for row in _adversarial(6, 2000, 3):
+        x = np.array(row)
+        assert _bits([_optimize._infnorm(x)]) == _bits([np.amax(np.abs(x))]), row
+
+
+def test_grid_is_linspace_bit_for_bit():
+    rng = np.random.default_rng(8)
+    brackets = [(0.0, 1.0), (0.3, 0.3), (0.0, 0.0), (0.0, 5e-324), (0.0, 7 * 5e-324),
+                (5e-324, 3e-323), (0.0, 1e-320), (1e-310, 1e-310 + 15 * 5e-324)]
+    for _ in range(20000):
+        lo = rng.random() * 10.0 ** rng.integers(-320, 3)
+        brackets.append((lo, lo + rng.random() * 10.0 ** rng.integers(-325, 1)))
+    for lo, hi in brackets:
+        assert _optimize._grid(lo, hi).tobytes() == np.linspace(lo, hi, 17).tobytes(), (lo, hi)
 
 
 def _cases(seed, per_scale):
