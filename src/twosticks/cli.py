@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .atlas import SiteSet, build_ray_family, generate_strip_pairs
-from .convexity import (DegenerateSampleError, estimate_balanced, estimate_doubling,
+from .convexity import (DegenerateSampleError, _check_exponents, _check_mode, _check_radius,
+                        _check_samples, estimate_balanced, estimate_doubling,
                         estimate_lambda, estimate_uniform_constants,
                         onev_default_grid, onev_scan)
 from .norms import EuclideanNorm, Norm, PNorm
@@ -134,6 +135,14 @@ def _random_family(norm: Norm, rng: np.random.Generator, n_sites: int,
 
 def cmd_certify(args) -> int:
     norm = parse_norm(args.norm, args.dim)
+    # The estimators' own checks, in the order their calls below make them,
+    # so that a bad flag exits before the first sample is drawn.
+    _check_radius(args.r, "r")
+    _check_samples(args.samples)
+    _check_mode(args.mode)
+    _check_radius(args.balanced_bound, "bound")
+    if args.uniform_p is not None:
+        _check_exponents(args.uniform_p, args.uniform_q)
     lam = estimate_lambda(norm, args.r, args.mode, args.samples, args.seed)
     doub = estimate_doubling(norm, args.r, args.mode, args.samples, args.seed + 1)
     bal = estimate_balanced(norm, args.balanced_bound, args.mode, args.samples, args.seed + 2)

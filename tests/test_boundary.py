@@ -220,8 +220,9 @@ def test_package_exports_resolve_to_no_modules():
 
 
 def test_certify_computes_one_normal_map_per_sample_batch(tmp_path, monkeypatch):
-    # Lambda, T and K each draw one x batch, and one N(x) per batch serves
-    # its tangent projection and both of its gaps.
+    # Lambda, T and K each run their x batch in blocks, and one N(x) per
+    # block serves its tangent projection and both of its gaps; the block
+    # holding the extremum runs once more for the witness.
     calls = []
     real = PNorm._normal
 
@@ -230,7 +231,11 @@ def test_certify_computes_one_normal_map_per_sample_batch(tmp_path, monkeypatch)
         return real(self, x, v)
 
     monkeypatch.setattr(PNorm, "_normal", counting)
+    monkeypatch.setattr(convexity, "BLOCK_ROWS", 200)
     argv = ["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent", "--uniform-p", "3",
             "--uniform-q", "2", "--samples", "500", "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == cli.EXIT_OK
-    assert calls == [(500, 3)] * 3
+    assert len(calls) == 3 * 4
+    for k in range(3):
+        assert calls[4 * k:4 * k + 3] == [(200, 3), (200, 3), (100, 3)]
+        assert calls[4 * k + 3] in ((200, 3), (100, 3))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import twosticks
-from twosticks import atlas, cli, norms, sticks
+from twosticks import atlas, cli, convexity, norms, sticks
 
 STRIP = ["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
          "--count", "2"]
@@ -209,6 +209,35 @@ def test_counts_and_log_bounds_are_checked_before_use(argv, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--uniform-p", "2", "--uniform-q", "3"], "config error: need 1 < q <= p"),
+    (["--uniform-p", "3", "--uniform-q", "1"], "config error: need 1 < q <= p"),
+    (["--balanced-bound", "0"], "config error: bound must be positive"),
+    (["--samples", "0"], "config error: samples must be >= 1"),
+    (["--r", "0", "--balanced-bound", "-1"], "config error: r must be positive"),
+    (["--samples", "0", "--balanced-bound", "0"], "config error: samples must be >= 1"),
+    (["--balanced-bound", "0", "--uniform-p", "2", "--uniform-q", "3"],
+     "config error: bound must be positive"),
+], ids=["q-above-p", "q-1", "bound-0", "samples-0", "r-before-bound", "samples-before-bound",
+        "bound-before-exponents"])
+def test_certify_checks_every_estimator_before_the_first_runs(flags, message, tmp_path, capsys,
+                                                              monkeypatch):
+    # A bad balanced bound or (p, q) exited 1 only after the estimators
+    # before it had run in full; now no generator is seeded.
+    def unseeded(seed):
+        raise AssertionError("an estimator ran")
+
+    monkeypatch.setattr(convexity, "default_rng", unseeded)
+    out = tmp_path / "out"
+    argv = ["certify", "--norm", "p:3", "--dim", "3", "--samples", "300000", *flags]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert caught == []
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 # Each subcommand at a small size, with its float flags.
 FLOAT_FLAGS = {
     "certify": (["certify", "--norm", "p:3", "--dim", "2", "--samples", "50", "--uniform-p", "3"],
@@ -360,7 +389,11 @@ GOLDEN = {
     "certify": (["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent",
                  "--uniform-p", "3", "--uniform-q", "2", "--samples", "3000"],
                 "f3b7f960c35b02e80df6c283cffd6ee51ab57e1494981fe2473744de65f0abeb"),
-    "strip": (["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
+    # Several estimator blocks, the last one partial.
+    "certify-40k": (["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent",
+                     "--uniform-p", "3", "--uniform-q", "2", "--samples", "40000"],
+                    "b937ddd4056c9e71fa108b62c69c7f696623556567dafb8a118321e6f0501b8b"),
+    "strip":(["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
                "--count", "3"],
               "cb5fe58486258c9982024ddec1611a2ea30fe036d5b4060cde3a43b3184f3546"),
     "sticks": (["sticks", "--norm", "p:3", "--dim", "3", "--queries", "40", "--pairs", "300"],

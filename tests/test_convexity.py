@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -574,6 +575,75 @@ class TestUniformConstants:
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             estimate_uniform_constants(EuclideanNorm(2), 2.0, 3.0, samples=10, seed=0)
+
+
+ESTIMATE_NORMS = {
+    "euclidean": lambda: EuclideanNorm(3),
+    "p1.5": lambda: PNorm(1.5, 3),
+    "p3": lambda: PNorm(3, 3),
+    "p4": lambda: PNorm(4, 2),
+    "plugin": lambda: plugin_norm(2),
+}
+
+
+def report_bits(rep) -> list:
+    """Every field of a report, each float and witness as its bytes."""
+    return [(f.name, np.asarray(v, dtype=float).tobytes() if f.name == "worst_witnesses"
+             or isinstance(v, float) else v)
+            for f in dataclasses.fields(rep) for v in [getattr(rep, f.name)]]
+
+
+class TestBlockedEstimators:
+    # 1,203 samples: not a multiple of 7 or of 1,000, and a partial last block.
+    SAMPLES = 1203
+
+    @pytest.mark.parametrize("mode", ["full", "tangent"])
+    @pytest.mark.parametrize("kind", ESTIMATE_NORMS)
+    def test_block_size_changes_no_output(self, kind, mode, monkeypatch):
+        norm = ESTIMATE_NORMS[kind]()
+        seen = []
+        for block in (1, 7, 1000, self.SAMPLES):
+            monkeypatch.setattr(convexity, "BLOCK_ROWS", block)
+            reps = [estimate_lambda(norm, 0.25, mode, self.SAMPLES, seed=1),
+                    estimate_doubling(norm, 0.25, mode, self.SAMPLES, seed=2),
+                    estimate_balanced(norm, 0.5, mode, self.SAMPLES, seed=3),
+                    estimate_uniform_constants(norm, 3.0, 2.0, self.SAMPLES, seed=4)]
+            seen.append(([dataclasses.astuple(rep) for rep in reps],
+                         [report_bits(rep) for rep in reps]))
+        for got in seen[1:]:
+            assert got == seen[0]
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("estimate, message", [
+        (estimate_lambda, "no informative samples: every h(x, x+y) fell below the floor"),
+        (estimate_doubling, "no informative samples: every h(x, x+y) fell below the floor"),
+        (estimate_balanced, "no informative samples: every h(x, x-y) fell below the floor"),
+    ])
+    def test_dim_1_stays_degenerate(self, estimate, message, block, monkeypatch):
+        # In dim 1 every y is parallel to x, so every gap is 0.
+        monkeypatch.setattr(convexity, "BLOCK_ROWS", block)
+        for norm in (PNorm(3, 1), EuclideanNorm(1)):
+            with pytest.raises(DegenerateSampleError) as err:
+                estimate(norm, 0.5, "full", samples=200, seed=0)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("estimate", [
+        lambda norm: estimate_lambda(norm, 0.25, "full", 300_000, seed=0),
+        lambda norm: estimate_lambda(norm, 0.25, "tangent", 300_000, seed=0),
+        lambda norm: estimate_doubling(norm, 0.25, "tangent", 300_000, seed=1),
+        lambda norm: estimate_balanced(norm, 0.5, "tangent", 300_000, seed=2),
+        lambda norm: estimate_uniform_constants(norm, 3.0, 2.0, 300_000, seed=3),
+    ], ids=["lambda-full", "lambda", "doubling", "balanced", "uniform"])
+    def test_peak_memory_is_the_draws_and_a_few_blocks(self, estimate):
+        # 300k rows in dim 3: the draws take 16 MiB of the 25, and a pipeline
+        # over the whole sample at once peaks at 46-55 MiB.
+        tracemalloc.start()
+        try:
+            estimate(PNorm(3, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2 ** 20
 
 
 @pytest.fixture(scope="module")
