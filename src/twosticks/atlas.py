@@ -1,20 +1,21 @@
 """Stick families as rays of the norm distance function to a finite site set.
 
-If l0 is a nearest site to l1 and m0 a nearest site to m1, the segments
-[l0, l1] and [m0, m1] automatically satisfy the two-sticks condition; so
-families built by shooting rays from nearest sites toward query points give
-an endless supply of honest two-sticks pairs of a common length.
+If l0 is a nearest site to l1 and m0 one to m1, the segments [l0, l1] and
+[m0, m1] satisfy the two-sticks condition, so rays shot from nearest sites
+toward query points give honest two-sticks pairs of a common length.
+`build_ray_family` finds the nearest sites of all its queries, then of all
+their extended endpoints, in stacked norm evaluations (`_nearest`, which
+`nearest_point` calls on one query), and keeps the sticks in query order.
 
 `generate_strip_pairs` builds each strip configuration from two such rays
-and draws its proposals by rejection.  Nearly all of them fail in
-`build_ray_family`, so it draws proposals in blocks of PROPOSAL_BLOCK and
-screens each block with a few stacked norm evaluations (`_screen`), dropping
-only proposals whose queries or extended endpoints lie nearer the wrong site,
-or tie, by more than SCREEN_MARGIN.  The survivors go in draw order through
-the exact one-proposal path (`_admit`), which alone decides acceptance.  The
-screen never drops a proposal that path would accept, and blocks do not
-change the order of the draws, so the output is the same for every block
-size and bit-identical to checking each proposal on the exact path.
+and draws its proposals by rejection, PROPOSAL_BLOCK at a time.  Nearly all
+fail, so a few stacked norm evaluations (`_screen`) drop the proposals whose
+queries or extended endpoints lie nearer the wrong site, or tie, by more than
+SCREEN_MARGIN.  The survivors go in draw order through the exact
+one-proposal path (`_admit`), which alone decides acceptance.  The screen
+never drops a proposal that path would accept, and blocks do not change the
+order of the draws, so the output is the same for every block size and
+bit-identical to checking each proposal on the exact path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexity import DegenerateSampleError
+from .convexity import BLOCK_ROWS, DegenerateSampleError
 from .norms import Norm, as_vector
 from .sticks import Stick, segment_point_distance, two_sticks_check
 
@@ -34,14 +35,14 @@ MAX_PROPOSALS = 100000
 # Proposals `generate_strip_pairs` draws and screens together.
 PROPOSAL_BLOCK = 64
 # How far past its threshold a screened rejection must hold before `_screen`
-# drops the proposal.  The screen evaluates the norm on stacked rows and the
-# exact path on one vector at a time, and the two p-th roots can differ by
-# 1 ulp: the array `pow` may run a SIMD loop where the scalar one calls libm.
-# So the screen's unit vectors, sites, queries and endpoints, all of order 1,
-# can be a few ulps off the exact path's, and so can each distance and each
-# difference of two distances: at most 6.7e-16 over 15k proposals of five
-# norms.  1e-12 is over 10^3 times that, and the screen still drops 98% of
-# the proposals at strip-p3.
+# drops the proposal.  Both paths take site distances from stacked rows, but
+# `_admit` scales its unit vectors one vector at a time, and the array `pow`
+# may run a SIMD loop where the scalar one calls libm, 1 ulp apart.  So the
+# screen's sites, queries and endpoints, all of order 1, can be a few ulps
+# off the exact path's, and so can each distance and each difference of two:
+# at most 6.7e-16 over 15k proposals of five norms.  `_nearest` rounds each
+# distance as a one-query evaluation does, so that bound stands.  1e-12 is over
+# 10^3 times it, and the screen still drops 98% of the proposals at strip-p3.
 SCREEN_MARGIN = 1e-12
 
 
@@ -69,15 +70,23 @@ class SiteSet:
             raise ValueError("sites must be finite")
 
 
+def _nearest(norm: Norm, sites: np.ndarray, queries: np.ndarray) -> tuple:
+    """(index, distance, unique) of each query's nearest site, as `nearest_point`
+    gives them, from stacked evaluations of at most BLOCK_ROWS query-site rows."""
+    step = max(1, BLOCK_ROWS // len(sites))
+    d = np.concatenate([np.empty((0, len(sites)))] + [
+        norm._value(sites - queries[lo:lo + step, None]) for lo in range(0, len(queries), step)])
+    index = d.argmin(axis=1)
+    dmin = d[np.arange(len(d)), index]
+    return index, dmin, (d <= (dmin + TIE_TOL)[:, None]).sum(axis=1) == 1
+
+
 def nearest_point(sites: SiteSet, x) -> NearestResult:
     """Exhaustive nearest-site query; `unique` is False on ties within 1e-12."""
     x = as_vector(x, sites.norm.dim)
-    dists = sites.norm._value(sites.sites - x)
-    idx = int(np.argmin(dists))
-    dmin = float(dists[idx])
-    unique = int(np.count_nonzero(dists <= dmin + TIE_TOL)) == 1
-    return NearestResult(site=sites.sites[idx].copy(), distance=dmin,
-                         unique=unique, index=idx)
+    (idx,), (dmin,), (unique,) = _nearest(sites.norm, sites.sites, x[None])
+    return NearestResult(site=sites.sites[idx].copy(), distance=float(dmin),
+                         unique=bool(unique), index=int(idx))
 
 
 @dataclass
@@ -108,28 +117,46 @@ def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:
     exact norm length.  Queries with tied nearest sites are skipped, and so are
     rays whose extension leaves the nearest-site region (the distance-function
     identity would break there).
+
+    The queries are checked once, and two stacked passes find the sites of all
+    of them and of their endpoints; an error is the first one-by-one checks raise.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
     queries = np.atleast_2d(np.asarray(query_points, dtype=float))
+    norm, points = sites.norm, sites.sites
+    if len(queries):  # every row has the first's shape: check it once
+        as_vector(queries[0], norm.dim)
+    queries = queries.reshape(-1, norm.dim)  # an empty batch of any shape is empty
+    n = int(np.argmin(np.append(np.isfinite(queries).all(axis=1), False)))  # first non-finite
+    index, dist, unique = _nearest(norm, points, queries[:n])
+    start = points[index]
+    with np.errstate(all="ignore"):  # a site-set query divides by 0, a long ray overflows
+        ends = start + (length / dist)[:, None] * (queries[:n] - start)
+    ends_finite = np.isfinite(ends).all(axis=1)
+    rechecks = zip(*(a.tolist() for a in _nearest(
+        norm, points, ends[unique & (dist > 1e-12) & ends_finite])))
     sticks, indices, skipped = [], [], []
-    for qi, x in enumerate(queries):
-        hit = nearest_point(sites, x)
-        if hit.distance <= 1e-12:
+    for qi, (i, d, u, end_finite) in enumerate(zip(
+            index.tolist(), dist.tolist(), unique.tolist(), ends_finite.tolist())):
+        if d <= 1e-12:
             raise ValueError(f"query {qi} lies in the site set")
-        if not hit.unique:
+        if not u:
             skipped.append((qi, "tied nearest site"))
             continue
-        end = hit.site + (length / hit.distance) * (x - hit.site)
-        recheck = nearest_point(sites, end)
-        if recheck.index != hit.index or not recheck.unique:
+        if not end_finite:
+            raise ValueError("input has non-finite entries")
+        j, d_end, u_end = next(rechecks)
+        if j != i or not u_end:
             skipped.append((qi, "extension left the nearest-site region"))
             continue
-        if abs(recheck.distance - length) > 1e-9 * (1.0 + length):
+        if abs(d_end - length) > 1e-9 * (1.0 + length):
             skipped.append((qi, "distance identity failed at the extended endpoint"))
             continue
-        sticks.append(Stick(hit.site.copy(), end))
-        indices.append(hit.index)
+        sticks.append(Stick(start[qi].copy(), ends[qi].copy()))
+        indices.append(i)
+    if n < len(queries):
+        raise ValueError("input has non-finite entries")
     return RayFamily(sticks=sticks, length=float(length), site_index=indices,
                      skipped=skipped)
 

@@ -393,6 +393,8 @@ BLOCK_ROWS = 8192
 def _check_radius(radius: float, name: str) -> None:
     if radius <= 0.0:
         raise ValueError(f"{name} must be positive")
+    if not math.isfinite(radius):
+        raise ValueError(f"{name} must be finite, got {radius!r}")
 
 
 def _check_samples(samples: int) -> None:

@@ -85,7 +85,7 @@ def _check_batch(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != dim:
         raise ValueError(f"dimension mismatch: last axis must be {dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input has non-finite entries")
     return x
 

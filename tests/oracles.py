@@ -10,6 +10,10 @@
   products are one-vector numpy calls; the BFGS is SciPy's, which
   `_optimize.minimize` transcribes.  Each row of the lockstep polish must
   equal `polish_one` from that row bit for bit.
+* `ray_family_loop`: `atlas.build_ray_family` one query at a time, as it
+  ran before the stacked nearest-site pass: two one-query nearest-site
+  evaluations per query, each checking its vector.  The stacked pass must
+  give the same family bit for bit, and raise the same error.
 """
 
 import math
@@ -17,6 +21,7 @@ import math
 import numpy as np
 import scipy.optimize as scipy_optimize
 
+from twosticks.atlas import TIE_TOL, NearestResult, RayFamily, SiteSet
 from twosticks.convexity import ModulusResult, _kkt, _problem
 from twosticks.gap import _gap_at
 from twosticks.norms import (
@@ -27,6 +32,7 @@ from twosticks.norms import (
     _value_and_normal,
     as_vector,
 )
+from twosticks.sticks import Stick
 
 # The options of the modulus polish.
 GTOL, MAXITER = 1e-12, 200
@@ -75,6 +81,44 @@ def polish_one(norm: Norm, x, t: float, y0, n_of_x) -> tuple[np.ndarray, float, 
     y = t * u / nu
     z = x + y
     return y, float(norm._value(z) - np.dot(z, n_of_x)), res.nit
+
+
+def nearest_one(sites: SiteSet, x) -> NearestResult:
+    """The nearest site to one query, from one evaluation over the sites."""
+    x = as_vector(x, sites.norm.dim)
+    dists = sites.norm._value(sites.sites - x)
+    idx = int(np.argmin(dists))
+    dmin = float(dists[idx])
+    unique = int(np.count_nonzero(dists <= dmin + TIE_TOL)) == 1
+    return NearestResult(site=sites.sites[idx].copy(), distance=dmin,
+                         unique=unique, index=idx)
+
+
+def ray_family_loop(sites: SiteSet, query_points, length: float) -> RayFamily:
+    """`build_ray_family` one query at a time, with two `nearest_one` calls each."""
+    if length <= 0.0:
+        raise ValueError("length must be positive")
+    queries = np.atleast_2d(np.asarray(query_points, dtype=float))
+    sticks, indices, skipped = [], [], []
+    for qi, x in enumerate(queries):
+        hit = nearest_one(sites, x)
+        if hit.distance <= 1e-12:
+            raise ValueError(f"query {qi} lies in the site set")
+        if not hit.unique:
+            skipped.append((qi, "tied nearest site"))
+            continue
+        end = hit.site + (length / hit.distance) * (x - hit.site)
+        recheck = nearest_one(sites, end)
+        if recheck.index != hit.index or not recheck.unique:
+            skipped.append((qi, "extension left the nearest-site region"))
+            continue
+        if abs(recheck.distance - length) > 1e-9 * (1.0 + length):
+            skipped.append((qi, "distance identity failed at the extended endpoint"))
+            continue
+        sticks.append(Stick(hit.site.copy(), end))
+        indices.append(hit.index)
+    return RayFamily(sticks=sticks, length=float(length), site_index=indices,
+                     skipped=skipped)
 
 
 def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusResult:

@@ -22,6 +22,8 @@ from twosticks import (
 from twosticks import atlas
 from twosticks.atlas import TIE_TOL
 
+import oracles
+
 NORMS = [EuclideanNorm(2), EuclideanNorm(3), PNorm(3, 2), PNorm(3, 3), PNorm(1.5, 3)]
 coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -290,3 +292,121 @@ def test_strip_pairs_run_the_exact_path_on_few_proposals(strip_p3_reference, mon
     monkeypatch.setattr(atlas, "build_ray_family", counting)
     assert_same_configs(generate_strip_pairs(*STRIP_P3, seed=0), strip_p3_reference)
     assert len(strip_p3_reference) <= len(calls) <= 25
+
+
+PARITY_NORMS = [EuclideanNorm, *(lambda d, p=p: PNorm(p, d) for p in (1.5, 3, 4)), p25]
+PARITY_IDS = ["euclidean", "p1.5", "p3", "p4", "plugin-p2.5"]
+
+
+def assert_same_family(got, want):
+    assert len(got) == len(want)
+    for l, l2 in zip(got.sticks, want.sticks):
+        assert np.array_equal(l.start, l2.start) and l.start.tobytes() == l2.start.tobytes()
+        assert np.array_equal(l.end, l2.end) and l.end.tobytes() == l2.end.tobytes()
+    assert got.site_index == want.site_index
+    assert got.skipped == want.skipped
+    assert got.length == want.length
+
+
+@pytest.mark.parametrize("make_norm", PARITY_NORMS, ids=PARITY_IDS)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 160])
+def test_ray_family_matches_the_one_query_loop(make_norm, dim, count):
+    norm = make_norm(dim)
+    rng = np.random.default_rng(100 * dim + count)
+    sites = SiteSet(rng.uniform(-2, 2, size=(5, dim)), norm)
+    queries = rng.uniform(-2, 2, size=(count, dim))
+    family = build_ray_family(sites, queries, 0.75)
+    assert_same_family(family, oracles.ray_family_loop(sites, queries, 0.75))
+    if count == 160:
+        assert len(family) >= 20
+
+
+@pytest.mark.parametrize("make_norm", PARITY_NORMS, ids=PARITY_IDS)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ray_family_skips_a_tie_and_a_long_ray_like_the_loop(make_norm, dim):
+    # Query 0 is exactly as far from site 0 as from site 1.  Queries 1 and 2
+    # are nearest site 0; query 1's ray, of length 3, crosses into site 2's
+    # region, and query 2's stays in site 0's.
+    norm = make_norm(dim)
+    e = np.eye(dim)
+    sites = SiteSet(np.array([e[0], -e[0], 4.0 * e[0]]), norm)
+    queries = np.array([0.5 * e[1], 1.5 * e[0] + 0.2 * e[1], 1.1 * e[0] - 0.5 * e[1]])
+    family = build_ray_family(sites, queries, 3.0)
+    assert family.skipped == [(0, "tied nearest site"),
+                              (1, "extension left the nearest-site region")]
+    assert family.site_index == [0]
+    assert_same_family(family, oracles.ray_family_loop(sites, queries, 3.0))
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3, 9])
+def test_ray_family_does_not_depend_on_the_block(block_rows, monkeypatch):
+    # 160 queries and 60 sites make 9,600 query-site rows, more than one
+    # BLOCK_ROWS block of 8,192; the patched sizes give blocks of one query,
+    # of one query though 60 sites exceed it, and of two queries with 4 sites.
+    rng = np.random.default_rng(7)
+    for norm, n_sites in ((PNorm(3, 3), 60), (EuclideanNorm(3), 60), (PNorm(1.5, 2), 4)):
+        sites = SiteSet(rng.uniform(-2, 2, size=(n_sites, norm.dim)), norm)
+        queries = rng.uniform(-2, 2, size=(160, norm.dim))
+        want = oracles.ray_family_loop(sites, queries, 0.2)
+        if block_rows is not None:
+            monkeypatch.setattr(atlas, "BLOCK_ROWS", block_rows)
+        assert_same_family(build_ray_family(sites, queries, 0.2), want)
+        monkeypatch.undo()
+
+
+def raised(build, sites, queries, length):
+    with pytest.raises(Exception) as info:
+        build(sites, queries, length)
+    return type(info.value), str(info.value)
+
+
+E3 = np.eye(3)
+# A query 1.7e-11 from site 0, whose ray of length 1e300 overflows to inf;
+# TIED, equally far from all three sites, is skipped before its ray is made.
+NEAR_SITE = E3[0] + 1e-11
+TIED = np.zeros(3)
+ERROR_CASES = {
+    "length-zero": ([[np.nan, 0.0, 0.0]], 0.0, "length must be positive"),
+    "length-negative": ([[5.0, 5.0]], -1.0, "length must be positive"),
+    "nan-query": ([[0.3, 0.2, 0.1], [np.nan, 0.0, 0.0], E3[0]], 1.0,
+                  "input has non-finite entries"),
+    "inf-query": ([[0.3, 0.2, 0.1], [0.0, -np.inf, 0.0]], 1.0,
+                  "input has non-finite entries"),
+    "nan-query-alone": ([[np.nan, np.nan, np.nan]], 1.0, "input has non-finite entries"),
+    "wrong-dim": ([[0.3, 0.2], [0.1, 0.4]], 1.0,
+                  "dimension mismatch: last axis must be 3, got shape (2,)"),
+    "three-axes": (np.full((2, 2, 3), 0.3), 1.0,
+                   "expected a 1-d vector, got shape (2, 3)"),
+    "zero-width": (np.empty((2, 0)), 1.0, "expected a 1-d vector, got shape (0,)"),
+    "empty-vector": (np.empty(0), 1.0, "expected a 1-d vector, got shape (0,)"),
+    "site-query": ([[0.3, 0.2, 0.1], E3[1], [np.nan, 0.0, 0.0]], 1.0,
+                   "query 1 lies in the site set"),
+    "site-query-before-end": ([TIED, E3[2], NEAR_SITE], 1e300,
+                              "query 1 lies in the site set"),
+    "end-before-site-query": ([TIED, NEAR_SITE, E3[2]], 1e300,
+                              "input has non-finite entries"),
+    "end-before-nan-query": ([NEAR_SITE, [np.nan, 0.0, 0.0]], 1e300,
+                             "input has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("make_norm", PARITY_NORMS, ids=PARITY_IDS)
+@pytest.mark.parametrize("case", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_ray_family_raises_what_the_loop_raises_first(make_norm, case):
+    # Under the suite's warnings-as-errors filter: a NaN query is reported as
+    # non-finite, not as lying in the site set (where a p-norm puts it at
+    # distance 0), and no stacked row raises a floating-point warning.
+    queries, length, message = case
+    sites = SiteSet(E3, make_norm(3))
+    want = raised(oracles.ray_family_loop, sites, queries, length)
+    assert want == (ValueError, message)
+    assert raised(build_ray_family, sites, queries, length) == want
+
+
+def test_ray_family_of_no_queries_is_empty():
+    sites = SiteSet(E3, PNorm(3, 3))
+    for queries in (np.empty((0, 3)), np.empty((0, 5)), np.empty((0, 2, 3))):
+        family = build_ray_family(sites, queries, 1.0)
+        assert_same_family(family, oracles.ray_family_loop(sites, queries, 1.0))
+        assert len(family) == 0 and family.skipped == []

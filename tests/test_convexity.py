@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +487,26 @@ class TestBalancedEstimator:
     def test_p3_tangent_bounded(self):
         rep = estimate_balanced(PNorm(3, 3), 1.0, "tangent", samples=50000, seed=12)
         assert 1.0 <= rep.k_hat < 50.0
+
+
+@pytest.mark.parametrize("estimate, radius, message", [
+    (estimate_lambda, math.nan, "r must be finite, got nan"),
+    (estimate_lambda, math.inf, "r must be finite, got inf"),
+    (estimate_doubling, math.nan, "r must be finite, got nan"),
+    (estimate_balanced, math.inf, "bound must be finite, got inf"),
+    (estimate_balanced, math.nan, "bound must be finite, got nan"),
+    (estimate_lambda, -math.inf, "r must be positive"),
+    (estimate_balanced, 0.0, "bound must be positive"),
+], ids=["lambda-nan", "lambda-inf", "doubling-nan", "balanced-inf", "balanced-nan",
+        "lambda-minus-inf", "balanced-zero"])
+def test_estimators_reject_a_radius_that_is_not_finite_and_positive(estimate, radius, message):
+    # Unchecked, r = nan runs the sample and raises DegenerateSampleError,
+    # and bound = inf warns in a divide.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            estimate(PNorm(3, 3), radius, "full", 100, 0)
+    assert str(info.value) == message
 
 
 class TestExtendConstants:
