@@ -120,6 +120,8 @@ def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:
 
     The queries are checked once, and two stacked passes find the sites of all
     of them and of their endpoints; an error is the first one-by-one checks raise.
+    The sticks are built from those checked rows without checking them again,
+    each holding its own copies, equal to what `Stick(start, end)` holds.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
@@ -153,7 +155,7 @@ def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:
         if abs(d_end - length) > 1e-9 * (1.0 + length):
             skipped.append((qi, "distance identity failed at the extended endpoint"))
             continue
-        sticks.append(Stick(start[qi].copy(), ends[qi].copy()))
+        sticks.append(Stick._unchecked(start[qi].copy(), ends[qi].copy()))
         indices.append(i)
     if n < len(queries):
         raise ValueError("input has non-finite entries")

@@ -123,6 +123,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _random_family(norm: Norm, rng: np.random.Generator, n_sites: int,
                    n_queries: int, length: float, box: float):
+    if n_queries < 0:
+        raise ValueError(f"--queries must be >= 0, got {n_queries}")
+    if not box > 0.0:
+        raise ValueError(f"--box must be positive, got {box!r}")
     sites = rng.uniform(-box, box, size=(n_sites, norm.dim))
     queries = rng.uniform(-box, box, size=(n_queries, norm.dim))
     site_set = SiteSet(sites, norm)

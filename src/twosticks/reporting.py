@@ -3,7 +3,11 @@
 Floats are written with `repr`, the shortest string that round-trips the
 exact binary value, so identical runs produce identical bytes.  CSV files
 use '.' decimals and no locale; an optional leading '# config: ...' comment
-embeds the generating configuration.  JSON reports carry their full config
+embeds the generating configuration.  Every CSV cell is the text `fmt` gives
+it; the writer formats a whole block of one column at a time, and each
+distinct value of a column with few of them once (a float column of one bit
+pattern, an int column spanning fewer values than it has cells), which
+changes no byte.  JSON reports carry their full config
 and an ISO-8601 timestamp (the one field excluded from the determinism
 contract).  `to_jsonable` is the one serializer: report dataclasses, norms
 and numpy values all pass through it.
@@ -66,21 +70,41 @@ def to_jsonable(obj):
 def _format_column(column: np.ndarray) -> list:
     """`fmt` of every cell of one column, with one formatter per numpy dtype
     applied to the column's `.tolist()`; a column mixing ints and floats is
-    therefore written as floats."""
-    values = column.tolist()
-    if column.dtype == np.bool_:
-        return ["true" if v else "false" for v in values]
-    if column.dtype.kind in "iu":
-        return list(map(str, values))
-    if column.dtype.kind == "f":
-        return list(map(repr, values))
-    return list(map(fmt, values))
+    therefore written as floats.
+
+    A column with few distinct values formats each of them once: a float
+    column whose cells share one float64 bit pattern (0.0 and -0.0 differ)
+    repeats one `repr`, and an int column spanning fewer values than it has
+    cells looks its cells up in a table of `str(lo..hi)`.  The text is the
+    same either way.
+    """
+    if not len(column):
+        return []
+    kind = column.dtype.kind
+    if kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    if kind in "iu":
+        wide = column.astype(kind + "8", copy=False)  # 64 bits: every offset below fits
+        lo, hi = int(wide.min()), int(wide.max())
+        if hi - lo + 1 < len(column):
+            table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+            return table[wide - wide.min()].tolist()
+        return list(map(str, column.tolist()))
+    if kind == "f":
+        # `fmt` writes repr(float(cell)), so cells of one float64 value share a text.
+        values = column.astype(np.float64, copy=False)
+        bits = values.view(np.uint64)
+        if (bits == bits[0]).all():
+            return [repr(float(values[0]))] * len(values)
+        return list(map(repr, values.tolist()))
+    return list(map(fmt, column.tolist()))
 
 
 def write_csv(path, header: Iterable[str], columns: Iterable,
               config: Optional[dict] = None) -> None:
     """Write one CSV row per entry of the columns (arrays or sequences of one
-    length), formatted column by column, CSV_BLOCK rows at a time."""
+    length), formatted column by column, CSV_BLOCK rows at a time, and each
+    block joined in one pass."""
     columns = [np.asarray(column) for column in columns]
     rows = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -89,7 +113,7 @@ def write_csv(path, header: Iterable[str], columns: Iterable,
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK):
             cells = [_format_column(column[start:start + CSV_BLOCK]) for column in columns]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path, payload: dict, config: Optional[dict] = None) -> None:

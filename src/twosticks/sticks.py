@@ -65,6 +65,14 @@ class Stick:
         self.start = as_vector(self.start)
         self.end = as_vector(self.end, dim=self.start.shape[0])
 
+    @classmethod
+    def _unchecked(cls, start: np.ndarray, end: np.ndarray) -> "Stick":
+        """A stick holding `start` and `end` as they are, unchecked: the caller
+        passes float64 1-d rows of one length, finite, that no other object holds."""
+        stick = object.__new__(cls)
+        stick.start, stick.end = start, end
+        return stick
+
     @property
     def dim(self) -> int:
         return self.start.shape[0]

@@ -14,6 +14,11 @@
   ran before the stacked nearest-site pass: two one-query nearest-site
   evaluations per query, each checking its vector.  The stacked pass must
   give the same family bit for bit, and raise the same error.
+* `LinearImageNorm`: ||x||_A = ||Ax|| of an inner norm, for A a signed
+  permutation times powers of two.  Ax is exact in floating point, so a
+  computation made of differences, sums and scalings of points gives under
+  ||.||_A what it gives under the inner norm on the images, bit for bit: a
+  metamorphic control with no tolerance.
 """
 
 import math
@@ -119,6 +124,27 @@ def ray_family_loop(sites: SiteSet, query_points, length: float) -> RayFamily:
         indices.append(hit.index)
     return RayFamily(sticks=sticks, length=float(length), site_index=indices,
                      skipped=skipped)
+
+
+class LinearImageNorm(Norm):
+    """||x||_A = inner(Ax) with (Ax)_i = factors[i] * x[perm[i]]; each factor
+    is +-2^k, so Ax rounds nothing (short of overflow or subnormals)."""
+
+    def __init__(self, inner: Norm, perm, factors):
+        super().__init__(inner.dim)
+        self.inner = inner
+        self.perm = np.asarray(perm)
+        self.factors = np.asarray(factors, dtype=float)
+        assert sorted(self.perm.tolist()) == list(range(self.dim))
+        mantissas, _ = np.frexp(np.abs(self.factors))
+        assert self.factors.shape == (self.dim,) and np.all(mantissas == 0.5)
+
+    def image(self, x) -> np.ndarray:
+        """Ax for every row of x."""
+        return np.asarray(x, dtype=float)[..., self.perm] * self.factors
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        return self.inner._value(self.image(x))
 
 
 def modulus_grid(norm: Norm, x, t: float, resolution: float = 1e-3) -> ModulusResult:

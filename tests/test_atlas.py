@@ -13,6 +13,7 @@ from twosticks import (
     PluginNorm,
     PNorm,
     SiteSet,
+    Stick,
     build_ray_family,
     generate_strip_pairs,
     nearest_point,
@@ -410,3 +411,36 @@ def test_ray_family_of_no_queries_is_empty():
         family = build_ray_family(sites, queries, 1.0)
         assert_same_family(family, oracles.ray_family_loop(sites, queries, 1.0))
         assert len(family) == 0 and family.skipped == []
+
+
+@pytest.mark.parametrize("make_norm", PARITY_NORMS, ids=PARITY_IDS)
+def test_ray_family_sticks_are_what_stick_builds(make_norm):
+    # The family builds its sticks from rows it has checked, without
+    # `Stick`'s checks; each must still be what `Stick(start, end)` makes,
+    # holding rows of its own.
+    norm = make_norm(3)
+    rng = np.random.default_rng(11)
+    sites = SiteSet(rng.uniform(-2, 2, size=(4, 3)), norm)
+    queries = rng.uniform(-2, 2, size=(40, 3))
+    family = build_ray_family(sites, queries, 1.0)
+    assert len(family) >= 20
+    rows = []
+    for stick in family.sticks:
+        built = Stick(stick.start, stick.end)
+        for got, want in ((stick.start, built.start), (stick.end, built.end)):
+            assert got.dtype == np.float64 and got.shape == (3,) and got.flags.owndata
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, queries)
+            assert not np.shares_memory(got, sites.sites)
+        rows += [stick.start, stick.end]
+    for a, b in itertools.combinations(rows, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("start, end", [([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                        ([0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]),
+                                        ([0.0, 0.0, 0.0], [1.0, 0.0])],
+                         ids=["nan-start", "inf-end", "short-end"])
+def test_stick_still_checks_its_endpoints(start, end):
+    with pytest.raises(ValueError):
+        Stick(start, end)

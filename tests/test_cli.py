@@ -209,6 +209,36 @@ def test_counts_and_log_bounds_are_checked_before_use(argv, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sticks", "atlas"])
+@pytest.mark.parametrize("flag, message", [
+    ("--queries=-1", "config error: --queries must be >= 0, got -1"),
+    ("--box=-1", "config error: --box must be positive, got -1.0"),
+    ("--box=0", "config error: --box must be positive, got 0.0"),
+], ids=["queries-negative", "box-negative", "box-0"])
+def test_family_flags_are_checked_before_any_draw(command, flag, message, tmp_path, capsys,
+                                                  monkeypatch):
+    # Not numpy's "negative dimensions" or "high - low < 0", nor a query
+    # lying in the degenerate site set of a zero box: the error names the flag.
+    class Undrawn:
+        def __getattr__(self, name):
+            raise AssertionError("the generator drew")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Undrawn())
+    out = tmp_path / "out"
+    argv = [command, "--norm", "p:3", "--dim", "2", flag, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("sticks", cli.EXIT_DEGENERATE),
+                                           ("atlas", cli.EXIT_OK)])
+def test_no_queries_is_not_a_config_error(command, code, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([command, "--norm", "p:3", "--queries", "0", "--out", str(out)]) == code
+    assert out.exists() == (code == cli.EXIT_OK)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--uniform-p", "2", "--uniform-q", "3"], "config error: need 1 < q <= p"),
     (["--uniform-p", "3", "--uniform-q", "1"], "config error: need 1 < q <= p"),

@@ -33,7 +33,7 @@ from twosticks import sticks as sticks_module
 from twosticks.sticks import (INTERP_SLACK, INTERP_TS, LIPSCHITZ_SLACK, MONOTONICITY_SLACK,
                               StripReport, _special_index)
 
-from oracles import modulus_grid
+from oracles import LinearImageNorm, modulus_grid
 
 
 def euclid_family(dim=2, queries=25, seed=0, length=1.0):
@@ -957,3 +957,36 @@ class TestStripExperiment:
         monkeypatch.setattr(convexity_module, "KKT_TOL", 0.0)
         rep = strip_experiment(*args)
         assert not rep.converged and not rep.passed
+
+
+@pytest.mark.parametrize("length", [1.0, 3.0])
+@pytest.mark.parametrize("perm, factors", [((2, 0, 1), (-2.0, 0.5, 4.0)),
+                                           ((1, 0, 2), (0.25, -1.0, -8.0))],
+                         ids=["cycle", "swap"])
+def test_sticks_path_is_invariant_under_an_exact_linear_image(perm, factors, length):
+    # Metamorphic control: under ||x||_A = ||Ax||_3 the ray family and the
+    # verdicts of `sticks` are those of PNorm(3, 3) on the images of the
+    # sites and queries, bit for bit.  The sites and queries are sticks-p3's;
+    # at length 1 no query is skipped, at length 3 some are.
+    norm = LinearImageNorm(PNorm(3, 3), perm, factors)
+    rng = np.random.default_rng(0)
+    sites = rng.uniform(-2.0, 2.0, size=(4, 3))
+    queries = rng.uniform(-2.0, 2.0, size=(160, 3))
+    family = build_ray_family(SiteSet(sites, norm), queries, length)
+    image = build_ray_family(SiteSet(norm.image(sites), norm.inner), norm.image(queries),
+                             length)
+    assert len(family) >= 100 and bool(family.skipped) == (length == 3.0)
+    assert family.site_index == image.site_index
+    assert family.skipped == image.skipped
+    starts, ends = family.endpoints()
+    image_starts, image_ends = image.endpoints()
+    assert norm.image(starts).tobytes() == image_starts.tobytes()
+    assert norm.image(ends).tobytes() == image_ends.tobytes()
+
+    i, j = np.triu_indices(len(family), k=1)
+    t = 0.05 + 0.95 * rng.random(len(i))
+    got = pair_verdicts(norm, starts[i], ends[i], starts[j], ends[j], t, q=2.0, p=3.0)
+    want = pair_verdicts(norm.inner, image_starts[i], image_ends[i], image_starts[j],
+                         image_ends[j], t, q=2.0, p=3.0)
+    for name in ("len_l", "len_m", "two_sticks", "equal_length", "holder_ratio", "violated"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
