@@ -123,6 +123,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _random_family(norm: Norm, rng: np.random.Generator, n_sites: int,
                    n_queries: int, length: float, box: float):
+    if n_sites < 1:
+        raise ValueError(f"--sites must be >= 1, got {n_sites}")
     if n_queries < 0:
         raise ValueError(f"--queries must be >= 0, got {n_queries}")
     if not box > 0.0:

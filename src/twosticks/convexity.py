@@ -37,14 +37,21 @@ changing it.  Then every step after the draws runs over blocks of
 BLOCK_ROWS rows, whose temporaries stay in cache: unit x, N(x) once per
 block (the tangent projection and every gap at that x reuse it), y, the
 gaps, the masks and the ratios; `_sample` is that step for Lambda, T and K.
-Only the kept ratios outlive a block.  One argmin or argmax over their
-concatenation finds the extremum, so the first index still wins ties, and
-the winner's block runs again for its witness.  The block size moves no
-bit, because every step after the draws works row by row: `_row_sum` and
-`_row_max` reduce each row alone, the zero-row branches of
-`_value_and_normal` and `_unit_vectors` replace single rows, and numpy's
-SIMD pow gives the same bits in every lane wherever a block starts.  Every
-h here but the BFGS polish's is `gap._gap_at`.  `transfer_check` verifies the
+Each block copies its slice of the draws column-major (`np.asfortranarray`),
+while the draws stay C-ordered and the stream unchanged: on C-ordered
+(rows, dim) arrays numpy's inner loop runs over the short dim axis, on
+column-major ones over the rows at unit stride, and `_row_sum` and
+`_row_max` read contiguous columns.  Only a block's first extremum and its
+witness outlive it, and a later block replaces them only where the pick
+over the two prefers the later one, so the first index still wins ties,
+NaN included, as one pick over the whole sample would; every block runs
+once.  Neither the block size nor the layout moves a bit, because every
+step after the draws works row by row: `_row_sum` and `_row_max` reduce
+each row alone, the zero-row branches of `_value_and_normal` and
+`_unit_vectors` replace single rows, every other step is elementwise, and
+numpy's SIMD pow gives the same bits in every lane wherever a block starts
+and on C-ordered, column-major and strided arrays alike.  Every h here but
+the BFGS polish's is `gap._gap_at`.  `transfer_check` verifies the
 quantitative bridge from tangent-plane constants to full-space ratios, and
 `onev_scan` verifies the scalar reduction that powers the p-norm proofs.
 
@@ -385,8 +392,9 @@ class ConstantsReport:
 
 
 # Rows per block of the sampled estimators: every step after the draws runs
-# over blocks this size, so its temporaries stay in cache.  8,192 measured
-# best on certify-p3; 4,096 to 16,384 were within noise.
+# over blocks this size, so its temporaries stay in cache.  On certify-p3
+# with column-major blocks, 4,096, 8,192 and 16,384 were within noise of
+# each other (CPU medians of 10 in-process calls, 0.51/0.50/0.51 s).
 BLOCK_ROWS = 8192
 
 
@@ -463,25 +471,29 @@ def _witness(x: np.ndarray, y: np.ndarray) -> list:
     return [[float(v) for v in x], [float(v) for v in y]]
 
 
-def _extremum(rows: int, block, pick, empty: str) -> tuple[float, list]:
-    """The ratio that `pick` (np.argmin or np.argmax) selects over rows
-    0..rows-1, run BLOCK_ROWS rows at a time, and its witness pair.
+def _extremum(draws: tuple, block, pick, empty: str) -> tuple[float, list]:
+    """The ratio that `pick` (np.argmin or np.argmax) selects over the rows
+    of `draws`, run BLOCK_ROWS rows at a time, and its witness pair.
 
-    `block(rows)` maps a slice of rows to (ratios, kept, x, y): the ratios
-    of the rows its mask `kept` holds, in row order, and the rows' x and y.
-    One pick over the concatenated ratios keeps the first index on ties, as
-    over the whole sample at once; the winner's block runs again for its
-    witness.  Raises DegenerateSampleError(empty) if no row is kept."""
-    kept = [block(slice(lo, lo + BLOCK_ROWS))[0] for lo in range(0, rows, BLOCK_ROWS)]
-    ratios = np.concatenate(kept)
-    if not ratios.size:
+    `block(*rows)` maps one block of each draw, copied column-major, to
+    (ratios, kept, x, y): the ratios of the rows its mask `kept` holds, in
+    row order, and the rows' x and y.  Each block's first pick is kept with
+    its witness, and a later block replaces it only where `pick` over the
+    two prefers the later one, so the first index wins ties, NaN included,
+    as over the whole sample at once.  Raises DegenerateSampleError(empty)
+    if no row is kept."""
+    best = None
+    for lo in range(0, len(draws[0]), BLOCK_ROWS):
+        ratios, kept, x, y = block(*(np.asfortranarray(d[lo:lo + BLOCK_ROWS]) for d in draws))
+        if not ratios.size:
+            continue
+        i = int(pick(ratios))
+        if best is None or pick([best[0], ratios[i]]) == 1:
+            row = np.flatnonzero(kept)[i]
+            best = (float(ratios[i]), _witness(x[row], y[row]))
+    if best is None:
         raise DegenerateSampleError(empty)
-    i = int(pick(ratios))
-    ends = np.cumsum([len(r) for r in kept])
-    b = int(np.searchsorted(ends, i, side="right"))
-    _, ok, x, y = block(slice(b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS))
-    row = np.flatnonzero(ok)[i - (ends[b] - len(kept[b]))]
-    return float(ratios[i]), _witness(x[row], y[row])
+    return best
 
 
 def _sampled_extremum(norm: Norm, radius: float, mode: str, samples: int, seed: int,
@@ -491,13 +503,12 @@ def _sampled_extremum(norm: Norm, radius: float, mode: str, samples: int, seed: 
     mask."""
     _check_samples(samples)
     _check_mode(mode)
-    draws = _draw(norm, default_rng(seed), samples, -4.0, 0.0)
 
-    def block(rows):
-        x, n_of_x, y, good = _sample(norm, radius, mode, *(d[rows] for d in draws))
+    def block(g, v, u):
+        x, n_of_x, y, good = _sample(norm, radius, mode, g, v, u)
         return (*ratios(norm, x, n_of_x, y, good), x, y)
 
-    return _extremum(samples, block, pick, empty)
+    return _extremum(_draw(norm, default_rng(seed), samples, -4.0, 0.0), block, pick, empty)
 
 
 def _doubling_ratios(norm: Norm, x, n_of_x, y, good) -> tuple[np.ndarray, np.ndarray]:
@@ -554,38 +565,39 @@ def estimate_balanced(norm: Norm, bound: float, mode: str = "full",
 def _convexity_extremum(norm: Norm, p: float, rng: np.random.Generator,
                         count: int) -> tuple[float, list]:
     """a_hat and its witness from `count` unit pairs (e, ebar) drawn from rng."""
-    g, w, u = _draw(norm, rng, count, -3.0, math.log10(2.0))
     e1 = np.eye(norm.dim)[0]
 
-    def block(rows):
-        e = _unit_vectors(norm, g[rows])
-        ebar = e + (10.0 ** u[rows])[:, None] * w[rows]
-        good = norm._value(ebar) > 1e-12
-        ebar = np.where(good[:, None], ebar, e + e1)
-        ebar = ebar / norm._value(ebar)[:, None]
+    def block(g, w, u):
+        e = _unit_vectors(norm, g)
+        ebar = e + (10.0 ** u)[:, None] * w
+        nb = norm._value(ebar)
+        good = nb > 1e-12
+        if not np.all(good):
+            ebar = np.where(good[:, None], ebar, e + e1)
+            nb = norm._value(ebar)
+        ebar = ebar / nb[:, None]
         d = norm._value(e - ebar)
         num = 2.0 - norm._value(e + ebar)
         ok = d > 1e-6
         return num[ok] / d[ok] ** p, ok, e, ebar
 
-    return _extremum(count, block, np.argmin,
+    return _extremum(_draw(norm, rng, count, -3.0, math.log10(2.0)), block, np.argmin,
                      "no informative unit pairs for the convexity constant")
 
 
 def _smoothness_extremum(norm: Norm, q: float, rng: np.random.Generator,
                          count: int) -> tuple[float, list]:
     """b_hat and its witness from `count` pairs (unit x, y) drawn from rng."""
-    g, w, u = _draw(norm, rng, count, -3.0, 0.0)
 
-    def block(rows):
-        x = _unit_vectors(norm, g[rows])
-        y = _scaled(norm, w[rows], (10.0 ** u[rows])[:, None])[0]
+    def block(g, w, u):
+        x = _unit_vectors(norm, g)
+        y = _scaled(norm, w, (10.0 ** u)[:, None])[0]
         ny = norm._value(y)
         smooth = norm._value(x + y) + norm._value(x - y) - 2.0
         ok = ny > 1e-6
         return smooth[ok] / ny[ok] ** q, ok, x, y
 
-    return _extremum(count, block, np.argmax,
+    return _extremum(_draw(norm, rng, count, -3.0, 0.0), block, np.argmax,
                      "no informative pairs for the smoothness constant")
 
 

@@ -19,7 +19,9 @@ Input is checked once, at the boundary: the public ``Norm.value`` and
 ``Norm.normal`` check that the last axis has length ``dim`` and that every
 entry is finite, and ``normal`` raises `ZeroVectorError` at the origin.  Each
 class implements only the unchecked kernels ``_value(x)`` and ``_normal(x, v)``
-(with ``v = _value(x)`` nonzero), which take arrays already checked or generated.
+(with ``v = _value(x)`` nonzero), which take arrays already checked or generated,
+in any memory layout, and never write to their input: `PNorm._scaled`
+divides and powers in place, but only its own ``np.abs(x)`` copy.
 ``_row_values(x)`` is ``_value`` of each row exactly as a one-vector call
 gives it, for the lockstep polish of `convexity`; only `PNorm`, whose root
 rounds differently on a batch, needs its own.
@@ -158,25 +160,30 @@ class PNorm(Norm):
 
     def _scaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Scale by the max coordinate m before powering so that extreme p
-        # neither overflows nor underflows: the norm is safe * s ** (1/p),
-        # or 0 where m is 0.
+        # neither overflows nor underflows: the norm is safe * s ** (1/p)
+        # where m > 0, and 0 elsewhere.  The divide and the power run in
+        # place on the kernel's own copy `a`; `live` and `safe` are taken
+        # first, because in dim 1 `_row_max(a)` is a view of `a`.
         a = np.abs(x)
         m = _row_max(a)
-        safe = np.where(m > 0.0, m, 1.0)
-        return m, safe, _row_sum((a / safe[..., None]) ** self.p)
+        live = m > 0.0
+        safe = np.where(live, m, 1.0)
+        a /= safe[..., None]
+        a **= self.p
+        return live, safe, _row_sum(a)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
-        m, safe, s = self._scaled(x)
-        return np.where(m > 0.0, safe * s ** (1.0 / self.p), 0.0)
+        live, safe, s = self._scaled(x)
+        return np.where(live, safe * s ** (1.0 / self.p), 0.0)
 
     def _row_values(self, x: np.ndarray) -> np.ndarray:
         # A one-vector `_value` takes the root of a numpy scalar, by libm's
         # pow; a batch's array root is numpy's SIMD pow, which differs in the
         # last bit for about 5% of values.  So each row's root is the scalar
         # pow, which `math.pow` calls too.
-        m, safe, s = self._scaled(x)
+        live, safe, s = self._scaled(x)
         inv = 1.0 / self.p
-        return np.where(m > 0.0, safe * [math.pow(v, inv) for v in s.tolist()], 0.0)
+        return np.where(live, safe * [math.pow(v, inv) for v in s.tolist()], 0.0)
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = x / v[..., None]

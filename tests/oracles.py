@@ -14,6 +14,11 @@
   ran before the stacked nearest-site pass: two one-query nearest-site
   evaluations per query, each checking its vector.  The stacked pass must
   give the same family bit for bit, and raise the same error.
+* `extremum_concatenated`: `convexity._extremum` as it ran before it kept
+  each block's pick as it went: one pick over the concatenated ratios of
+  every block, then the winning block once more for its witness.  The
+  one-pass `_extremum` must give the same value and witness bit for bit,
+  and raise the same error.
 * `LinearImageNorm`: ||x||_A = ||Ax|| of an inner norm, for A a signed
   permutation times powers of two.  Ax is exact in floating point, so a
   computation made of differences, sums and scalings of points gives under
@@ -27,7 +32,7 @@ import numpy as np
 import scipy.optimize as scipy_optimize
 
 from twosticks.atlas import TIE_TOL, NearestResult, RayFamily, SiteSet
-from twosticks.convexity import ModulusResult, _kkt, _problem
+from twosticks.convexity import DegenerateSampleError, ModulusResult, _kkt, _problem, _witness
 from twosticks.gap import _gap_at
 from twosticks.norms import (
     ZERO_THRESHOLD,
@@ -124,6 +129,22 @@ def ray_family_loop(sites: SiteSet, query_points, length: float) -> RayFamily:
         indices.append(hit.index)
     return RayFamily(sticks=sticks, length=float(length), site_index=indices,
                      skipped=skipped)
+
+
+def extremum_concatenated(rows: int, block, pick, empty: str, block_rows: int):
+    """(ratio, witness) that `pick` selects over the ratios of every block
+    of `block_rows` rows concatenated; the winner's block runs again for
+    its witness."""
+    kept = [block(slice(lo, lo + block_rows))[0] for lo in range(0, rows, block_rows)]
+    ratios = np.concatenate(kept)
+    if not ratios.size:
+        raise DegenerateSampleError(empty)
+    i = int(pick(ratios))
+    ends = np.cumsum([len(r) for r in kept])
+    b = int(np.searchsorted(ends, i, side="right"))
+    _, ok, x, y = block(slice(b * block_rows, (b + 1) * block_rows))
+    row = np.flatnonzero(ok)[i - (ends[b] - len(kept[b]))]
+    return float(ratios[i]), _witness(x[row], y[row])
 
 
 class LinearImageNorm(Norm):

@@ -221,21 +221,31 @@ def test_package_exports_resolve_to_no_modules():
 
 def test_certify_computes_one_normal_map_per_sample_batch(tmp_path, monkeypatch):
     # Lambda, T and K each run their x batch in blocks, and one N(x) per
-    # block serves its tangent projection and both of its gaps; the block
-    # holding the extremum runs once more for the witness.
-    calls = []
-    real = PNorm._normal
+    # block serves its tangent projection and both of its gaps; each block
+    # runs once, the witness kept as it goes.  Per block, Lambda, T and K
+    # take 5 norm calls (unit x, N(x), y, two gaps), A takes 4 (unit e,
+    # ebar, e - ebar, e + ebar) and B 5 (unit x, y, ||y||, x + y, x - y).
+    calls = {"normal": [], "value": []}
+    real_normal, real_value = PNorm._normal, PNorm._value
 
-    def counting(self, x, v):
-        calls.append(x.shape)
-        return real(self, x, v)
+    def counting_normal(self, x, v):
+        calls["normal"].append(x.shape)
+        return real_normal(self, x, v)
 
-    monkeypatch.setattr(PNorm, "_normal", counting)
+    def counting_value(self, x):
+        calls["value"].append(x.shape)
+        return real_value(self, x)
+
+    monkeypatch.setattr(PNorm, "_normal", counting_normal)
+    monkeypatch.setattr(PNorm, "_value", counting_value)
     monkeypatch.setattr(convexity, "BLOCK_ROWS", 200)
     argv = ["certify", "--norm", "p:3", "--dim", "3", "--mode", "tangent", "--uniform-p", "3",
             "--uniform-q", "2", "--samples", "500", "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == cli.EXIT_OK
-    assert len(calls) == 3 * 4
-    for k in range(3):
-        assert calls[4 * k:4 * k + 3] == [(200, 3), (200, 3), (100, 3)]
-        assert calls[4 * k + 3] in ((200, 3), (100, 3))
+    blocks = [(200, 3), (200, 3), (100, 3)]
+    assert calls["normal"] == 3 * blocks
+    # The uniform estimators draw 500 // 2 + 1 = 251 pairs each.
+    uniform = [(200, 3), (51, 3)]
+    assert calls["value"] == (3 * [shape for shape in blocks for _ in range(5)]
+                              + [shape for shape in uniform for _ in range(4)]
+                              + [shape for shape in uniform for _ in range(5)])

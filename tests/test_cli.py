@@ -211,14 +211,17 @@ def test_counts_and_log_bounds_are_checked_before_use(argv, message, tmp_path, c
 
 @pytest.mark.parametrize("command", ["sticks", "atlas"])
 @pytest.mark.parametrize("flag, message", [
+    ("--sites=-1", "config error: --sites must be >= 1, got -1"),
+    ("--sites=0", "config error: --sites must be >= 1, got 0"),
     ("--queries=-1", "config error: --queries must be >= 0, got -1"),
     ("--box=-1", "config error: --box must be positive, got -1.0"),
     ("--box=0", "config error: --box must be positive, got 0.0"),
-], ids=["queries-negative", "box-negative", "box-0"])
+], ids=["sites-negative", "sites-0", "queries-negative", "box-negative", "box-0"])
 def test_family_flags_are_checked_before_any_draw(command, flag, message, tmp_path, capsys,
                                                   monkeypatch):
-    # Not numpy's "negative dimensions" or "high - low < 0", nor a query
-    # lying in the degenerate site set of a zero box: the error names the flag.
+    # Not numpy's "negative dimensions" or "high - low < 0", nor "need at
+    # least one site" or a query lying in the degenerate site set of a zero
+    # box: the error names the flag.
     class Undrawn:
         def __getattr__(self, name):
             raise AssertionError("the generator drew")

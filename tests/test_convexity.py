@@ -33,10 +33,15 @@ from twosticks.convexity import (
     TransferWindowError,
     _ascended,
     _coarse_directions,
+    _extremum,
     _halton_directions,
     _kkt,
     _polish_on_sphere,
+    _scaled,
+    _tangent,
+    _unit_vectors,
 )
+from twosticks.gap import _gap_at
 from twosticks.norms import ZERO_THRESHOLD, _row_dot, _value_and_normal
 from twosticks.reporting import to_jsonable
 
@@ -666,6 +671,136 @@ class TestBlockedEstimators:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * 2 ** 20
+
+
+def synthetic_block(cells):
+    """Draws and a block for `_extremum` over fixed rows: cells[r] is row
+    r's ratio, or None where the row is not kept.  The draws are the row
+    indices and x, whose row r is (r, 0.5); row r's witness is x[r] and
+    y = -x[r].  Returns the draws, the block and the rows of each run."""
+    kept = np.array([c is not None for c in cells])
+    ratios = np.array([-7.0 if c is None else c for c in cells])
+    x = np.stack([np.arange(len(cells), dtype=float), np.full(len(cells), 0.5)], axis=-1)
+    runs = []
+
+    def block(index, xb):
+        assert xb.flags.f_contiguous
+        runs.append(index.tolist())
+        return ratios[index][kept[index]], kept[index], xb, -xb
+
+    return (np.arange(len(cells)), x), block, runs
+
+
+NAN, INF = math.nan, math.inf
+EXTREMUM_CASES = {
+    "ties-within-and-across": [2.0, 1.0, 1.0, 3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 3.0],
+    "empty-blocks-between": [None, None, None, 5.0, None, None, None, None, None,
+                             4.0, 5.0, None, None, None, 4.0, None],
+    "nan": [2.0, None, 1.0, NAN, 3.0, NAN, 0.5, 4.0],
+    "nan-in-a-late-block": [1.0, 2.0, 0.5, 3.0, None, 1.0, 0.5, 3.0, NAN, 0.0],
+    "infinities": [INF, 1.0, -INF, None, INF, -INF, 2.0],
+    "one-row": [7.0],
+    "one-kept-last": [None] * 7 + [1.5],
+}
+
+
+class TestExtremum:
+    EMPTY = "no informative samples: every h(x, x+y) fell below the floor"
+
+    def check(self, cells, pick, block_rows):
+        # Same value bits, witness and error as the concatenate-then-pick
+        # oracle, with every block run once and in order.
+        draws, block, runs = synthetic_block(cells)
+
+        def block_of_rows(rows):
+            return block(*(np.asfortranarray(d[rows]) for d in draws))
+
+        try:
+            want = oracles.extremum_concatenated(len(cells), block_of_rows, pick, self.EMPTY,
+                                                 block_rows)
+        except DegenerateSampleError as err:
+            want = err
+        runs.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convexity, "BLOCK_ROWS", block_rows)
+            if isinstance(want, DegenerateSampleError):
+                with pytest.raises(DegenerateSampleError) as err:
+                    _extremum(draws, block, pick, self.EMPTY)
+                assert str(err.value) == str(want) == self.EMPTY
+            else:
+                got = _extremum(draws, block, pick, self.EMPTY)
+                assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                assert got[1] == want[1]
+        assert runs == [list(range(lo, min(lo + block_rows, len(cells))))
+                        for lo in range(0, len(cells), block_rows)]
+
+    @pytest.mark.parametrize("block", [1, 3, "rows"])
+    @pytest.mark.parametrize("pick", [np.argmin, np.argmax], ids=["argmin", "argmax"])
+    @pytest.mark.parametrize("case", EXTREMUM_CASES)
+    def test_matches_concatenate_then_pick(self, case, pick, block):
+        cells = EXTREMUM_CASES[case]
+        self.check(cells, pick, len(cells) if block == "rows" else block)
+
+    @pytest.mark.parametrize("block", [1, 3, 5])
+    @pytest.mark.parametrize("pick", [np.argmin, np.argmax], ids=["argmin", "argmax"])
+    def test_nothing_kept_raises(self, pick, block):
+        self.check([None] * 5, pick, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.sampled_from([None, -1.0, 0.0, 1.0, 2.0, NAN, INF, -INF]),
+                          min_size=1, max_size=30),
+           pick=st.sampled_from([np.argmin, np.argmax]), block=st.integers(1, 31))
+    def test_random_blocks_match_concatenate_then_pick(self, cells, pick, block):
+        self.check(cells, pick, block)
+
+
+def layouts(a: np.ndarray) -> list:
+    """a as a C-ordered copy, an F-ordered copy and a strided view into a
+    larger buffer, each with the buffer whose bytes must stay unchanged."""
+    big = np.full((2 * a.shape[0], a.shape[1] + 2), 9.0)
+    view = big[::2, 1:-1]
+    view[...] = a
+    return [(c, c) for c in (np.ascontiguousarray(a), np.asfortranarray(a))] + [(view, big)]
+
+
+# Each kernel of the sampled estimators on (x, N(x), v): unit rows x, their
+# normals, and rows v that include a zero row, a row below the 1e-12 floor
+# and a large row.
+LAYOUT_KERNELS = {
+    "value": lambda norm, x, n, v: norm._value(v),
+    "row_values": lambda norm, x, n, v: norm._row_values(v),
+    "normal": lambda norm, x, n, v: norm._normal(x, norm._value(x)),
+    "gap_at": lambda norm, x, n, v: _gap_at(norm, n, v),
+    "unit_vectors": lambda norm, x, n, v: _unit_vectors(norm, v),
+    "scaled": lambda norm, x, n, v: _scaled(norm, v),
+    "scaled-by-column": lambda norm, x, n, v: _scaled(norm, v,
+                                                      np.linspace(0.5, 2.0, len(v))[:, None]),
+    "tangent": lambda norm, x, n, v: _tangent(x, n, v),
+}
+
+
+@pytest.mark.parametrize("kernel", LAYOUT_KERNELS)
+@pytest.mark.parametrize("kind", ESTIMATE_NORMS)
+def test_kernels_give_the_same_bytes_on_every_layout(kind, kernel):
+    # certify runs its blocks column-major and transfer_check row-major:
+    # neither layout may move a bit, and no kernel may write to its input.
+    norm = ESTIMATE_NORMS[kind]()
+    rng = np.random.default_rng(11)
+    rows = 41
+    g = rng.standard_normal((rows, norm.dim))
+    x = g / norm._value(g)[:, None]
+    v = rng.standard_normal((rows, norm.dim)) * 10.0 ** rng.uniform(-3, 1, (rows, 1))
+    v[3], v[7], v[11] = 0.0, 1e-13, 1e10
+    inputs = [layouts(a) for a in (x, _value_and_normal(norm, x)[1], v)]
+    seen = []
+    for layout in zip(*inputs):
+        arrays = [array for array, _ in layout]
+        before = [buffer.tobytes() for _, buffer in layout]
+        out = LAYOUT_KERNELS[kernel](norm, *arrays)
+        assert [buffer.tobytes() for _, buffer in layout] == before
+        seen.append([(o.dtype, o.shape, o.tobytes())
+                     for o in (out if isinstance(out, tuple) else (out,))])
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 @pytest.fixture(scope="module")
