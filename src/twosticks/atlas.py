@@ -8,14 +8,22 @@ their extended endpoints, in stacked norm evaluations (`_nearest`, which
 `nearest_point` calls on one query), and keeps the sticks in query order.
 
 `generate_strip_pairs` builds each strip configuration from two such rays
-and draws its proposals by rejection, PROPOSAL_BLOCK at a time.  Nearly all
-fail, so a few stacked norm evaluations (`_screen`) drop the proposals whose
-queries or extended endpoints lie nearer the wrong site, or tie, by more than
-SCREEN_MARGIN.  The survivors go in draw order through the exact
-one-proposal path (`_admit`), which alone decides acceptance.  The screen
-never drops a proposal that path would accept, and blocks do not change the
-order of the draws, so the output is the same for every block size and
-bit-identical to checking each proposal on the exact path.
+and draws its proposals by rejection, PROPOSAL_BLOCK at a time.  `_screen`
+builds a whole block and takes every test but the two delta-ball bracket
+searches as masks over it: `build_ray_family`'s site tests of the queries
+and extended endpoints, its distance identity at the endpoints, the
+two-sticks check, the endpoint gap and the rho-clearance.  Each mask rounds
+as one proposal alone does: site distances and the two-sticks check take
+stacked norms, as `_nearest` and `sticks._pair_checks` do, and the norms of
+single vectors (unit scalings, endpoint gap, rho-clearances) go through
+`Norm._row_values`, since a one-vector p-norm takes its root by the scalar
+pow, which differs from the stacked one in the last bit for about 5% of
+values.  The few proposals that pass every mask go in draw order through
+`build_ray_family`, which makes their sticks, and the two ball tests.  So
+blocks change neither the draws nor a verdict.
+
+The two-sticks and endpoint-identity masks hold by construction: no input
+tried has made either bind, so dropping one fails no test.
 """
 
 from __future__ import annotations
@@ -27,23 +35,13 @@ import numpy as np
 
 from .convexity import BLOCK_ROWS, DegenerateSampleError
 from .norms import Norm, as_vector
-from .sticks import Stick, segment_point_distance, two_sticks_check
+from .sticks import Stick, _pair_checks, segment_point_distance
 
 TIE_TOL = 1e-12
 # Proposals `generate_strip_pairs` draws before it gives up.
 MAX_PROPOSALS = 100000
 # Proposals `generate_strip_pairs` draws and screens together.
 PROPOSAL_BLOCK = 64
-# How far past its threshold a screened rejection must hold before `_screen`
-# drops the proposal.  Both paths take site distances from stacked rows, but
-# `_admit` scales its unit vectors one vector at a time, and the array `pow`
-# may run a SIMD loop where the scalar one calls libm, 1 ulp apart.  So the
-# screen's sites, queries and endpoints, all of order 1, can be a few ulps
-# off the exact path's, and so can each distance and each difference of two:
-# at most 6.7e-16 over 15k proposals of five norms.  `_nearest` rounds each
-# distance as a one-query evaluation does, so that bound stands.  1e-12 is over
-# 10^3 times it, and the screen still drops 98% of the proposals at strip-p3.
-SCREEN_MARGIN = 1e-12
 
 
 class NearestResult(NamedTuple):
@@ -189,77 +187,49 @@ def _draw_block(rng, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _own_and_other(norm: Norm, points: np.ndarray, sites: np.ndarray) -> tuple:
-    """(||p_k - s_k||, ||p_k - s_(1-k)||) for k = 0, 1, for each proposal of a block."""
-    d = norm._value(points[:, :, None] - sites[:, None])
+    """(||p_k - s_k||, ||p_k - s_(1-k)||) for k = 0, 1, for each proposal of a
+    block, stacked as `_nearest` takes them."""
+    d = norm._value(sites[:, None] - points[:, :, None])
     return d[:, [0, 1], [0, 1]], d[:, [0, 1], [1, 0]]
 
 
-def _screen(norm: Norm, delta: float, normals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Mask of the proposals of a block that `_admit` may accept.
-
-    Repeats `_admit`'s construction and `build_ray_family`'s site tests on the
-    whole block, and drops a proposal only when a query or an extended
-    endpoint misses its site by more than SCREEN_MARGIN.  A distance of zero
-    cannot occur (every query is at least 0.3 from both sites); should one,
-    its division is masked and the NaN gap it makes drops nothing.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = norm._value(normals[:, [1, 3, 4]])
-        e = normals[:, 1] / v[:, 0, None]
-        ebar = e + (delta * uniforms[:, 0])[:, None] * normals[:, 2]
-        ebar = ebar / norm._value(ebar)[:, None]
-        x0 = normals[:, 0] * 0.1
-        xi = normals[:, 3:] / v[:, 1:, None] * 0.4 * delta * uniforms[:, 2:, None]
-        sites = x0[:, None] - uniforms[:, 1, None, None] * np.stack([e, ebar], axis=1)
-        queries = x0[:, None] + xi
-        own, other = _own_and_other(norm, queries, sites)
-        ends = sites + (1.0 / own)[..., None] * (queries - sites)
-        end_own, end_other = _own_and_other(norm, ends, sites)
-    # `build_ray_family` keeps point k (query or endpoint) on site k only when
-    # other - own exceeds TIE_TOL: below 0 it is nearer the other site, below
-    # TIE_TOL the two tie.  With SCREEN_MARGIN = TIE_TOL the screen drops only
-    # the first case and leaves ties, which take equal distances to within
-    # 1e-12, to the exact path.
-    gaps = np.concatenate([other - own, end_other - end_own], axis=1)
-    return ~np.any(gaps < TIE_TOL - SCREEN_MARGIN, axis=1)
+def _row_norms(norm: Norm, x: np.ndarray) -> np.ndarray:
+    """The norm of each vector of x (..., dim), rounded as a one-vector call rounds it."""
+    return norm._row_values(x.reshape(-1, norm.dim)).reshape(x.shape[:-1])
 
 
-def _admit(norm: Norm, z: np.ndarray, u: list, delta: float, rho: float,
-           endpoint_gap_max: float):
-    """One proposal from its raw draws, on the exact path: (l, m, x0) or None."""
-    x0 = z[0] * 0.1
-    e = z[1] / float(norm._value(z[1]))
-    spread = delta * u[0]
-    ebar = e + spread * z[2]
-    ebar = ebar / float(norm._value(ebar))
-
-    # Both sites at distance tau from x0, so x0 sits on their bisector
-    # and the nearby queries can fall on either side of it.
-    tau = u[1]
-    xi1 = z[3] / float(norm._value(z[3])) * 0.4 * delta * u[2]
-    xi2 = z[4] / float(norm._value(z[4])) * 0.4 * delta * u[3]
-    q1 = x0 + xi1
-    q2 = x0 + xi2
-
-    sites = SiteSet(np.array([x0 - tau * e, x0 - tau * ebar]), norm)
-    family = build_ray_family(sites, [q1, q2], 1.0)
-    if len(family) != 2 or family.site_index != [0, 1]:
-        return None
-    l, m = family.sticks
-    if not two_sticks_check(norm, l, m):
-        return None
-    if float(norm._value(l.end - m.end)) > endpoint_gap_max:
-        return None
-    endpoints_clear = all(
-        float(norm._value(p - x0)) > rho * (1.0 + 1e-9)
-        for p in (l.start, l.end, m.start, m.end))
-    if not endpoints_clear:
-        return None
-    if segment_point_distance(norm, l, x0)[0] > delta:
-        return None
-    if segment_point_distance(norm, m, x0)[0] > delta:
-        return None
-    return l, m, x0
+def _screen(norm: Norm, delta: float, rho: float, endpoint_gap_max: float,
+            normals: np.ndarray, uniforms: np.ndarray) -> tuple:
+    """(mask, x0, sites, queries) of a block of proposals: the mask of those
+    that pass every test but the two delta-ball tests, and each proposal's
+    x0, its two sites and its two queries, as one proposal alone builds them."""
+    v = _row_norms(norm, normals[:, [1, 3, 4]])
+    e = normals[:, 1] / v[:, 0, None]
+    ebar = e + (delta * uniforms[:, 0])[:, None] * normals[:, 2]
+    ebar = ebar / _row_norms(norm, ebar)[:, None]
+    x0 = normals[:, 0] * 0.1
+    xi = normals[:, 3:] / v[:, 1:, None] * 0.4 * delta * uniforms[:, 2:, None]
+    # Both sites at distance tau from x0, so x0 sits on their bisector and
+    # the nearby queries can fall on either side of it.  Every query is at
+    # least tau - 0.4 delta > 0.3 from both sites, so no distance is 0.
+    sites = x0[:, None] - uniforms[:, 1, None, None] * np.stack([e, ebar], axis=1)
+    queries = x0[:, None] + xi
+    own, other = _own_and_other(norm, queries, sites)
+    ends = sites + (1.0 / own)[..., None] * (queries - sites)
+    end_own, end_other = _own_and_other(norm, ends, sites)
+    # `build_ray_family`'s tests of a ray of length 1: query and endpoint
+    # keep their own site by more than TIE_TOL, and the endpoint lies at
+    # distance 1 from it.
+    ok = np.all((other > own + TIE_TOL) & (end_other > end_own + TIE_TOL)
+                & (np.abs(end_own - 1.0) <= 1e-9 * (1.0 + 1.0)), axis=1)
+    # The pair tests, on the few proposals whose rays both stand.
+    live = np.flatnonzero(ok)
+    s, t = sites[live], ends[live]
+    pair = _pair_checks(norm, s[:, 0], t[:, 0], s[:, 1], t[:, 1]).two_sticks
+    pair &= _row_norms(norm, t[:, 0] - t[:, 1]) <= endpoint_gap_max
+    clearance = _row_norms(norm, np.concatenate([s, t], axis=1) - x0[live, None])
+    ok[live] = pair & np.all(clearance > rho * (1.0 + 1e-9), axis=1)
+    return ok, x0, sites, queries
 
 
 def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
@@ -276,12 +246,13 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
     estimates allow.
 
     Proposals are drawn PROPOSAL_BLOCK at a time, each one's draws in the
-    order one proposal alone would make them, and `_screen` drops those
-    whose queries or extended endpoints fall nearer the wrong site, or tie,
-    by more than SCREEN_MARGIN.  The rest are checked in draw order on the
-    exact one-proposal path, which alone accepts.  So the output depends on
-    the seed only: it is the same for every block size, and the same as
-    checking every proposal on the exact path.
+    order one proposal alone would make them.  `_screen` tests a whole block
+    at once, each norm rounded as on one proposal alone (single vectors
+    through `Norm._row_values`).  The proposals that pass every mask get
+    their rays from `build_ray_family` and meet the two ball tests in draw
+    order.  So the output depends on the seed only: it is the same for
+    every block size, and the same as building each proposal's rays with
+    `build_ray_family` and checking its pair alone.
 
     ValueError, before any draw, when no admissible configuration can exist
     or none is asked for: dim < 2, endpoint_gap_max <= 0, delta outside
@@ -306,11 +277,13 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         normals, uniforms = _draw_block(rng, min(PROPOSAL_BLOCK, MAX_PROPOSALS - tries),
                                         norm.dim)
         tries += len(normals)
-        for i in np.flatnonzero(_screen(norm, delta, normals, uniforms)):
-            config = _admit(norm, normals[i], uniforms[i].tolist(), delta, rho,
-                            endpoint_gap_max)
-            if config is not None:
-                out.append(config)
+        ok, x0, sites, queries = _screen(norm, delta, rho, endpoint_gap_max, normals, uniforms)
+        for i in np.flatnonzero(ok):
+            # The mask has passed both rays, so the family holds both sticks.
+            l, m = build_ray_family(SiteSet(sites[i], norm), queries[i], 1.0).sticks
+            if (segment_point_distance(norm, l, x0[i])[0] <= delta
+                    and segment_point_distance(norm, m, x0[i])[0] <= delta):
+                out.append((l, m, x0[i].copy()))
                 if len(out) == count:
                     break
     if len(out) < count:

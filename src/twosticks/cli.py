@@ -42,7 +42,7 @@ from .convexity import (DegenerateSampleError, _check_exponents, _check_mode, _c
 from .norms import EuclideanNorm, Norm, PNorm
 from .reporting import to_jsonable, write_csv, write_json
 from .sharpness import holder_exponents, sharpness_curve, sharpness_grid
-from .sticks import PreconditionError, pair_verdicts, strip_experiments
+from .sticks import PreconditionError, _check_strip_constants, pair_verdicts, strip_experiments
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -183,6 +183,11 @@ def cmd_certify(args) -> int:
 
 def cmd_sticks(args) -> int:
     norm = parse_norm(args.norm, args.dim)
+    if isinstance(norm, EuclideanNorm):
+        for flag, value in (("--q", args.q), ("--p-exp", args.p_exp)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to p-norms only: the Euclidean "
+                                 "norm has no Hölder ratio")
     if args.pairs is not None and args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -227,10 +232,7 @@ def cmd_sticks(args) -> int:
 
 def cmd_strip(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    if args.lam <= 2.0:
-        raise ValueError("--lambda must exceed 2 (geometric convexity)")
-    if args.k < 1.0:
-        raise ValueError("--k must be >= 1")
+    _check_strip_constants(args.lam, args.k)
     configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
                                    seed=args.seed, endpoint_gap_max=args.big_r)
     reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k, args.big_r)
@@ -328,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     stk.add_argument("--length", type=finite, default=1.0)
     stk.add_argument("--box", type=finite, default=2.0)
     stk.add_argument("--pairs", type=int, default=None, help="cap on sampled pairs")
-    stk.add_argument("--q", type=finite, default=None, help="smoothness exponent")
-    stk.add_argument("--p-exp", type=finite, default=None, help="convexity exponent")
+    stk.add_argument("--q", type=finite, default=None, help="smoothness exponent (p-norms only)")
+    stk.add_argument("--p-exp", type=finite, default=None, help="convexity exponent (p-norms only)")
     stk.set_defaults(func=cmd_sticks)
 
     strp = subs.add_parser("strip", help="strip-confinement experiment")

@@ -291,19 +291,19 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> li
     """`modulus` of each problem (xs[i], ts[i]), from one batched ascent and
     one batched polish.
 
-    The problems are checked in order, as `modulus` checks one.  N(x) is
-    computed one row at a time through `Norm.normal`, not by the row kernel
-    on the stacked points, whose power can round differently in the last ulp
-    and move the polish starts.  The projected ascent runs once over arrays
-    of shape (problems, starts, dim), each problem stopping on its own rule.
-    Then the two best starts of every problem go to one `_polish_on_sphere`
-    call, whose BFGS runs all of them in lockstep, and a polished start
-    replaces its ascended one where it is higher.  Each row of the polish
-    takes the arithmetic of that start polished alone, so a problem's result
-    does not depend on the batch it is in.  Last, each problem's `modulus`
-    call ranks its starts and judges convergence against KKT_TOL, so a
-    wrapper of `modulus` (a call counter, a tracer) sees one call and one
-    result per problem.
+    The problems are checked once, in order.  N(x) is computed one row at a
+    time through `Norm.normal`, not by the row kernel on the stacked points,
+    whose power can round differently in the last ulp and move the polish
+    starts; each problem's `modulus` call is handed it.  The projected
+    ascent runs once over arrays of shape (problems, starts, dim), each
+    problem stopping on its own rule.  Then the two best starts of every
+    problem go to one `_polish_on_sphere` call, whose BFGS runs all of them
+    in lockstep, and a polished start replaces its ascended one where it is
+    higher.  Each row of the polish takes the arithmetic of that start
+    polished alone, so a problem's result does not depend on the batch it
+    is in.  Last, each problem's `modulus` call ranks its starts and judges
+    convergence against KKT_TOL, so a wrapper of `modulus` (a call counter,
+    a tracer) sees one call and one result per problem.
     """
     rows, radii, normals = [], [], []
     for x, t in zip(xs, ts, strict=True):
@@ -321,12 +321,13 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> li
     better = fp > f[prob, start]
     y[prob[better], start[better]] = yp[better]
     f[prob[better], start[better]] = fp[better]
-    return [modulus(norm, x, t, starts=(y[i], f[i], int(iterations[i])))
-            for i, (x, t) in enumerate(zip(rows, radii))]
+    return [modulus(norm, x, t, starts=(y[i], f[i], int(iterations[i]), n_of_x))
+            for i, (x, t, n_of_x) in enumerate(zip(rows, radii, normals))]
 
 
 def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
-            starts: Optional[tuple[np.ndarray, np.ndarray, int]] = None) -> ModulusResult:
+            starts: Optional[tuple[np.ndarray, np.ndarray, int, np.ndarray]] = None
+            ) -> ModulusResult:
     """Maximize h(x, x+y) over the sphere ||y|| = t by multi-start projected ascent.
     Starts come from a deterministic low-discrepancy set, so the result is
     reproducible; for dim 2 and 3 the four best directions of a coarse sweep
@@ -337,18 +338,18 @@ def modulus(norm: Norm, x, t: float, *, n_starts: int = 32, max_iter: int = 200,
     KKT residual of the winner is at most KKT_TOL and its multiplier is not
     negative; non-convergence is reported there, never silently.
 
-    `starts` is how `moduli`, which ascends and polishes a batch of problems
-    at once, hands one problem its share: the polished starts (starts, dim)
-    on the sphere, their values h(x, x+y) and the problem's ascent iteration
-    count.  Given, this only ranks them and computes the KKT residual, and
-    n_starts and max_iter are not read; left None, this is `moduli` of one
-    problem.
+    `starts` is how `moduli`, which checks, ascends and polishes a batch of
+    problems at once, hands one checked problem its share: the polished
+    starts (starts, dim) on the sphere, their values h(x, x+y), the
+    problem's ascent iteration count and N(x).  Given, x and t must be the
+    float row and radius that `_problem` returned for this problem, and
+    N(x) the problem's `Norm.normal(x)`: this only ranks the starts and
+    computes the KKT residual, checks nothing again, and reads neither
+    n_starts nor max_iter.  Left None, this is `moduli` of one problem.
     """
     if starts is None:
         return moduli(norm, [x], [t], n_starts=n_starts, max_iter=max_iter)[0]
-    x, t = _problem(norm, x, t)
-    n_of_x = norm.normal(x)
-    y, f, iterations = starts
+    y, f, iterations, n_of_x = starts
 
     # First start within 1e-9 of the best value, in start order.
     best_val = float(np.max(f))

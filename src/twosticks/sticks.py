@@ -379,15 +379,19 @@ class StripReport:
     t_star: float
 
 
+def _check_strip_constants(lam: float, k_const: float) -> None:
+    """PreconditionError unless 2 < Lambda < inf and 1 <= K < inf."""
+    if not 2.0 < lam < math.inf:
+        raise PreconditionError("lambda_range", f"need 2 < Lambda < inf, got {lam!r}")
+    if not 1.0 <= k_const < math.inf:
+        raise PreconditionError("k_range", f"need 1 <= K < inf, got {k_const!r}")
+
+
 def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, lam: float,
                  k_const: float, big_r: float):
     """`strip_experiment` of one configuration as a generator: it yields the
     modulus problems it needs as a list of (x, t), is sent their results in
     that order, and returns the StripReport."""
-    if not 2.0 < lam < math.inf:
-        raise PreconditionError("lambda_range", f"need 2 < Lambda < inf, got {lam!r}")
-    if not 1.0 <= k_const < math.inf:
-        raise PreconditionError("k_range", f"need 1 <= K < inf, got {k_const!r}")
     v = _pair_checks(norm, *_stick_rows(norm, l, m))
     _require(v.two_sticks, v.equal_length, len_l=v.len_l)
     # Normalize to unit length; all input geometry scales with the sticks.
@@ -473,11 +477,14 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
     configuration, then, after the special-stick swaps, the maximizer ybar
     of every configuration.
 
-    Each configuration runs the steps of `strip_experiment` in its order.
-    When some fail, the error raised is the one the lowest-index failing
-    configuration raises alone, as in a loop of `strip_experiment` calls;
-    the configurations after it are not solved.
+    Lambda and K are checked first, once, even when there is no
+    configuration.  Then each configuration runs the other steps of
+    `strip_experiment` in its order.  When some fail, the error raised is
+    the one the lowest-index failing configuration raises alone, as in a
+    loop of `strip_experiment` calls; the configurations after it are not
+    solved.
     """
+    _check_strip_constants(lam, k_const)
     steps = [_strip_steps(norm, l, m, x0, delta, rho, lam, k_const, big_r)
              for l, m, x0 in configs]
     reports, replies = [None] * len(steps), [None] * len(steps)

@@ -20,7 +20,7 @@ from twosticks import (
     segment_point_distance,
     two_sticks_check,
 )
-from twosticks import atlas
+from twosticks import atlas, sticks
 from twosticks.atlas import TIE_TOL
 
 import oracles
@@ -130,9 +130,8 @@ def test_strip_pairs_reject_impossible_requests_before_drawing(norm, count, kwar
 
 
 def test_strip_pairs_in_one_dimension_raise_at_once():
-    # Without the up-front check, MAX_PROPOSALS proposals take about 17 s (2 vCPUs):
-    # in one dimension the two sites coincide, so every query ties, and the
-    # block screen leaves ties to the exact path.
+    # Without the up-front check, MAX_PROPOSALS proposals take about 1.7 s
+    # (2 vCPUs): in one dimension the two sites coincide, so every query ties.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="dim must be >= 2"):
         generate_strip_pairs(PNorm(3, 1), 1, 1e-4, 0.36, endpoint_gap_max=0.05)
@@ -142,8 +141,8 @@ def test_strip_pairs_in_one_dimension_raise_at_once():
 def reference_proposals(norm, delta, rho, seed, endpoint_gap_max):
     """Each proposal's (l, m, x0), or None when rejected, one proposal at a time.
 
-    The reference for `generate_strip_pairs`: its per-proposal loop with no
-    block screen, every proposal on the exact path (`continue` is `yield None`).
+    The reference for `generate_strip_pairs`: each proposal alone, through
+    `build_ray_family` and `two_sticks_check` (`continue` is `yield None`).
     """
     rng = np.random.default_rng(seed)
     n = norm.dim
@@ -192,7 +191,7 @@ def reference_proposals(norm, delta, rho, seed, endpoint_gap_max):
 
 def reference_strip_pairs(norm, count, delta, rho, seed=0, *, endpoint_gap_max=0.2,
                           max_proposals=atlas.MAX_PROPOSALS):
-    """`generate_strip_pairs` with no block screen: every proposal on the exact path."""
+    """`generate_strip_pairs` one proposal at a time, through `reference_proposals`."""
     out = []
     proposals = reference_proposals(norm, delta, rho, seed, endpoint_gap_max)
     for config in itertools.islice(proposals, max_proposals):
@@ -219,27 +218,34 @@ def p25(dim):
 MATRIX_NORMS = [EuclideanNorm, *(lambda d, p=p: PNorm(p, d) for p in (1.25, 1.5, 3, 4)), p25]
 
 
+# (delta, seed, rho, endpoint_gap_max): 18 cases, then ones where the
+# rho-clearance (rho = 0.45) and the endpoint gap (delta / 2) reject
+# proposals that pass every other test.
+LOOP_CASES = [*((delta, seed, 0.36, 0.2)
+                for delta, seed in itertools.product((1e-3, 1e-4, 1e-5), range(6))),
+              *((delta, seed, rho, gap)
+                for delta, seed in itertools.product((1e-3, 1e-4, 1e-5), range(2))
+                for rho, gap in ((0.45, 0.2), (0.36, delta / 2)))]
+
+
 @pytest.mark.parametrize("make_norm", MATRIX_NORMS,
                          ids=["euclidean", "p1.25", "p1.5", "p3", "p4", "plugin-p2.5"])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_strip_pairs_match_the_one_proposal_loop(make_norm, dim):
-    # Over the 18 cases of each test, about 36k proposals in all, every
-    # proposal `_screen` drops is also one the loop rejects.
+    # The block screen is the loop's verdict on every proposal up to the
+    # loop's first acceptance: the two ball tests it leaves out reject
+    # nothing here.
     norm = make_norm(dim)
-    proposals = kept = 0
-    for delta, seed in itertools.product((1e-3, 1e-4, 1e-5), range(6)):
+    for delta, seed, rho, gap in LOOP_CASES:
         verdicts = []
-        for config in reference_proposals(norm, delta, 0.36, seed, 0.2):
+        for config in reference_proposals(norm, delta, rho, seed, gap):
             verdicts.append(config is not None)
             if config is not None:
                 break
-        assert_same_configs(generate_strip_pairs(norm, 1, delta, 0.36, seed=seed), [config])
+        assert_same_configs(
+            generate_strip_pairs(norm, 1, delta, rho, seed=seed, endpoint_gap_max=gap), [config])
         normals, uniforms = atlas._draw_block(np.random.default_rng(seed), len(verdicts), dim)
-        screened = atlas._screen(norm, delta, normals, uniforms)
-        assert not np.any(np.array(verdicts) & ~screened)
-        proposals += len(verdicts)
-        kept += int(np.count_nonzero(screened))
-    assert kept <= 0.1 * proposals, (kept, proposals)
+        assert atlas._screen(norm, delta, rho, gap, normals, uniforms)[0].tolist() == verdicts
 
 
 @pytest.mark.parametrize("seed", [0, 1, 28, 2**40 + 3])
@@ -293,6 +299,38 @@ def test_strip_pairs_run_the_exact_path_on_few_proposals(strip_p3_reference, mon
     monkeypatch.setattr(atlas, "build_ray_family", counting)
     assert_same_configs(generate_strip_pairs(*STRIP_P3, seed=0), strip_p3_reference)
     assert len(strip_p3_reference) <= len(calls) <= 25
+
+
+def test_strip_pairs_check_no_proposal_alone(strip_p3_reference, monkeypatch):
+    # Only the proposals that pass every mask get a ray family and the two
+    # ball searches; no pair is checked on its own.
+    def alone(*args, **kwargs):
+        raise AssertionError("a pair was checked alone")
+
+    passed, families, searches = [], [], []
+    real_screen = atlas._screen
+
+    def screen(*args):
+        out = real_screen(*args)
+        passed.append(int(np.count_nonzero(out[0])))
+        return out
+
+    def family(*args):
+        families.append(1)
+        return build_ray_family(*args)
+
+    def search(*args):
+        searches.append(1)
+        return segment_point_distance(*args)
+
+    monkeypatch.setattr(sticks, "two_sticks_check", alone)
+    monkeypatch.setattr(atlas, "two_sticks_check", alone, raising=False)
+    monkeypatch.setattr(atlas, "_screen", screen)
+    monkeypatch.setattr(atlas, "build_ray_family", family)
+    monkeypatch.setattr(atlas, "segment_point_distance", search)
+    assert_same_configs(generate_strip_pairs(*STRIP_P3, seed=0), strip_p3_reference)
+    assert len(families) <= sum(passed)
+    assert 2 * len(strip_p3_reference) <= len(searches) <= 2 * len(families)
 
 
 PARITY_NORMS = [EuclideanNorm, *(lambda d, p=p: PNorm(p, d) for p in (1.5, 3, 4)), p25]

@@ -234,6 +234,42 @@ def test_family_flags_are_checked_before_any_draw(command, flag, message, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lambda", "2"], "config error: [lambda_range] need 2 < Lambda < inf, got 2.0"),
+    (["--k", "0.5"], "config error: [k_range] need 1 <= K < inf, got 0.5"),
+    (["--lambda", "1", "--k", "0"], "config error: [lambda_range] need 2 < Lambda < inf, got 1.0"),
+], ids=["lambda-2", "k-half", "lambda-before-k"])
+def test_strip_constants_are_checked_before_any_draw(flags, message, tmp_path, capsys,
+                                                     monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was seeded for a rejected configuration")
+
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    out = tmp_path / "s.csv"
+    assert cli.main(STRIP + flags + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--q", "1.5"], "--q"), (["--p-exp", "7"], "--p-exp"), (["--p-exp", "7", "--q", "1.5"], "--q"),
+], ids=["q", "p-exp", "both"])
+def test_holder_exponents_under_the_euclidean_norm_are_rejected(flags, flag, tmp_path, capsys,
+                                                                monkeypatch):
+    # No Hölder ratio is computed under the Euclidean norm, so the flags
+    # would only be written into the config line.
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was seeded for a rejected configuration")
+
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    out = tmp_path / "s.csv"
+    assert cli.main(EUCLID_STICKS + flags + ["--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: {flag} applies to p-norms only: "
+                            "the Euclidean norm has no Hölder ratio\n")
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command, code", [("sticks", cli.EXIT_DEGENERATE),
                                            ("atlas", cli.EXIT_OK)])
 def test_no_queries_is_not_a_config_error(command, code, tmp_path):

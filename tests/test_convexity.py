@@ -298,6 +298,27 @@ class TestBatchedModulus:
         with pytest.raises(ValueError):
             moduli(norm, [[1.0, 0.0], [0.0, 1.0]], [0.3])
 
+    def test_each_problem_is_checked_once(self, monkeypatch):
+        # `moduli` checks each problem and takes its N(x); the `modulus` call
+        # it hands them to takes only N(y) and N(x + y) of the winner.
+        norm = PNorm(3, 3)
+        checked, normals = [], []
+        real_problem, real_normal = convexity._problem, norm.normal
+
+        def problem(*args):
+            checked.append(1)
+            return real_problem(*args)
+
+        def normal(x):
+            normals.append(1)
+            return real_normal(x)
+
+        monkeypatch.setattr(convexity, "_problem", problem)
+        monkeypatch.setattr(norm, "normal", normal)
+        xs = np.random.default_rng(4).standard_normal((5, 3))
+        assert len(moduli(norm, xs, [0.1, 0.2, 0.05, 0.3, 0.15], n_starts=8, max_iter=20)) == 5
+        assert (len(checked), len(normals)) == (5, 15)
+
     def test_modulus_leaves_the_handed_ascent_unchanged(self):
         norm, x, t = PNorm(3, 3), np.array([1.0, 0.0, 0.0]), 0.2
         y, f, iterations = _ascended(norm, [x], [t], [norm.normal(x)], 8, 80)
@@ -305,7 +326,7 @@ class TestBatchedModulus:
         # Starts 1 and 3 tie within 1e-9 of the best, start 3 the higher.
         f[1], f[3] = f.max() + 1.0, f.max() + 1.0 + 5e-10
         y0, f0 = y.copy(), f.copy()
-        res = modulus(norm, x, t, starts=(y, f, 7))
+        res = modulus(norm, x, t, starts=(y, f, 7, norm.normal(x)))
         assert np.array_equal(y, y0) and np.array_equal(f, f0)
         assert res.sigma == f[1] and np.array_equal(res.maximizer_y, y[1])
         assert not np.shares_memory(res.maximizer_y, y)

@@ -765,6 +765,15 @@ class TestSpecialStick:
         # No configuration, no stick to rank and no solve.
         assert strip_experiments(EuclideanNorm(2), [], *STRIP_ARGS) == []
 
+    @pytest.mark.parametrize("lam, k_const, hypothesis", [
+        (2.0, 3.5555, "lambda_range"), (math.inf, 3.5555, "lambda_range"),
+        (2.0279, 0.5, "k_range"), (2.0279, math.inf, "k_range"),
+    ], ids=["lambda-2", "lambda-inf", "k-half", "k-inf"])
+    def test_constants_are_checked_without_configurations(self, lam, k_const, hypothesis):
+        with pytest.raises(PreconditionError) as err:
+            strip_experiments(EuclideanNorm(2), [], 1e-4, 0.36, lam, k_const, 0.05)
+        assert err.value.hypothesis == hypothesis
+
 
 class TestSegmentDistance:
     def test_interior_projection(self):
