@@ -9,21 +9,26 @@ their extended endpoints, in stacked norm evaluations (`_nearest`, which
 
 `generate_strip_pairs` builds each strip configuration from two such rays
 and draws its proposals by rejection, PROPOSAL_BLOCK at a time.  `_screen`
-builds a whole block and takes every test but the two delta-ball bracket
-searches as masks over it: `build_ray_family`'s site tests of the queries
-and extended endpoints, its distance identity at the endpoints, the
-two-sticks check, the endpoint gap and the rho-clearance.  Each mask rounds
-as one proposal alone does: site distances and the two-sticks check take
-stacked norms, as `_nearest` and `sticks._pair_checks` do, and the norms of
-single vectors (unit scalings, endpoint gap, rho-clearances) go through
-`Norm._row_values`, since a one-vector p-norm takes its root by the scalar
-pow, which differs from the stacked one in the last bit for about 5% of
-values.  The few proposals that pass every mask go in draw order through
-`build_ray_family`, which makes their sticks, and the two ball tests.  So
-blocks change neither the draws nor a verdict.
+builds a whole block and takes every test as a mask over it:
+`build_ray_family`'s site tests of the queries and extended endpoints, its
+distance identity at the endpoints, the two-sticks check, the endpoint gap,
+the rho-clearance and the delta-ball test.  Each mask rounds as one
+proposal alone does: site distances and the two-sticks check take stacked
+norms, as `_nearest` and `sticks._pair_checks` do, and the norms of single
+vectors (unit scalings, endpoint gap, rho-clearances, query offsets) go
+through `Norm._row_values`, since a one-vector p-norm takes its root by the
+scalar pow, which differs from the stacked one in the last bit for about 5%
+of values.  The few proposals that pass every mask go in draw order through
+`build_ray_family`, which makes their sticks.  So blocks change neither the
+draws nor a verdict.
 
-The two-sticks and endpoint-identity masks hold by construction: no input
-tried has made either bind, so dropping one fails no test.
+The ball test is the construction's certificate, not a search: a query
+q = x0 + xi, ||xi|| <= 0.4 delta, lies on its stick [s, s + (q - s)/own],
+own = ||q - s||, at parameter own <= tau + 0.4 delta < 1, so dist(stick,
+x0) <= ||q - x0|| < delta.  The mask tests own <= 1 and ||q - x0|| <= delta,
+a sufficient condition.  It and the two-sticks and endpoint-identity masks
+hold by construction: no input tried has made one bind, so dropping one
+fails no test.
 """
 
 from __future__ import annotations
@@ -35,8 +40,16 @@ import numpy as np
 
 from .convexity import BLOCK_ROWS, DegenerateSampleError
 from .norms import Norm, as_vector
-from .sticks import Stick, _pair_checks, segment_point_distance
+from .sticks import Stick, _pair_checks
 
+# Sites whose distances to a query differ by at most TIE_TOL tie.  It is
+# absolute: a site set carries no scale, and at the distances of order 1 of
+# every family built here 1e-12 is a rounding guard of some thousands of
+# ulps.  Its cost falls on the strip generator, whose two sites' distances to
+# a query differ by about 0.12 delta^2 (median of 2,000 p = 3 draws): 0.2% of
+# its queries tie at delta = 1e-4, 11% at 1e-5 and 94% at 1e-6, so
+# `strip --norm p:3 --delta 1e-6` accepts nothing.  Scaling it with delta
+# changes which proposals are accepted.
 TIE_TOL = 1e-12
 # Proposals `generate_strip_pairs` draws before it gives up.
 MAX_PROPOSALS = 100000
@@ -201,8 +214,8 @@ def _row_norms(norm: Norm, x: np.ndarray) -> np.ndarray:
 def _screen(norm: Norm, delta: float, rho: float, endpoint_gap_max: float,
             normals: np.ndarray, uniforms: np.ndarray) -> tuple:
     """(mask, x0, sites, queries) of a block of proposals: the mask of those
-    that pass every test but the two delta-ball tests, and each proposal's
-    x0, its two sites and its two queries, as one proposal alone builds them."""
+    that pass every test, and each proposal's x0, its two sites and its two
+    queries, as one proposal alone builds them."""
     v = _row_norms(norm, normals[:, [1, 3, 4]])
     e = normals[:, 1] / v[:, 0, None]
     ebar = e + (delta * uniforms[:, 0])[:, None] * normals[:, 2]
@@ -222,13 +235,14 @@ def _screen(norm: Norm, delta: float, rho: float, endpoint_gap_max: float,
     # distance 1 from it.
     ok = np.all((other > own + TIE_TOL) & (end_other > end_own + TIE_TOL)
                 & (np.abs(end_own - 1.0) <= 1e-9 * (1.0 + 1.0)), axis=1)
-    # The pair tests, on the few proposals whose rays both stand.
+    # The pair and ball tests, on the few proposals whose rays both stand.
     live = np.flatnonzero(ok)
     s, t = sites[live], ends[live]
     pair = _pair_checks(norm, s[:, 0], t[:, 0], s[:, 1], t[:, 1]).two_sticks
     pair &= _row_norms(norm, t[:, 0] - t[:, 1]) <= endpoint_gap_max
     clearance = _row_norms(norm, np.concatenate([s, t], axis=1) - x0[live, None])
-    ok[live] = pair & np.all(clearance > rho * (1.0 + 1e-9), axis=1)
+    near = (own[live] <= 1.0) & (_row_norms(norm, queries[live] - x0[live, None]) <= delta)
+    ok[live] = pair & np.all(clearance > rho * (1.0 + 1e-9), axis=1) & np.all(near, axis=1)
     return ok, x0, sites, queries
 
 
@@ -237,28 +251,25 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
     """Sample admissible configurations (l, m, x0) for the strip experiment.
 
     Each pair is built as two distance-function rays: sites sit a mid-stick
-    parameter behind the ball B_delta(x0), queries sit inside the ball, and
-    the rays extend to unit length.  The two-sticks and equal-length
-    conditions then hold by construction (and are re-verified).  Proposals
-    are rejected unless both sticks meet the ball, every endpoint clears the
-    rho-ball, and the terminal gap stays below `endpoint_gap_max`.  The
-    direction spread scales with delta, which is the widest the endpoint
-    estimates allow.
+    parameter behind the ball B_delta(x0), queries sit inside it, and the
+    rays extend to unit length.  The two-sticks, equal-length and ball
+    conditions then hold by construction (the ball's certificate is in the
+    module docstring), and are re-verified.  Proposals are rejected unless
+    every endpoint clears the rho-ball and the terminal gap stays below
+    `endpoint_gap_max`.  The direction spread scales with delta, which is
+    the widest the endpoint estimates allow.
 
-    Proposals are drawn PROPOSAL_BLOCK at a time, each one's draws in the
-    order one proposal alone would make them.  `_screen` tests a whole block
-    at once, each norm rounded as on one proposal alone (single vectors
-    through `Norm._row_values`).  The proposals that pass every mask get
-    their rays from `build_ray_family` and meet the two ball tests in draw
-    order.  So the output depends on the seed only: it is the same for
-    every block size, and the same as building each proposal's rays with
+    Proposals are drawn and screened (`_screen`) PROPOSAL_BLOCK at a time,
+    and the survivors get their sticks from `build_ray_family` in draw
+    order.  So the output depends on the seed only: it is the same for every
+    block size, and the same as building each proposal's rays with
     `build_ray_family` and checking its pair alone.
 
     ValueError, before any draw, when no admissible configuration can exist
     or none is asked for: dim < 2, endpoint_gap_max <= 0, delta outside
-    (0, 1/4), rho <= 3*delta or count < 1.  `DegenerateSampleError` (a
-    RuntimeError) when MAX_PROPOSALS proposals give fewer than `count`
-    configurations.
+    (0, 1/4), rho outside (3*delta, inf) or count < 1.
+    `DegenerateSampleError` (a RuntimeError) when MAX_PROPOSALS proposals
+    give fewer than `count` configurations.
     """
     if norm.dim < 2:
         raise ValueError("dim must be >= 2: in one dimension no admissible pair exists")
@@ -268,6 +279,8 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         raise ValueError(f"delta must lie in (0, 1/4), got {delta!r}")
     if not rho > 3.0 * delta:
         raise ValueError(f"rho must exceed 3 * delta, got rho = {rho!r}")
+    if rho == np.inf:
+        raise ValueError("rho must be finite, got rho = inf")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
@@ -281,11 +294,9 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         for i in np.flatnonzero(ok):
             # The mask has passed both rays, so the family holds both sticks.
             l, m = build_ray_family(SiteSet(sites[i], norm), queries[i], 1.0).sticks
-            if (segment_point_distance(norm, l, x0[i])[0] <= delta
-                    and segment_point_distance(norm, m, x0[i])[0] <= delta):
-                out.append((l, m, x0[i].copy()))
-                if len(out) == count:
-                    break
+            out.append((l, m, x0[i].copy()))
+            if len(out) == count:
+                break
     if len(out) < count:
         raise DegenerateSampleError(
             f"only {len(out)} admissible configurations in {MAX_PROPOSALS} tries")

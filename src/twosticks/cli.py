@@ -129,6 +129,9 @@ def _random_family(norm: Norm, rng: np.random.Generator, n_sites: int,
         raise ValueError(f"--queries must be >= 0, got {n_queries}")
     if not box > 0.0:
         raise ValueError(f"--box must be positive, got {box!r}")
+    if 2.0 * box > np.finfo(float).max:  # rng.uniform's range would overflow
+        raise ValueError(f"--box must be at most {float(np.finfo(float).max) / 2.0!r}, "
+                         f"got {box!r}")
     sites = rng.uniform(-box, box, size=(n_sites, norm.dim))
     queries = rng.uniform(-box, box, size=(n_queries, norm.dim))
     site_set = SiteSet(sites, norm)

@@ -803,11 +803,14 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     kappa = 0 restricts to tangent samples, where the bounds reduce to the
     tangent constants themselves.  A sample violates a bound when it exceeds
     it by more than TRANSFER_SLACK * (1 + |h(x,x+y)| + |h(x,x+2y)|).
+    ValueError unless 2 < lam < inf, 1 < t_const < inf and 1 <= k_const < inf.
     """
-    if lam <= 2.0:
-        raise ValueError("tangent convexity constant must exceed 2")
-    if t_const <= 1.0:
-        raise ValueError("doubling constant must exceed 1")
+    if not 2.0 < lam < math.inf:
+        raise ValueError(f"tangent convexity constant must exceed 2 and be finite, got {lam!r}")
+    if not 1.0 < t_const < math.inf:
+        raise ValueError(f"doubling constant must exceed 1 and be finite, got {t_const!r}")
+    if k_const is not None and not 1.0 <= k_const < math.inf:
+        raise ValueError(f"balance constant must satisfy 1 <= K < inf, got {k_const!r}")
     big_l = (t_const * t_const - 1.0) / 2.0
     window = min(0.25, 1.0 / (2.0 * big_l))
     if kappa is None:

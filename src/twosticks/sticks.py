@@ -402,13 +402,13 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
 
     if not (0.0 < delta < 0.25):
         raise PreconditionError("delta_range", f"need 0 < delta < 1/4, got {delta!r}")
-    if rho <= 3.0 * delta:
-        raise PreconditionError("rho_range", f"need rho > 3*delta, got rho = {rho!r}")
+    if not 3.0 * delta < rho < math.inf:
+        raise PreconditionError("rho_range", f"need 3*delta < rho < inf, got rho = {rho!r}")
 
     kappa = 4.0 / (rho - 3.0 * delta)
     width = k_const * lam * lam / (lam - 2.0) * kappa * delta
     gap_ends = float(norm._value(l.end - m.end))
-    if gap_ends > big_r * (1.0 + 1e-12):
+    if not gap_ends <= big_r * (1.0 + 1e-12):
         raise PreconditionError("eta_radius", f"||l1 - m1|| = {gap_ends!r} exceeds R = {big_r!r}")
     if width > 1.0 + 1e-12:
         raise PreconditionError("eta_width", f"strip width {width!r} exceeds 1")
@@ -520,7 +520,7 @@ def strip_experiment(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: floa
     the failed one: Lambda > 2, K >= 1; on the given pair, positive length
     (DegenerateStickError), two-sticks and equal length; then, with the
     sticks normalized to unit length and all input geometry scaled with
-    them, 0 < delta < 1/4, rho > 3*delta, the endpoint-gap bound
+    them, 0 < delta < 1/4, 3*delta < rho < inf, the endpoint-gap bound
     ||l1 - m1|| <= big_r, the width condition
     K*Lambda^2/(Lambda-2)*kappa*delta <= 1 with kappa = 4/(rho - 3*delta),
     both sticks meeting B_delta(x0), and l's endpoints outside B_rho(x0).

@@ -116,9 +116,11 @@ def test_strip_pairs_are_deterministic(strip_pairs):
     (PNorm(3, 3), 1, dict(STRIP_ARGS, delta=0.0)),
     (PNorm(3, 3), 1, dict(STRIP_ARGS, delta=0.25)),
     (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=3e-4)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=np.nan)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=np.inf)),
     (PNorm(3, 3), 0, STRIP_ARGS),
 ], ids=["dim1", "gap0", "gap-negative", "delta0", "delta-quarter",
-        "rho-3delta", "count0"])
+        "rho-3delta", "rho-nan", "rho-inf", "count0"])
 def test_strip_pairs_reject_impossible_requests_before_drawing(norm, count, kwargs,
                                                                 monkeypatch):
     def fail(*args, **kw):
@@ -216,6 +218,7 @@ def p25(dim):
 
 
 MATRIX_NORMS = [EuclideanNorm, *(lambda d, p=p: PNorm(p, d) for p in (1.25, 1.5, 3, 4)), p25]
+MATRIX_IDS = ["euclidean", "p1.25", "p1.5", "p3", "p4", "plugin-p2.5"]
 
 
 # (delta, seed, rho, endpoint_gap_max): 18 cases, then ones where the
@@ -228,13 +231,12 @@ LOOP_CASES = [*((delta, seed, 0.36, 0.2)
                 for rho, gap in ((0.45, 0.2), (0.36, delta / 2)))]
 
 
-@pytest.mark.parametrize("make_norm", MATRIX_NORMS,
-                         ids=["euclidean", "p1.25", "p1.5", "p3", "p4", "plugin-p2.5"])
+@pytest.mark.parametrize("make_norm", MATRIX_NORMS, ids=MATRIX_IDS)
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_strip_pairs_match_the_one_proposal_loop(make_norm, dim):
     # The block screen is the loop's verdict on every proposal up to the
-    # loop's first acceptance: the two ball tests it leaves out reject
-    # nothing here.
+    # loop's first acceptance, the loop's two ball searches included: the
+    # screen's ball mask is the certificate that the construction gives.
     norm = make_norm(dim)
     for delta, seed, rho, gap in LOOP_CASES:
         verdicts = []
@@ -246,6 +248,33 @@ def test_strip_pairs_match_the_one_proposal_loop(make_norm, dim):
             generate_strip_pairs(norm, 1, delta, rho, seed=seed, endpoint_gap_max=gap), [config])
         normals, uniforms = atlas._draw_block(np.random.default_rng(seed), len(verdicts), dim)
         assert atlas._screen(norm, delta, rho, gap, normals, uniforms)[0].tolist() == verdicts
+
+
+def assert_sticks_meet_the_ball(norm, configs, delta):
+    assert configs
+    for l, m, x0 in configs:
+        assert segment_point_distance(norm, l, x0)[0] <= delta
+        assert segment_point_distance(norm, m, x0)[0] <= delta
+
+
+@pytest.mark.parametrize("make_norm", MATRIX_NORMS, ids=MATRIX_IDS)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_strip_pairs_meet_the_ball_by_the_search(make_norm, dim):
+    # The generator takes the ball test from its construction; the search
+    # along each stick must agree on every configuration it emits.
+    norm = make_norm(dim)
+    for delta, seed in itertools.product((1e-3, 1e-4, 1e-5), range(3)):
+        assert_sticks_meet_the_ball(norm, generate_strip_pairs(norm, 2, delta, 0.36, seed=seed),
+                                    delta)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strip_pairs_meet_the_ball_by_the_search_at_delta_1e_6(dim, seed):
+    # At delta = 1e-6 almost every query ties within TIE_TOL; of the matrix's
+    # norms p1.25 still accepts in two and three dimensions.
+    norm = PNorm(1.25, dim)
+    assert_sticks_meet_the_ball(norm, generate_strip_pairs(norm, 2, 1e-6, 0.36, seed=seed), 1e-6)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 28, 2**40 + 3])
@@ -302,12 +331,16 @@ def test_strip_pairs_run_the_exact_path_on_few_proposals(strip_p3_reference, mon
 
 
 def test_strip_pairs_check_no_proposal_alone(strip_p3_reference, monkeypatch):
-    # Only the proposals that pass every mask get a ray family and the two
-    # ball searches; no pair is checked on its own.
+    # Only the proposals that pass every mask get a ray family, and each is
+    # accepted: no pair is checked on its own and no stick is searched for
+    # its distance to x0.
     def alone(*args, **kwargs):
         raise AssertionError("a pair was checked alone")
 
-    passed, families, searches = [], [], []
+    def search(*args, **kwargs):
+        raise AssertionError("a stick was searched")
+
+    passed, families = [], []
     real_screen = atlas._screen
 
     def screen(*args):
@@ -319,18 +352,15 @@ def test_strip_pairs_check_no_proposal_alone(strip_p3_reference, monkeypatch):
         families.append(1)
         return build_ray_family(*args)
 
-    def search(*args):
-        searches.append(1)
-        return segment_point_distance(*args)
-
     monkeypatch.setattr(sticks, "two_sticks_check", alone)
     monkeypatch.setattr(atlas, "two_sticks_check", alone, raising=False)
+    monkeypatch.setattr(sticks, "segment_point_distance", search)
+    monkeypatch.setattr(sticks, "minimize_scalar", search)
+    monkeypatch.setattr(atlas, "segment_point_distance", search, raising=False)
     monkeypatch.setattr(atlas, "_screen", screen)
     monkeypatch.setattr(atlas, "build_ray_family", family)
-    monkeypatch.setattr(atlas, "segment_point_distance", search)
     assert_same_configs(generate_strip_pairs(*STRIP_P3, seed=0), strip_p3_reference)
-    assert len(families) <= sum(passed)
-    assert 2 * len(strip_p3_reference) <= len(searches) <= 2 * len(families)
+    assert len(strip_p3_reference) == len(families) <= sum(passed)
 
 
 PARITY_NORMS = [EuclideanNorm, *(lambda d, p=p: PNorm(p, d) for p in (1.5, 3, 4)), p25]

@@ -169,8 +169,12 @@ def test_strip_makes_two_batched_solves(tmp_path, monkeypatch):
 
 
 def test_traced_strip_records_every_modulus_problem(tmp_path, monkeypatch):
+    # The benchmark's own checks of a traced strip run (perfbench/selftest.py),
+    # read through its saved trace and `layer_metrics`, so that a change that
+    # breaks them fails here too.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    tracer = importlib.import_module("spans").Tracer()
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
     tracer.install()
     try:
         argv = [*STRIP_ARGV, "--count", "2", "--out", str(tmp_path / "s.csv")]
@@ -182,6 +186,20 @@ def test_traced_strip_records_every_modulus_problem(tmp_path, monkeypatch):
     iterations, converged, kkt = np.array(tracer.modulus).T
     assert len(iterations) == 6 and np.all(iterations > 0) and np.all(iterations <= 80)
     assert np.all(converged == 1) and np.all(kkt <= 1e-7)
+
+    tracer.save(tmp_path / "trace.npz", dim=3)
+    with np.load(tmp_path / "trace.npz") as trace:
+        metrics = spans.layer_metrics(trace)
+        names = [str(n) for n in trace["names"]]
+        name, parent = trace["name"], trace["parent"]
+    assert metrics["convexity.modulus.calls"] == 6
+    assert metrics["atlas.acceptance"] > 0.0
+    # The generator takes its ball test from its construction: no search
+    # along a stick runs under it.
+    search = name == names.index("sticks.segment_point_distance")
+    assert np.count_nonzero(search) == 4    # the experiment's, two per configuration
+    generator = np.flatnonzero(name == names.index("atlas.generate_strip_pairs"))
+    assert not np.any(np.isin(parent[search], generator))
 
 
 def test_traced_benchmark_wrappers_resolve(monkeypatch):

@@ -216,12 +216,13 @@ def test_counts_and_log_bounds_are_checked_before_use(argv, message, tmp_path, c
     ("--queries=-1", "config error: --queries must be >= 0, got -1"),
     ("--box=-1", "config error: --box must be positive, got -1.0"),
     ("--box=0", "config error: --box must be positive, got 0.0"),
-], ids=["sites-negative", "sites-0", "queries-negative", "box-negative", "box-0"])
+    ("--box=1e308", "config error: --box must be at most 8.988465674311579e+307, got 1e+308"),
+], ids=["sites-negative", "sites-0", "queries-negative", "box-negative", "box-0", "box-huge"])
 def test_family_flags_are_checked_before_any_draw(command, flag, message, tmp_path, capsys,
                                                   monkeypatch):
-    # Not numpy's "negative dimensions" or "high - low < 0", nor "need at
-    # least one site" or a query lying in the degenerate site set of a zero
-    # box: the error names the flag.
+    # Not numpy's "negative dimensions", "high - low < 0" or "high - low
+    # range exceeds valid bounds", nor "need at least one site" or a query
+    # lying in the degenerate site set of a zero box: the error names the flag.
     class Undrawn:
         def __getattr__(self, name):
             raise AssertionError("the generator drew")
@@ -517,9 +518,9 @@ def test_outputs_are_byte_identical_to_the_recorded_ones(name, tmp_path):
 
 def test_strip_csv_does_not_depend_on_the_last_bits_of_the_segment_argmin(monkeypatch, tmp_path):
     # Only the BFGS polish bits are pinned: the segment-point argmin feeds
-    # the generator's ball test and the near and interior-point
-    # preconditions, never a CSV value, so moving it by 1e-9 inside [0, 1]
-    # leaves the strip output as recorded.
+    # the experiment's near and interior-point preconditions, never a CSV
+    # value, so moving it by 1e-9 inside [0, 1] leaves the strip output as
+    # recorded.
     search = sticks.minimize_scalar
     shifted = []
 
@@ -530,4 +531,4 @@ def test_strip_csv_does_not_depend_on_the_last_bits_of_the_segment_argmin(monkey
 
     monkeypatch.setattr(sticks, "minimize_scalar", shift)
     assert _golden_digest("strip", tmp_path) == GOLDEN["strip"][1]
-    assert len(shifted) == 4 * 3   # two sticks per configuration, generated and checked
+    assert len(shifted) == 2 * 3   # two sticks per configuration, checked by the experiment

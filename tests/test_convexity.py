@@ -863,6 +863,23 @@ class TestTransfer:
             transfer_check(EuclideanNorm(3), lam=3.0, r=0.25, t_const=4.0,
                            samples=100, seed=7, kappa=0.2)
 
+    @pytest.mark.parametrize("constants, message", [
+        (dict(lam=math.nan), "tangent convexity constant must exceed 2 and be finite, got nan"),
+        (dict(lam=math.inf), "tangent convexity constant must exceed 2 and be finite, got inf"),
+        (dict(t_const=math.nan), "doubling constant must exceed 1 and be finite, got nan"),
+        (dict(t_const=math.inf), "doubling constant must exceed 1 and be finite, got inf"),
+        (dict(k_const=math.nan), "balance constant must satisfy 1 <= K < inf, got nan"),
+        (dict(k_const=math.inf), "balance constant must satisfy 1 <= K < inf, got inf"),
+        (dict(k_const=0.5), "balance constant must satisfy 1 <= K < inf, got 0.5"),
+    ], ids=["lam-nan", "lam-inf", "t-nan", "t-inf", "k-nan", "k-inf", "k-half"])
+    def test_non_finite_constants_rejected(self, constants, message):
+        # A NaN constant made every comparison False: 500 samples checked,
+        # no violation, passed=True.
+        args = dict(lam=3.0, t_const=9.0, k_const=None) | constants
+        with pytest.raises(ValueError) as err:
+            transfer_check(PNorm(3, 3), r=0.25, samples=500, **args)
+        assert str(err.value) == message
+
     def test_empty_window_rejected(self):
         with pytest.raises(TransferWindowError):
             transfer_check(EuclideanNorm(3), lam=3.0, r=0.0, t_const=4.0,

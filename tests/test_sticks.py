@@ -856,6 +856,20 @@ class TestStripExperiment:
             strip_experiment(norm, l, m, x0, 5e-4, 0.36, lam, 500.0, 0.05)
         assert err.value.hypothesis == "eta_width"
 
+    @pytest.mark.parametrize("rho, big_r, hypothesis", [
+        (0.36, math.nan, "eta_radius"), (math.nan, 0.05, "rho_range"),
+        (math.inf, 0.05, "rho_range"),
+    ], ids=["big-r-nan", "rho-nan", "rho-inf"])
+    def test_non_finite_geometry_fails_the_check_that_names_it(self, rho, big_r, hypothesis):
+        # A NaN R passed [eta_radius] on every configuration, and a NaN or
+        # infinite rho failed deep in `moduli` instead of at [rho_range].
+        norm = PNorm(3, 3)
+        configs = generate_strip_pairs(norm, 2, delta=1e-4, rho=0.36, seed=0,
+                                       endpoint_gap_max=0.05)
+        with pytest.raises(PreconditionError) as err:
+            strip_experiments(norm, configs, 1e-4, rho, 2.0279, 3.5555, big_r)
+        assert err.value.hypothesis == hypothesis
+
     def test_p3_configurations_pass(self):
         norm = PNorm(3, 3)
         rep = estimate_lambda(norm, 1 / 16, "full", samples=100000, seed=9)
