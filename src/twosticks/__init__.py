@@ -22,6 +22,7 @@ from .convexity import (
     DegenerateSampleError,
     ModulusResult,
     OnevScanResult,
+    PreconditionError,
     TransferReport,
     estimate_balanced,
     estimate_doubling,
@@ -39,7 +40,6 @@ from .convexity import (
 from .sticks import (
     DegenerateStickError,
     PairVerdicts,
-    PreconditionError,
     Stick,
     StripReport,
     holder_ratio,
@@ -73,13 +73,12 @@ __all__ = [
     "EuclideanNorm", "Norm", "PluginNorm", "PNorm", "ZeroVectorError",
     "gap",
     "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
-    "TransferReport", "estimate_balanced", "estimate_doubling",
+    "PreconditionError", "TransferReport", "estimate_balanced", "estimate_doubling",
     "estimate_lambda", "estimate_uniform_constants", "extend_constants",
     "extend_constants_to", "moduli", "modulus", "onev_default_grid",
     "onev_g", "onev_scan", "transfer_check",
-    "DegenerateStickError", "PairVerdicts", "PreconditionError",
-    "Stick", "StripReport", "holder_ratio", "pair_verdicts",
-    "segment_point_distance", "strip_experiment",
+    "DegenerateStickError", "PairVerdicts", "Stick", "StripReport", "holder_ratio",
+    "pair_verdicts", "segment_point_distance", "strip_experiment",
     "strip_experiments", "two_sticks_check",
     "NearestResult", "RayFamily", "SiteSet", "build_ray_family", "generate_strip_pairs",
     "nearest_point",

@@ -29,6 +29,13 @@ x0) <= ||q - x0|| < delta.  The mask tests own <= 1 and ||q - x0|| <= delta,
 a sufficient condition.  It and the two-sticks and endpoint-identity masks
 hold by construction: no input tried has made one bind, so dropping one
 fails no test.
+
+The construction also bounds rho.  A stick's start s lies at distance tau
+from x0, its end within 1 - own + ||xi|| <= 1 - tau + 0.8 delta (triangle
+inequality, own >= tau - ||xi||), so in every norm one of them lies within
+1/2 + 0.4 delta of x0.  The clearance mask asks for more than rho (1 + 1e-9),
+so it fails every proposal at rho >= 1/2 + 0.4 delta: `generate_strip_pairs`
+refuses such a rho.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexity import BLOCK_ROWS, DegenerateSampleError
+from .convexity import BLOCK_ROWS, DegenerateSampleError, _check_radius
 from .norms import Norm, as_vector
 from .sticks import Stick, _pair_checks
 
@@ -134,8 +141,7 @@ def build_ray_family(sites: SiteSet, query_points, length: float) -> RayFamily:
     The sticks are built from those checked rows without checking them again,
     each holding its own copies, equal to what `Stick(start, end)` holds.
     """
-    if length <= 0.0:
-        raise ValueError("length must be positive")
+    _check_radius(length, "length")
     queries = np.atleast_2d(np.asarray(query_points, dtype=float))
     norm, points = sites.norm, sites.sites
     if len(queries):  # every row has the first's shape: check it once
@@ -267,7 +273,7 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
 
     ValueError, before any draw, when no admissible configuration can exist
     or none is asked for: dim < 2, endpoint_gap_max <= 0, delta outside
-    (0, 1/4), rho outside (3*delta, inf) or count < 1.
+    (0, 1/4), rho outside (3*delta, 1/2 + 0.4*delta) or count < 1.
     `DegenerateSampleError` (a RuntimeError) when MAX_PROPOSALS proposals
     give fewer than `count` configurations.
     """
@@ -277,10 +283,9 @@ def generate_strip_pairs(norm: Norm, count: int, delta: float, rho: float,
         raise ValueError(f"endpoint_gap_max must be positive, got {endpoint_gap_max!r}")
     if not 0.0 < delta < 0.25:
         raise ValueError(f"delta must lie in (0, 1/4), got {delta!r}")
-    if not rho > 3.0 * delta:
-        raise ValueError(f"rho must exceed 3 * delta, got rho = {rho!r}")
-    if rho == np.inf:
-        raise ValueError("rho must be finite, got rho = inf")
+    if not 3.0 * delta < rho < 0.5 + 0.4 * delta:
+        raise ValueError(f"rho must lie in (3 * delta, 1/2 + 0.4 * delta) = "
+                         f"({3.0 * delta!r}, {0.5 + 0.4 * delta!r}), got rho = {rho!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)

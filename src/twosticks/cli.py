@@ -9,9 +9,10 @@ output paths) in the output, and uses the exit-code contract
     2  degenerate estimate (DegenerateSampleError: nothing informative drawn)
     3  theorem bound violated, or a solve it rests on did not converge
 
-so CI can gate directly on violations.  CSV output uses '.' decimals and
-round-trip-exact float text; JSON reports carry an ISO-8601 timestamp,
-which is the only field excluded from the determinism contract.
+so CI can gate directly on violations.  Every ValueError is exit 1; a
+PreconditionError, which is one, names its hypothesis ("[lambda_range] ...").
+CSV output uses '.' decimals and round-trip-exact float text; JSON reports
+carry an ISO-8601 timestamp, the one field outside the determinism contract.
 
 `sticks` checks the two-sticks endpoint estimates on random pairs of a ray
 family.  Under the Euclidean norm a pair is violated when its monotonicity,
@@ -35,14 +36,14 @@ import numpy as np
 
 from . import __version__
 from .atlas import SiteSet, build_ray_family, generate_strip_pairs
-from .convexity import (DegenerateSampleError, _check_exponents, _check_mode, _check_radius,
-                        _check_samples, estimate_balanced, estimate_doubling,
+from .convexity import (DegenerateSampleError, _check_constants, _check_exponents, _check_mode,
+                        _check_radius, _check_samples, estimate_balanced, estimate_doubling,
                         estimate_lambda, estimate_uniform_constants,
                         onev_default_grid, onev_scan)
 from .norms import EuclideanNorm, Norm, PNorm
 from .reporting import to_jsonable, write_csv, write_json
 from .sharpness import holder_exponents, sharpness_curve, sharpness_grid
-from .sticks import PreconditionError, _check_strip_constants, pair_verdicts, strip_experiments
+from .sticks import pair_verdicts, strip_experiments
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -235,7 +236,7 @@ def cmd_sticks(args) -> int:
 
 def cmd_strip(args) -> int:
     norm = parse_norm(args.norm, args.dim)
-    _check_strip_constants(args.lam, args.k)
+    _check_constants(lam=args.lam, k=args.k)
     configs = generate_strip_pairs(norm, args.count, args.delta, args.rho,
                                    seed=args.seed, endpoint_gap_max=args.big_r)
     reports = strip_experiments(norm, configs, args.delta, args.rho, args.lam, args.k, args.big_r)
@@ -390,7 +391,7 @@ def main(argv=None) -> int:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
             _apply_config(parser, args, overrides)
         return args.func(args)
-    except (ValueError, PreconditionError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

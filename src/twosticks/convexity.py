@@ -73,7 +73,8 @@ from numpy.random import default_rng
 
 from ._optimize import minimize
 from .gap import _gap_at
-from .norms import Norm, ZERO_THRESHOLD, _row_dot, _row_sum, _value_and_normal, as_vector
+from .norms import (Norm, ZERO_THRESHOLD, _check_p, _row_dot, _row_sum, _value_and_normal,
+                    as_vector)
 
 # Ratio denominators below 1e-12 * (1 + ||x||) are excluded: along
 # positively-parallel directions both sides vanish and 0/0 says nothing.
@@ -87,6 +88,14 @@ class DegenerateSampleError(RuntimeError):
 
 class TransferWindowError(ValueError):
     """The admissibility window of a tangent-to-full check is empty."""
+
+
+class PreconditionError(ValueError):
+    """A named hypothesis of a theorem-backed operation failed."""
+
+    def __init__(self, hypothesis: str, message: str):
+        super().__init__(f"[{hypothesis}] {message}")
+        self.hypothesis = hypothesis
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +264,7 @@ def _problem(norm: Norm, x, t) -> tuple[np.ndarray, float]:
     """One modulus problem (x, t), checked: x a vector of the norm's dim, 0 < t < inf."""
     x = as_vector(x, norm.dim)
     t = float(t)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t!r}")
+    _check_radius(t, "t")
     return x, t
 
 
@@ -399,6 +407,17 @@ class ConstantsReport:
 BLOCK_ROWS = 8192
 
 
+def _check_constants(lam=None, t=None, k=None) -> None:
+    """PreconditionError unless 2 < Lambda < inf, 1 < T < inf and 1 <= K < inf,
+    checked in that order for each constant given."""
+    if lam is not None and not 2.0 < lam < math.inf:
+        raise PreconditionError("lambda_range", f"need 2 < Lambda < inf, got {lam!r}")
+    if t is not None and not 1.0 < t < math.inf:
+        raise PreconditionError("t_range", f"need 1 < T < inf, got {t!r}")
+    if k is not None and not 1.0 <= k < math.inf:
+        raise PreconditionError("k_range", f"need 1 <= K < inf, got {k!r}")
+
+
 def _check_radius(radius: float, name: str) -> None:
     if radius <= 0.0:
         raise ValueError(f"{name} must be positive")
@@ -407,8 +426,8 @@ def _check_radius(radius: float, name: str) -> None:
 
 
 def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples < math.inf:
+        raise ValueError("samples must be >= 1" if samples < math.inf else "samples must be finite")
 
 
 def _check_mode(mode: str) -> None:
@@ -416,11 +435,10 @@ def _check_mode(mode: str) -> None:
         raise ValueError("mode must be 'full' or 'tangent'")
 
 
-def _check_exponents(p: float, q: float) -> tuple[float, float]:
-    p, q = float(p), float(q)
-    if not (1.0 < q <= p):
+def _check_exponents(p: Optional[float], q: Optional[float]) -> tuple[float, float]:
+    if p is None or q is None or not 1.0 < float(q) <= float(p):
         raise ValueError("need 1 < q <= p")
-    return p, q
+    return float(p), float(q)
 
 
 def _draw(norm: Norm, rng: np.random.Generator, count: int, low: float,
@@ -497,11 +515,12 @@ def _extremum(draws: tuple, block, pick, empty: str) -> tuple[float, list]:
     return best
 
 
-def _sampled_extremum(norm: Norm, radius: float, mode: str, samples: int, seed: int,
-                      ratios, pick, empty: str) -> tuple[float, list]:
+def _sampled_extremum(norm: Norm, radius: float, name: str, mode: str, samples: int,
+                      seed: int, ratios, pick, empty: str) -> tuple[float, list]:
     """The `_extremum` of the Lambda, T or K sample drawn at `seed`, where
     `ratios(norm, x, N(x), y, good)` gives a block's kept ratios and their
-    mask."""
+    mask; the radius is checked under `name`."""
+    _check_radius(radius, name)
     _check_samples(samples)
     _check_mode(mode)
 
@@ -521,8 +540,7 @@ def _doubling_ratios(norm: Norm, x, n_of_x, y, good) -> tuple[np.ndarray, np.nda
 
 def _doubling_extremum(norm: Norm, r: float, mode: str, samples: int, seed: int,
                        pick) -> tuple[float, list]:
-    _check_radius(r, "r")
-    return _sampled_extremum(norm, r, mode, samples, seed, _doubling_ratios, pick,
+    return _sampled_extremum(norm, r, "r", mode, samples, seed, _doubling_ratios, pick,
                              "no informative samples: every h(x, x+y) fell below the floor")
 
 
@@ -555,9 +573,8 @@ def _balance_ratios(norm: Norm, x, n_of_x, y, good) -> tuple[np.ndarray, np.ndar
 def estimate_balanced(norm: Norm, bound: float, mode: str = "full",
                       samples: int = 100000, seed: int = 0) -> ConstantsReport:
     """Supremum of h(x, x+y)/h(x, x-y) over ||y|| <= bound (the balanced constant K)."""
-    _check_radius(bound, "bound")
     k, witness = _sampled_extremum(
-        norm, bound, mode, samples, seed, _balance_ratios, np.argmax,
+        norm, bound, "bound", mode, samples, seed, _balance_ratios, np.argmax,
         "no informative samples: every h(x, x-y) fell below the floor")
     return ConstantsReport(norm=norm.descriptor(), mode=mode, samples=samples, seed=seed,
                            k_hat=k, r=float(bound), worst_witnesses=[witness])
@@ -631,20 +648,22 @@ def extend_constants(r: float, lam: float) -> tuple[float, float]:
     """Double the certified radius: constants (r, Lambda) imply (2r, 3 - 2/Lambda).
 
     The degraded constant stays above 2, so the step can be iterated to
-    reach any radius.
+    reach any radius.  ValueError unless 2 < lam < inf and 0 < r < inf.
     """
-    if lam <= 2.0:
-        raise ValueError("geometric convexity needs Lambda > 2")
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_constants(lam=lam)
+    _check_radius(r, "r")
     return 2.0 * r, 3.0 - 2.0 / lam
 
 
 def extend_constants_to(r: float, lam: float, radius: float) -> tuple[float, float, int]:
     """Iterate `extend_constants` until the certified radius reaches `radius`.
 
-    Returns (new_radius, degraded_lambda, doublings).
+    Returns (new_radius, degraded_lambda, doublings).  ValueError unless
+    2 < lam < inf, 0 < r < inf and 0 < radius < inf, even with no doubling.
     """
+    _check_constants(lam=lam)
+    _check_radius(r, "r")
+    _check_radius(radius, "radius")
     doublings = 0
     while r < radius:
         r, lam = extend_constants(r, lam)
@@ -661,8 +680,7 @@ def extend_constants_to(r: float, lam: float, radius: float) -> tuple[float, flo
 def _onev_z_limit(p: float) -> float:
     """The largest |z| at which `onev_g(p, z)` is finite, with 1e-6 of the
     float range to spare: 0 <= g(z) <= (1 + |z|)^p + p|z|."""
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"need p > 1 and finite, got {p!r}")
+    _check_p(p)
     big = np.finfo(float).max * (1.0 - 1e-6)
     a = math.expm1(math.log(big) / p)      # (1 + a)^p = big
     # Either bound of p|z|, by p a or by p (1 + |z|)^p, keeps the sum within big.
@@ -716,12 +734,14 @@ def onev_scan(p: float, z_grid: Optional[np.ndarray] = None) -> OnevScanResult:
 
     The observed limits average the ratios at the paired grid endpoints +-z,
     which cancels the odd leading correction in both asymptotic regimes.
-    A grid on which g(2z) overflows is rejected, with the largest z_max
-    that p admits.
+    A grid with a non-finite value is rejected first, and one on which g(2z)
+    overflows with the largest z_max that p admits.
     """
     if z_grid is None:
         z_grid = onev_default_grid()
     z = np.asarray(z_grid, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("grid values must be finite")
     if np.any(z == 0.0):
         raise ValueError("grid must exclude z = 0")
     # g is convex with g(0) = 0, so g(+-2 z_max) bound every value below.
@@ -803,25 +823,24 @@ def transfer_check(norm: Norm, lam: float, r: float, t_const: float,
     kappa = 0 restricts to tangent samples, where the bounds reduce to the
     tangent constants themselves.  A sample violates a bound when it exceeds
     it by more than TRANSFER_SLACK * (1 + |h(x,x+y)| + |h(x,x+2y)|).
-    ValueError unless 2 < lam < inf, 1 < t_const < inf and 1 <= k_const < inf.
+    ValueError before any draw unless, in order, 2 < lam, 1 < t_const, 1 <= k_const
+    (all < inf), kappa lies in the window, r > 0 (TransferWindowError for these
+    two), r < inf and samples >= 1.
     """
-    if not 2.0 < lam < math.inf:
-        raise ValueError(f"tangent convexity constant must exceed 2 and be finite, got {lam!r}")
-    if not 1.0 < t_const < math.inf:
-        raise ValueError(f"doubling constant must exceed 1 and be finite, got {t_const!r}")
-    if k_const is not None and not 1.0 <= k_const < math.inf:
-        raise ValueError(f"balance constant must satisfy 1 <= K < inf, got {k_const!r}")
+    _check_constants(lam=lam, t=t_const, k=k_const)
     big_l = (t_const * t_const - 1.0) / 2.0
     window = min(0.25, 1.0 / (2.0 * big_l))
     if kappa is None:
         kappa = window
-    if kappa < 0.0 or kappa > window:
+    if not 0.0 <= kappa <= window:
         raise TransferWindowError(
             f"kappa must lie in [0, {window!r}] = [0, min(1/4, 1/(2L))] with L = {big_l!r}")
     eps_max = (1.0 - 2.0 * kappa) * r
     if eps_max <= 0.0:
         raise TransferWindowError(
             f"admissibility window empty: (1 - 2*kappa)*r = {eps_max!r} <= 0")
+    _check_radius(r, "r")
+    _check_samples(samples)
 
     rng = default_rng(seed)
     g, v, alpha = _draw(norm, rng, samples, -kappa, kappa)

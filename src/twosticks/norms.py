@@ -83,6 +83,14 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return _check_batch(v, v.shape[0] if dim is None else dim)
 
 
+def _check_p(p: float) -> float:
+    """p as a float; ValueError unless 1 < p < inf, the exponents of a p-norm."""
+    p = float(p)
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"need p > 1 and finite, got {p!r}")
+    return p
+
+
 def _check_batch(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != dim:
@@ -153,10 +161,7 @@ class PNorm(Norm):
 
     def __init__(self, p: float, dim: int):
         super().__init__(dim)
-        p = float(p)
-        if not (1.0 < p < math.inf):
-            raise ValueError("p-norm requires 1 < p < inf")
-        self.p = p
+        self.p = _check_p(p)
 
     def _scaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Scale by the max coordinate m before powering so that extreme p

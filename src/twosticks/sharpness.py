@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .norms import PNorm
+from .norms import PNorm, _check_p
 
 
 def _two_power(p: float) -> float:
@@ -47,12 +47,10 @@ def solve_g(p: float, eps: float) -> float:
     below 1e-13 for moderate p (it is limited only by the float spacing of
     f, which matters for p beyond ~8 near r = 1).
     """
-    p = float(p)
+    p = _check_p(p)
     eps = float(eps)
-    if not p > 1.0:
-        raise ValueError("need p > 1")
     top = _two_power(p) - 2.0
-    if eps < -1e-15 or eps > top * (1.0 + 1e-12):
+    if not -1e-15 <= eps <= top * (1.0 + 1e-12):
         raise ValueError(f"eps = {eps!r} outside [0, {top!r}]")
     eps = min(max(eps, 0.0), top)
     if eps == 0.0:
@@ -138,7 +136,7 @@ def construct_plt2(p: float, x_param: float) -> SharpnessInstance:
         raise ValueError("this construction needs 1 < p <= 2")
     xp = x ** p
     lo, hi = _plt2_window(p)
-    if xp < lo * (1.0 - 1e-12) or xp > hi * (1.0 + 1e-12):
+    if not lo * (1.0 - 1e-12) <= xp <= hi * (1.0 + 1e-12):
         raise ValueError(f"x^p = {xp!r} outside the admissible window [2^-p, 1/2]")
     eps = max(0.0, 1.0 / xp - 2.0)
     delta = x * solve_g(p, eps)
@@ -158,9 +156,7 @@ def _plt2_window(p: float) -> tuple[float, float]:
 def holder_exponents(p: float) -> tuple[float, float]:
     """The exponents (q, p) of the p-norm's Hölder bound: (2, p) for p >= 2,
     (p, 2) below."""
-    p = float(p)
-    if not p > 1.0:
-        raise ValueError("need p > 1")
+    p = _check_p(p)
     return (2.0, p) if p >= 2.0 else (p, 2.0)
 
 
@@ -197,9 +193,7 @@ def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
     where given.  A bound lies in (0, 1), the deltas `construct_pgt2` takes,
     or in [0, 1] for p < 2.
     """
-    p = float(p)
-    if not p > 1.0:
-        raise ValueError("need p > 1")
+    p = _check_p(p)
     if points < 1:
         raise ValueError(f"need points >= 1, got {points!r}")
     window = "[0, 1]" if p < 2.0 else "(0, 1)"

@@ -36,22 +36,15 @@ from typing import Optional
 import numpy as np
 
 from ._optimize import minimize_scalar
+from .convexity import PreconditionError, _check_constants, _check_exponents, moduli
 # `modulus` has no caller here; perfbench/selftest.py wraps it under this name.
-from .convexity import moduli, modulus  # noqa: F401
+from .convexity import modulus  # noqa: F401
 from .gap import _gap_at
 from .norms import EuclideanNorm, Norm, _check_batch, _row_dot, as_vector
 
 
 class DegenerateStickError(ValueError):
     """Zero-length stick where an estimate divides by the length."""
-
-
-class PreconditionError(ValueError):
-    """A named hypothesis of a theorem-backed operation failed."""
-
-    def __init__(self, hypothesis: str, message: str):
-        super().__init__(f"[{hypothesis}] {message}")
-        self.hypothesis = hypothesis
 
 
 @dataclass
@@ -270,8 +263,8 @@ def pair_verdicts(norm: Norm, l0, l1, m0, m1, t=None, s=None, *,
         s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
         params, need = (0.0 < t) & (t <= s) & (s <= 1.0), "0 < t <= s <= 1"
     # Bad exponents fail every pair, after pair 0's parameters.
-    if holder and not (q is not None and p is not None and 1.0 < q <= p) and params[:1].all():
-        raise ValueError("need 1 < q <= p")
+    if holder and params[:1].all():
+        _check_exponents(p, q)
     _require(v.two_sticks, v.equal_length, params=params, need=need,
              len_l=v.len_l if holder else None)
 
@@ -379,14 +372,6 @@ class StripReport:
     t_star: float
 
 
-def _check_strip_constants(lam: float, k_const: float) -> None:
-    """PreconditionError unless 2 < Lambda < inf and 1 <= K < inf."""
-    if not 2.0 < lam < math.inf:
-        raise PreconditionError("lambda_range", f"need 2 < Lambda < inf, got {lam!r}")
-    if not 1.0 <= k_const < math.inf:
-        raise PreconditionError("k_range", f"need 1 <= K < inf, got {k_const!r}")
-
-
 def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, lam: float,
                  k_const: float, big_r: float):
     """`strip_experiment` of one configuration as a generator: it yields the
@@ -484,7 +469,7 @@ def strip_experiments(norm: Norm, configs, delta: float, rho: float, lam: float,
     loop of `strip_experiment` calls; the configurations after it are not
     solved.
     """
-    _check_strip_constants(lam, k_const)
+    _check_constants(lam=lam, k=k_const)
     steps = [_strip_steps(norm, l, m, x0, delta, rho, lam, k_const, big_r)
              for l, m, x0 in configs]
     reports, replies = [None] * len(steps), [None] * len(steps)

@@ -118,9 +118,11 @@ def test_strip_pairs_are_deterministic(strip_pairs):
     (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=3e-4)),
     (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=np.nan)),
     (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=np.inf)),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=0.5 + 0.4 * STRIP_ARGS["delta"])),
+    (PNorm(3, 3), 1, dict(STRIP_ARGS, rho=0.6)),
     (PNorm(3, 3), 0, STRIP_ARGS),
 ], ids=["dim1", "gap0", "gap-negative", "delta0", "delta-quarter",
-        "rho-3delta", "rho-nan", "rho-inf", "count0"])
+        "rho-3delta", "rho-nan", "rho-inf", "rho-bound", "rho-0.6", "count0"])
 def test_strip_pairs_reject_impossible_requests_before_drawing(norm, count, kwargs,
                                                                 monkeypatch):
     def fail(*args, **kw):
@@ -129,6 +131,32 @@ def test_strip_pairs_reject_impossible_requests_before_drawing(norm, count, kwar
     monkeypatch.setattr(np.random, "default_rng", fail)
     with pytest.raises(ValueError):
         generate_strip_pairs(norm, count, **kwargs)
+
+
+def test_strip_pairs_just_below_the_rho_bound():
+    # The bound 1/2 + 0.4 delta is nearly tight: nothing below it is refused.
+    norm, rho = EuclideanNorm(2), 0.4999
+    pairs = generate_strip_pairs(norm, 3, 1e-4, rho, seed=0, endpoint_gap_max=0.05)
+    assert len(pairs) == 3
+    for l, m, x0 in pairs:
+        for point in (l.start, l.end, m.start, m.end):
+            assert float(norm.value(point - x0)) > rho
+
+
+@pytest.mark.parametrize("norm", NORMS + [PNorm(8, 3), PNorm(1.1, 2)], ids=repr)
+def test_no_proposal_clears_the_rho_bound(norm):
+    # The module docstring's bound: one end of each stick lies within
+    # 1/2 + 0.4 delta of x0, whatever the norm and the draw.
+    delta = 1e-2
+    normals, uniforms = atlas._draw_block(np.random.default_rng(4), 400, norm.dim)
+    _, x0, sites, queries = atlas._screen(norm, delta, 0.0, 1.0, normals, uniforms)
+    own = norm.value(queries - sites)
+    ends = sites + (queries - sites) / own[..., None]
+    start_clear = norm.value(sites - x0[:, None])
+    end_clear = norm.value(ends - x0[:, None])
+    closest = np.minimum(start_clear, end_clear)
+    assert np.all(closest <= 0.5 + 0.4 * delta)
+    assert np.max(closest) > 0.499     # and some proposals come near it
 
 
 def test_strip_pairs_in_one_dimension_raise_at_once():

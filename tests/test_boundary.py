@@ -20,14 +20,23 @@ from twosticks import (
     SiteSet,
     Stick,
     build_ray_family,
+    estimate_balanced,
+    estimate_doubling,
+    estimate_lambda,
+    extend_constants,
+    extend_constants_to,
     gap,
     holder_ratio,
+    moduli,
     modulus,
     nearest_point,
     pair_verdicts,
     segment_point_distance,
+    strip_experiment,
+    transfer_check,
     two_sticks_check,
 )
+from twosticks.convexity import TransferWindowError
 from twosticks import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,6 +246,11 @@ def test_package_exports_resolve_to_no_modules():
     assert set(twosticks.__all__) <= set(namespace)
 
 
+def test_precondition_error_is_one_class():
+    assert twosticks.PreconditionError is sticks.PreconditionError is convexity.PreconditionError
+    assert issubclass(convexity.PreconditionError, ValueError)
+
+
 def test_certify_computes_one_normal_map_per_sample_batch(tmp_path, monkeypatch):
     # Lambda, T and K each run their x batch in blocks, and one N(x) per
     # block serves its tangent projection and both of its gaps; each block
@@ -267,3 +281,56 @@ def test_certify_computes_one_normal_map_per_sample_batch(tmp_path, monkeypatch)
     assert calls["value"] == (3 * [shape for shape in blocks for _ in range(5)]
                               + [shape for shape in uniform for _ in range(4)]
                               + [shape for shape in uniform for _ in range(5)])
+
+
+# Each scalar hypothesis of the public API: (id, call of the one bad value,
+# text that opens the error and names the argument or its hypothesis).
+P33 = PNorm(3, 3)
+HYPOTHESIS_ENTRIES = [
+    ("extend_constants.r", lambda v: extend_constants(v, 3.0), "r must be"),
+    ("extend_constants.lam", lambda v: extend_constants(1.0, v), "[lambda_range]"),
+    ("extend_constants_to.radius", lambda v: extend_constants_to(0.5, 3.0, v), "radius must be"),
+    *[(f"transfer_check.{arg}",
+       lambda v, arg=arg: transfer_check(P33, **(dict(lam=3.0, r=0.25, t_const=9.0, k_const=2.0,
+                                                        samples=500) | {arg: v})), text)
+      for arg, text in [("lam", "[lambda_range]"), ("t_const", "[t_range]"),
+                        ("k_const", "[k_range]"), ("r", "r must be"),
+                        ("samples", "samples must be")]],
+    ("build_ray_family.length", lambda v: build_ray_family(SITES3, [[0.3, 0.2, 0.1]], v),
+     "length must be"),
+    ("modulus.t", lambda v: modulus(P33, X3, v), "t must be"),
+    ("moduli.t", lambda v: moduli(P33, [X3], [v]), "t must be"),
+    ("estimate_lambda.r", lambda v: estimate_lambda(P33, v, samples=100), "r must be"),
+    ("estimate_doubling.r", lambda v: estimate_doubling(P33, v, samples=100), "r must be"),
+    ("estimate_balanced.bound", lambda v: estimate_balanced(P33, v, samples=100),
+     "bound must be"),
+    ("strip_experiment.lam",
+     lambda v: strip_experiment(P33, STICK3, STICK3, X3, 1e-4, 0.36, v, 3.5555, 0.05),
+     "[lambda_range]"),
+    ("strip_experiment.k_const",
+     lambda v: strip_experiment(P33, STICK3, STICK3, X3, 1e-4, 0.36, 2.0279, v, 0.05),
+     "[k_range]"),
+]
+
+
+@pytest.mark.parametrize("entry, call, text", HYPOTHESIS_ENTRIES,
+                         ids=[i for i, _, _ in HYPOTHESIS_ENTRIES])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "0", "-1"])
+def test_scalar_hypotheses_are_checked_before_any_draw(entry, call, text, bad, monkeypatch):
+    # Before, some of these passed (extend_constants(1.0, nan) returned
+    # (2.0, nan)), drew a sample and blamed it ("kappa or r too small"), or
+    # blamed another argument ("input has non-finite entries" for a NaN length).
+    def unseeded(*args, **kwargs):
+        raise AssertionError("a generator was seeded for a rejected argument")
+
+    monkeypatch.setattr(np.random, "default_rng", unseeded)
+    monkeypatch.setattr(convexity, "default_rng", unseeded)
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    if entry == "transfer_check.r" and bad <= 0.0:
+        # The window check comes first and finds (1 - 2*kappa)*r empty.
+        assert type(info.value) is TransferWindowError
+        assert "(1 - 2*kappa)*r = " in str(info.value)
+    else:
+        assert str(info.value).startswith(text)

@@ -129,10 +129,11 @@ class TestBoundary:
         ["--delta=-1e-4"],
         ["--delta", "0.3"],
         ["--delta", "1e-4", "--rho", repr(3.0 * 1e-4)],
+        ["--rho", "0.6"],
         ["--big-r", "0"],
         ["--big-r=-1"],
         ["--dim", "1"],
-    ], ids=["delta0", "delta-negative", "delta-0.3", "rho-3delta", "big-r0",
+    ], ids=["delta0", "delta-negative", "delta-0.3", "rho-3delta", "rho-0.6", "big-r0",
             "big-r-negative", "dim1"])
     def test_strip_delta_and_rho_checked_before_generating(self, flags, tmp_path,
                                                            monkeypatch, capsys):

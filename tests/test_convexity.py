@@ -555,6 +555,13 @@ class TestExtendConstants:
         r, lam, n = extend_constants_to(1 / 16, 3.8, 1.0)
         assert r >= 1.0 and n == 4 and 2.0 < lam < 3.8
 
+    @pytest.mark.parametrize("r, lam", [(math.nan, 3.0), (1.0, math.nan), (1.0, 1.5)],
+                             ids=["r-nan", "lam-nan", "lam-1.5"])
+    def test_extend_to_checks_r_and_lambda_without_a_doubling(self, r, lam):
+        # radius 0.5 <= r needs no doubling; the constants are checked anyway.
+        with pytest.raises(ValueError):
+            extend_constants_to(r, lam, 0.5)
+
 
 def duality_excess(norm, x, z, lam):
     """h(x, z) - Lambda/(Lambda-2) h(z, x), at most 0 for ||z - x|| <= 2r||x||."""
@@ -864,13 +871,13 @@ class TestTransfer:
                            samples=100, seed=7, kappa=0.2)
 
     @pytest.mark.parametrize("constants, message", [
-        (dict(lam=math.nan), "tangent convexity constant must exceed 2 and be finite, got nan"),
-        (dict(lam=math.inf), "tangent convexity constant must exceed 2 and be finite, got inf"),
-        (dict(t_const=math.nan), "doubling constant must exceed 1 and be finite, got nan"),
-        (dict(t_const=math.inf), "doubling constant must exceed 1 and be finite, got inf"),
-        (dict(k_const=math.nan), "balance constant must satisfy 1 <= K < inf, got nan"),
-        (dict(k_const=math.inf), "balance constant must satisfy 1 <= K < inf, got inf"),
-        (dict(k_const=0.5), "balance constant must satisfy 1 <= K < inf, got 0.5"),
+        (dict(lam=math.nan), "[lambda_range] need 2 < Lambda < inf, got nan"),
+        (dict(lam=math.inf), "[lambda_range] need 2 < Lambda < inf, got inf"),
+        (dict(t_const=math.nan), "[t_range] need 1 < T < inf, got nan"),
+        (dict(t_const=math.inf), "[t_range] need 1 < T < inf, got inf"),
+        (dict(k_const=math.nan), "[k_range] need 1 <= K < inf, got nan"),
+        (dict(k_const=math.inf), "[k_range] need 1 <= K < inf, got inf"),
+        (dict(k_const=0.5), "[k_range] need 1 <= K < inf, got 0.5"),
     ], ids=["lam-nan", "lam-inf", "t-nan", "t-inf", "k-nan", "k-inf", "k-half"])
     def test_non_finite_constants_rejected(self, constants, message):
         # A NaN constant made every comparison False: 500 samples checked,
@@ -879,6 +886,12 @@ class TestTransfer:
         with pytest.raises(ValueError) as err:
             transfer_check(PNorm(3, 3), r=0.25, samples=500, **args)
         assert str(err.value) == message
+
+    def test_nan_kappa_rejected(self):
+        # Every window comparison with NaN was False, so NaN went on to the draws.
+        with pytest.raises(TransferWindowError, match="kappa must lie in"):
+            transfer_check(EuclideanNorm(3), lam=3.0, r=0.25, t_const=4.0, samples=100,
+                           kappa=math.nan)
 
     def test_empty_window_rejected(self):
         with pytest.raises(TransferWindowError):

@@ -121,6 +121,13 @@ class TestOnevScan:
         with pytest.raises(ValueError):
             onev_scan(3.0, np.array([-1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_value_rejected_first(self, bad):
+        # A NaN value was reported as an overflow of g, with a z_max to keep.
+        for grid in ([-1.0, 1.0, bad], [bad, 0.0, 1e300]):
+            with pytest.raises(ValueError, match="^grid values must be finite$"):
+                onev_scan(3.0, grid)
+
     def test_default_grid_shape(self):
         grid = onev_default_grid(1000, 1e-4, 1e4)
         assert grid.size == 1000

@@ -82,6 +82,19 @@ def test_solve_g_matches_a_50_digit_root(p):
         assert abs(float((Decimal(solve_g(p, eps)) - exact) / exact)) <= 1e-13
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_g(3.0, np.nan),
+    lambda: construct_plt2(1.5, np.nan),
+    lambda: holder_exponents(np.inf),
+], ids=["solve_g-eps-nan", "plt2-x-nan", "exponents-p-inf"])
+def test_non_finite_parameters_are_rejected(call):
+    # solve_g(3, nan) returned a root near 0 and construct_plt2(1.5, nan) an
+    # instance of NaN directions, since every window comparison with NaN was
+    # False; holder_exponents(inf) returned (2.0, inf), for no p-norm.
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_holder_exponent_is_the_ratio_of_the_pair():
     assert holder_exponents(3.0) == (2.0, 3.0) and holder_exponents(1.5) == (1.5, 2.0)
     for p in (1.2, 1.5, 2.0, 3.0, 7.5):
