@@ -438,6 +438,8 @@ def _check_mode(mode: str) -> None:
 def _check_exponents(p: Optional[float], q: Optional[float]) -> tuple[float, float]:
     if p is None or q is None or not 1.0 < float(q) <= float(p):
         raise ValueError("need 1 < q <= p")
+    if float(p) == math.inf:
+        raise ValueError("need p < inf, got p = inf")
     return float(p), float(q)
 
 
@@ -692,10 +694,13 @@ def onev_g(p: float, z) -> np.ndarray:
     |x|^(p-1) sign(x) of the p-norm is |x|^p g(y/x).
 
     Evaluated through expm1/log1p near z = 0, where the naive form loses
-    all significant digits.  Rejects a |z| at which g would overflow.
+    all significant digits.  Rejects a non-finite z, and a |z| at which g
+    would overflow.
     """
     limit = _onev_z_limit(p)
     z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
     if not np.all(np.abs(z) <= limit):
         raise ValueError(f"g overflows for p = {p!r}; need |z| <= {limit!r}")
     small = np.abs(z) < 0.5

@@ -21,10 +21,21 @@ entry is finite, and ``normal`` raises `ZeroVectorError` at the origin.  Each
 class implements only the unchecked kernels ``_value(x)`` and ``_normal(x, v)``
 (with ``v = _value(x)`` nonzero), which take arrays already checked or generated,
 in any memory layout, and never write to their input: `PNorm._scaled`
-divides and powers in place, but only its own ``np.abs(x)`` copy.
+divides and powers only its own ``np.abs(x)`` copy.  Every temporary keeps
+the input's layout, so a column-major block stays one.
 ``_row_values(x)`` is ``_value`` of each row exactly as a one-vector call
 gives it, for the lockstep polish of `convexity`; only `PNorm`, whose root
 rounds differently on a batch, needs its own.
+
+`PNorm` raises an integer p = k by multiplies (`_power`, binary powering),
+because numpy's general ``pow`` is otherwise half of `_value`; any other p
+goes through ``pow``.  After the divide by the row max each term lies in
+[0, 1] and comes out as its exact k-th power times a product of rounding
+factors (1 + e_i)^(c_i) with |e_i| <= u = 2^-53 and sum c_i = k - 1, so
+within (k - 1) u to first order, and the largest term is exactly 1.  The
+p-th root divides that relative error by k: for every integer p the powers
+add less than one ulp to ||x||.  For p = 2 the multiply is numpy's own
+``** 2.0``, bit for bit; for p >= 3 values move in their last bits.
 
 The kernels reduce over the last axis column by column (`_row_sum`,
 `_row_max`): ``a[..., 0] + a[..., 1] + ...`` in left-to-right order, rather
@@ -69,6 +80,19 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[-1]):
         m = np.maximum(m, a[..., k])
     return m
+
+
+def _power(a: np.ndarray, k: int) -> np.ndarray:
+    """a ** k for an integer k >= 2, by binary powering from the top bit of
+    k down: square, then multiply by `a` where the next bit is set, so a·a
+    for k = 2 and (a·a)·a for k = 3.  `a` is only read; the result is a new
+    array in a's memory layout."""
+    r = a
+    for bit in bin(k)[3:]:
+        r = r * r
+        if bit == "1":
+            r *= a
+    return r
 
 
 class ZeroVectorError(ValueError):
@@ -162,19 +186,26 @@ class PNorm(Norm):
     def __init__(self, p: float, dim: int):
         super().__init__(dim)
         self.p = _check_p(p)
+        # Decided once: `_scaled` also runs on thousands of 1-row batches.
+        self._k = int(self.p) if self.p.is_integer() else None
 
     def _scaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Scale by the max coordinate m before powering so that extreme p
         # neither overflows nor underflows: the norm is safe * s ** (1/p)
-        # where m > 0, and 0 elsewhere.  The divide and the power run in
-        # place on the kernel's own copy `a`; `live` and `safe` are taken
-        # first, because in dim 1 `_row_max(a)` is a view of `a`.
+        # where m > 0, and 0 elsewhere.  The divide and the power run on
+        # the kernel's own copy `a`, in x's memory layout; `live` and `safe`
+        # are taken first, because in dim 1 `_row_max(a)` is a view of `a`.
+        # An integer p = k is raised by binary powering, within (k - 1) u of
+        # each term (module docstring); any other p by numpy's pow.
         a = np.abs(x)
         m = _row_max(a)
         live = m > 0.0
         safe = np.where(live, m, 1.0)
         a /= safe[..., None]
-        a **= self.p
+        if self._k is None:
+            a **= self.p
+        else:
+            a = _power(a, self._k)
         return live, safe, _row_sum(a)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
@@ -191,8 +222,16 @@ class PNorm(Norm):
         return np.where(live, safe * [math.pow(v, inv) for v in s.tolist()], 0.0)
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = x / v[..., None]
-        return np.sign(u) * np.abs(u) ** (self.p - 1.0)
+        # sign(u) * |u| ** (p - 1) for u = x / v, in place on `a` = u, so
+        # that a block holds two temporaries, `a` and its signs.  The signs
+        # are u's, not x's: where x_i / v underflows to 0, sign(u) is +0.0
+        # and sign(x) is +-1, which would turn a +0.0 into -0.0.
+        a = x / v[..., None]
+        sign = np.sign(a)
+        np.abs(a, out=a)
+        a **= self.p - 1.0
+        a *= sign
+        return a
 
     def descriptor(self) -> dict:
         return {"kind": "p_norm", "p": self.p, "dim": self.dim}

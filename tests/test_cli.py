@@ -466,9 +466,9 @@ GOLDEN = {
                     "b937ddd4056c9e71fa108b62c69c7f696623556567dafb8a118321e6f0501b8b"),
     "strip":(["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
                "--count", "3"],
-              "cb5fe58486258c9982024ddec1611a2ea30fe036d5b4060cde3a43b3184f3546"),
+              "28c0e31567f718da36ab0d1f5e13e9313034f989ee738a4ad0da2b85f4ee4a84"),
     "sticks": (["sticks", "--norm", "p:3", "--dim", "3", "--queries", "40", "--pairs", "300"],
-               "a44a26131d70b3b3584b44528526aa8fbbe3edf6cc9f65203dd59ac40a786acd"),
+               "6633970d22287cf7594d6311237f94a5f4c27d71c6ed3540f75ba5273b8c5689"),
     "sharpness-p3": (["sharpness", "--p", "3"],
                      "a830ed01db10aa3347fff7dd00c998d9161057f0ea96722e70aaad685724e12e"),
     "sharpness-p1.5": (["sharpness", "--p", "1.5"],

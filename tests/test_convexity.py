@@ -631,6 +631,16 @@ class TestUniformConstants:
         with pytest.raises(ValueError):
             estimate_uniform_constants(EuclideanNorm(2), 2.0, 3.0, samples=10, seed=0)
 
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_infinite_p_is_rejected_before_any_draw(self, q, monkeypatch):
+        # 1 < q <= inf holds, and ||e - ebar||^inf then divided by zero.
+        def unseeded(seed):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(convexity, "default_rng", unseeded)
+        with pytest.raises(ValueError, match=r"^need p < inf, got p = inf$"):
+            estimate_uniform_constants(PNorm(3, 3), math.inf, q, samples=200)
+
 
 ESTIMATE_NORMS = {
     "euclidean": lambda: EuclideanNorm(3),

@@ -1,5 +1,7 @@
 """Norm evaluation, normal maps, the norm axioms."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,77 @@ def test_row_sum_reassociates_within_the_rounding_bound_from_dim_8(dim):
     diff = np.abs(norms._row_sum(a) - np.sum(a, axis=-1))
     assert np.all(diff <= 2.0 * gamma * np.sum(np.abs(a), axis=-1))
     assert np.array_equal(norms._row_max(a), np.max(a, axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# the p-norm kernels: the integer-p multiply path, the in-place normal map
+# ---------------------------------------------------------------------------
+
+def _decimal_p_norm(row, p: int) -> Decimal:
+    """||row||_p to 60 digits: every float and integer power is exact in
+    `decimal`, so only the sum's and the root's roundings remain, at 1e-60."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = sum(abs(Decimal(float(c))) ** p for c in row)
+        return s ** (Decimal(1) / Decimal(p)) if s else Decimal(0)
+
+
+def _kernel_rows(dim: int) -> np.ndarray:
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((200, dim)) * 10.0 ** rng.uniform(-3, 3, (200, dim))
+    rows[:40, 0] = 0.0                                   # rows holding zeros
+    rows[40:60] = 0.0
+    rows[40:60, -1] = rng.standard_normal(20)
+    rows[60:80] *= 1e300 / np.max(np.abs(rows[60:80]), axis=-1, keepdims=True)
+    rows[80:100] *= 1e-300
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 16])
+def test_integer_p_value_is_within_four_u_of_a_decimal_oracle(p, dim):
+    # Binary powering puts each term within (p - 1) u of its exact power.
+    x = _kernel_rows(dim)
+    got = PNorm(p, dim)._value(x)
+    want = [_decimal_p_norm(row, p) for row in x]
+    assert all(g == 0.0 for g, w in zip(got, want) if not w)   # dim 1's zero rows
+    rel = [abs((Decimal(float(g)) - w) / w) for g, w in zip(got, want) if w]
+    assert max(rel) <= Decimal(2) ** -51
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("p", [1.25, 1.5, 2, 2.5, 3, 4, 6])
+def test_p_normal_keeps_the_bits_of_its_closed_form(p, order):
+    # In place on x / v, it keeps every bit of sign(u) |u|^(p-1) -- the
+    # signed zeros, and the +0.0 where x_i / v underflows from -1e-30.
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((500, 3))
+    x[:50, 1] = 0.0
+    x[50:100, 2] = -0.0
+    x[100:110] = [1e300, -1e-30, 2.0]
+    x = np.asarray(x, order=order)
+    norm = PNorm(p, 3)
+    v = norm._value(x)
+    u = x / v[:, None]
+    assert np.all(u[100:110, 1] == 0.0)
+    assert np.array_equal(_bits(norm._normal(x, v)), _bits(np.sign(u) * np.abs(u) ** (p - 1.0)))
+
+
+@pytest.mark.parametrize("p", [2.5, 3, 4])
+def test_p_kernels_keep_a_column_major_block_column_major(p, monkeypatch):
+    # certify runs its ~8k-row blocks column-major; a C-order copy inside a
+    # kernel would transpose each one.
+    x = np.asfortranarray(np.random.default_rng(3).standard_normal((8192, 3)))
+    summed, row_sum = [], norms._row_sum
+
+    def recording_row_sum(a):
+        summed.append(a.flags.f_contiguous)
+        return row_sum(a)
+
+    monkeypatch.setattr(norms, "_row_sum", recording_row_sum)
+    norm = PNorm(p, 3)
+    norm._scaled(x)
+    v = norm._value(x)
+    assert summed == [True, True]
+    assert norm._normal(x, v).flags.f_contiguous
+    assert norms._power(x, 5).flags.f_contiguous

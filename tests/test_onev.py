@@ -83,6 +83,12 @@ class TestOnevG:
         assert 0.0 < limit < z
         assert np.all(np.isfinite(onev_g(p, [-limit, -0.5 * limit, 0.5 * limit, limit])))
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_z_is_rejected_as_such(self, z):
+        # NaN fails |z| <= limit too, and was reported as an overflow.
+        with pytest.raises(ValueError, match=r"^z must be finite$"):
+            onev_g(3.0, [0.5, z])
+
 
 class TestOnevScan:
     def test_quadratic_exact(self):
