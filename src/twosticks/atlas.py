@@ -13,14 +13,10 @@ builds a whole block and takes every test as a mask over it:
 `build_ray_family`'s site tests of the queries and extended endpoints, its
 distance identity at the endpoints, the two-sticks check, the endpoint gap,
 the rho-clearance and the delta-ball test.  Each mask rounds as one
-proposal alone does: site distances and the two-sticks check take stacked
-norms, as `_nearest` and `sticks._pair_checks` do, and the norms of single
-vectors (unit scalings, endpoint gap, rho-clearances, query offsets) go
-through `Norm._row_values`, since a one-vector p-norm takes its root by the
-scalar pow, which differs from the stacked one in the last bit for about 5%
-of values.  The few proposals that pass every mask go in draw order through
-`build_ray_family`, which makes their sticks.  So blocks change neither the
-draws nor a verdict.
+proposal alone does, since a norm kernel gives every row the bits of its
+one-vector call.  The few proposals that pass every mask go in draw order
+through `build_ray_family`, which makes their sticks.  So blocks change
+neither the draws nor a verdict.
 
 The ball test is the construction's certificate, not a search: a query
 q = x0 + xi, ||xi|| <= 0.4 delta, lies on its stick [s, s + (q - s)/own],
@@ -207,14 +203,9 @@ def _draw_block(rng, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _own_and_other(norm: Norm, points: np.ndarray, sites: np.ndarray) -> tuple:
     """(||p_k - s_k||, ||p_k - s_(1-k)||) for k = 0, 1, for each proposal of a
-    block, stacked as `_nearest` takes them."""
+    block."""
     d = norm._value(sites[:, None] - points[:, :, None])
     return d[:, [0, 1], [0, 1]], d[:, [0, 1], [1, 0]]
-
-
-def _row_norms(norm: Norm, x: np.ndarray) -> np.ndarray:
-    """The norm of each vector of x (..., dim), rounded as a one-vector call rounds it."""
-    return norm._row_values(x.reshape(-1, norm.dim)).reshape(x.shape[:-1])
 
 
 def _screen(norm: Norm, delta: float, rho: float, endpoint_gap_max: float,
@@ -222,10 +213,10 @@ def _screen(norm: Norm, delta: float, rho: float, endpoint_gap_max: float,
     """(mask, x0, sites, queries) of a block of proposals: the mask of those
     that pass every test, and each proposal's x0, its two sites and its two
     queries, as one proposal alone builds them."""
-    v = _row_norms(norm, normals[:, [1, 3, 4]])
+    v = norm._value(normals[:, [1, 3, 4]])
     e = normals[:, 1] / v[:, 0, None]
     ebar = e + (delta * uniforms[:, 0])[:, None] * normals[:, 2]
-    ebar = ebar / _row_norms(norm, ebar)[:, None]
+    ebar = ebar / norm._value(ebar)[:, None]
     x0 = normals[:, 0] * 0.1
     xi = normals[:, 3:] / v[:, 1:, None] * 0.4 * delta * uniforms[:, 2:, None]
     # Both sites at distance tau from x0, so x0 sits on their bisector and
@@ -245,9 +236,9 @@ def _screen(norm: Norm, delta: float, rho: float, endpoint_gap_max: float,
     live = np.flatnonzero(ok)
     s, t = sites[live], ends[live]
     pair = _pair_checks(norm, s[:, 0], t[:, 0], s[:, 1], t[:, 1]).two_sticks
-    pair &= _row_norms(norm, t[:, 0] - t[:, 1]) <= endpoint_gap_max
-    clearance = _row_norms(norm, np.concatenate([s, t], axis=1) - x0[live, None])
-    near = (own[live] <= 1.0) & (_row_norms(norm, queries[live] - x0[live, None]) <= delta)
+    pair &= norm._value(t[:, 0] - t[:, 1]) <= endpoint_gap_max
+    clearance = norm._value(np.concatenate([s, t], axis=1) - x0[live, None])
+    near = (own[live] <= 1.0) & (norm._value(queries[live] - x0[live, None]) <= delta)
     ok[live] = pair & np.all(clearance > rho * (1.0 + 1e-9), axis=1) & np.all(near, axis=1)
     return ok, x0, sites, queries
 

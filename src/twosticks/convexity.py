@@ -13,14 +13,6 @@ problem, all in lockstep with one objective call per round; then each
 problem's `modulus` call ranks its starts and judges the KKT residual.
 `modulus` alone solves a batch of one.
 
-A polished row must equal, bit for bit, the polish of its start alone: the
-strip references move when a maximizer moves by about 1e-8.  So the batched
-polish objective takes each row's norms through `Norm._row_values`, whose
-p-norm root is the scalar pow of a one-vector call and not numpy's SIMD
-pow, and each row's dot products through `_row_dot`, numpy's FMA dot of
-one pair of vectors; every other step is elementwise, which agrees lane for
-lane.
-
 Around the modulus this module estimates, by seeded sampling with
 witnesses:
 
@@ -170,27 +162,26 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: np.ndarray, y0: np.ndarray,
     origin keeps its y0 with h = -inf.
 
     Each row of `neg` equals, bit for bit, what the objective gives on that
-    row's vector alone, so a row's polish does not depend on its batch:
-    norms by `Norm._row_values`, dot products by `_row_dot`, every other
-    step elementwise.  A row with ||u|| below ZERO_THRESHOLD gives +0.0 and
-    a zero gradient, and a zero row of z takes N(e1) without recomputing
-    the other rows' norms."""
+    row's vector alone, so a row's polish does not depend on its batch: dot
+    products by `_row_dot`, every other step row by row.  A row with ||u||
+    below ZERO_THRESHOLD gives +0.0 and a zero gradient, and a zero row of z
+    takes N(e1) without recomputing the other rows' norms."""
     e1 = np.eye(norm.dim)[0]
 
     def neg(index: np.ndarray, u: np.ndarray):
         f = np.zeros(len(u))
         grad = np.zeros(u.shape)
-        nu = norm._row_values(u)
+        nu = norm._value(u)
         live = nu >= ZERO_THRESHOLD
         if not np.all(live):
             index, u, nu = index[live], u[live], nu[live]
         tl, n_x = t[index][:, None], n_of_x[index]
         z = x[index] + tl * u / nu[:, None]
-        vz = norm._row_values(z)
+        vz = norm._value(z)
         zero = vz < ZERO_THRESHOLD
         if np.any(zero):
             n_of_z = norm._normal(np.where(zero[:, None], e1, z),
-                                  np.where(zero, norm._row_values(e1[None, :])[0], vz))
+                                  np.where(zero, norm._value(e1), vz))
         else:
             n_of_z = norm._normal(z, vz)
         g = n_of_z - n_x
@@ -200,12 +191,12 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: np.ndarray, y0: np.ndarray,
         return f, grad
 
     u = np.stack([res.x for res in minimize(neg, y0, gtol=1e-12, maxiter=200)])
-    nu = norm._row_values(u)
+    nu = norm._value(u)
     live = nu >= ZERO_THRESHOLD
     y = t[:, None] * u / np.where(live, nu, 1.0)[:, None]
     z = x + y
     return (np.where(live[:, None], y, y0),
-            np.where(live, norm._row_values(z) - _row_dot(z, n_of_x), -np.inf))
+            np.where(live, norm._value(z) - _row_dot(z, n_of_x), -np.inf))
 
 
 # Largest KKT residual (see `_kkt`) of a maximizer that `modulus` calls converged.
@@ -299,12 +290,11 @@ def moduli(norm: Norm, xs, ts, *, n_starts: int = 32, max_iter: int = 200) -> li
     """`modulus` of each problem (xs[i], ts[i]), from one batched ascent and
     one batched polish.
 
-    The problems are checked once, in order.  N(x) is computed one row at a
-    time through `Norm.normal`, not by the row kernel on the stacked points,
-    whose power can round differently in the last ulp and move the polish
-    starts; each problem's `modulus` call is handed it.  The projected
-    ascent runs once over arrays of shape (problems, starts, dim), each
-    problem stopping on its own rule.  Then the two best starts of every
+    The problems are checked once, in order, each with its N(x) through
+    `Norm.normal`, so that a zero x raises before a later problem is read;
+    each problem's `modulus` call is handed that N(x).  The projected ascent
+    runs once over arrays of shape (problems, starts, dim), each problem
+    stopping on its own rule.  Then the two best starts of every
     problem go to one `_polish_on_sphere` call, whose BFGS runs all of them
     in lockstep, and a polished start replaces its ascended one where it is
     higher.  Each row of the polish takes the arithmetic of that start

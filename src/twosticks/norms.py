@@ -22,10 +22,10 @@ class implements only the unchecked kernels ``_value(x)`` and ``_normal(x, v)``
 (with ``v = _value(x)`` nonzero), which take arrays already checked or generated,
 in any memory layout, and never write to their input: `PNorm._scaled`
 divides and powers only its own ``np.abs(x)`` copy.  Every temporary keeps
-the input's layout, so a column-major block stays one.
-``_row_values(x)`` is ``_value`` of each row exactly as a one-vector call
-gives it, for the lockstep polish of `convexity`; only `PNorm`, whose root
-rounds differently on a batch, needs its own.
+the input's layout, so a column-major block stays one.  Each row of a batch
+gets the bits of its one-vector call (`PNorm._value` takes its root by the
+ufunc on every shape), so a batch of single vectors needs no kernel of its
+own.
 
 `PNorm` raises an integer p = k by multiplies (`_power`, binary powering),
 because numpy's general ``pow`` is otherwise half of `_value`; any other p
@@ -128,8 +128,9 @@ class Norm:
     """Base class; concrete norms implement `_value` and usually `_normal`."""
 
     def __init__(self, dim: int):
-        if int(dim) < 1:
-            raise ValueError("dim must be a positive integer")
+        # bool is an int subclass, and int() would truncate 2.5 or parse "3".
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
 
     def value(self, x) -> np.ndarray:
@@ -146,12 +147,6 @@ class Norm:
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _row_values(self, x: np.ndarray) -> np.ndarray:
-        """`_value` of each row of x (rows, dim), equal bit for bit to the
-        one-vector `_value(x[i])`.  A kernel made of elementwise ops and
-        `_row_sum`/`_row_max` is that already; `PNorm` overrides this."""
-        return self._value(x)
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Richardson-extrapolated central differences, one row at a time."""
@@ -210,16 +205,9 @@ class PNorm(Norm):
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         live, safe, s = self._scaled(x)
-        return np.where(live, safe * s ** (1.0 / self.p), 0.0)
-
-    def _row_values(self, x: np.ndarray) -> np.ndarray:
-        # A one-vector `_value` takes the root of a numpy scalar, by libm's
-        # pow; a batch's array root is numpy's SIMD pow, which differs in the
-        # last bit for about 5% of values.  So each row's root is the scalar
-        # pow, which `math.pow` calls too.
-        live, safe, s = self._scaled(x)
-        inv = 1.0 / self.p
-        return np.where(live, safe * [math.pow(v, inv) for v in s.tolist()], 0.0)
+        # The ufunc, not `**`: a numpy scalar's `**` (a one-vector call) is
+        # libm's pow, while `np.power` runs the batch's loop on every shape.
+        return np.where(live, safe * np.power(s, 1.0 / self.p), 0.0)
 
     def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         # sign(u) * |u| ** (p - 1) for u = x / v, in place on `a` = u, so

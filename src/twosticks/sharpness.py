@@ -206,6 +206,9 @@ def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
         return np.logspace(np.log10(lo), np.log10(hi), points)
     lo, hi = _plt2_window(p)
     lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
+    if lo > hi:
+        raise ValueError(f"p = {p!r} is too close to 1: the window [2^-p, 1/2] of x^p is "
+                         "narrower than its 1e-9 pull-in at each end")
     if param_min is not None:
         lo = max(lo, float(param_min) ** p)
     if param_max is not None:

@@ -380,7 +380,7 @@ def _strip_steps(norm: Norm, l: Stick, m: Stick, x0, delta: float, rho: float, l
     v = _pair_checks(norm, *_stick_rows(norm, l, m))
     _require(v.two_sticks, v.equal_length, len_l=v.len_l)
     # Normalize to unit length; all input geometry scales with the sticks.
-    scale = 1.0 / l.length(norm)
+    scale = 1.0 / float(v.len_l[0])
     l, m = l.scaled(scale), m.scaled(scale)
     x0 = as_vector(x0, l.dim) * scale
     delta, rho = delta * scale, rho * scale

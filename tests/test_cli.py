@@ -466,7 +466,7 @@ GOLDEN = {
                     "b937ddd4056c9e71fa108b62c69c7f696623556567dafb8a118321e6f0501b8b"),
     "strip":(["strip", "--norm", "p:3", "--dim", "3", "--lambda", "2.0279", "--k", "3.5555",
                "--count", "3"],
-              "28c0e31567f718da36ab0d1f5e13e9313034f989ee738a4ad0da2b85f4ee4a84"),
+              "92c8f2e02efc932707bc38225a425579aa768fe12713045b73c1ec0f8e5a5f5d"),
     "sticks": (["sticks", "--norm", "p:3", "--dim", "3", "--queries", "40", "--pairs", "300"],
                "6633970d22287cf7594d6311237f94a5f4c27d71c6ed3540f75ba5273b8c5689"),
     "sharpness-p3": (["sharpness", "--p", "3"],
@@ -478,6 +478,33 @@ GOLDEN = {
     "atlas": (["atlas", "--norm", "p:3", "--dim", "3"],
               "ce6faf81ef3cc9c705bf72cb97bf9744c9d2ca87d8098953c670be5937675fd0"),
 }
+
+
+# The values and verdicts of GOLDEN["strip"], as the benchmark compares them:
+# each row's (delta, kappa, bound, projection, promise_lhs, promise_rhs, axya)
+# to rtol 1e-6 and atol 1e-12, its verdict exactly.  Recorded with numpy 2.4
+# on x86-64 and AVX-512 while a one-vector p-norm still took its root by
+# libm's pow.  The digest's output and numpy's AVX2 dispatch both lie within
+# 0.4 of the tolerance (row 1's projection), every other column within 0.02;
+# a move of 1e-5 relative in every projection fails it.
+STRIP_VALUES = [
+    ([0.0001, 11.120378092855159, 0.5827859909843267, -4.3242957251657746e-05,
+      4.7031700756150485e-09, 7.409509647198843e-05, -0.2702922778583389], "true"),
+    ([0.0001, 11.120378092855159, 0.5827859909843267, -3.3403663011437846e-06,
+      5.600138131001131e-10, 4.792611322629923e-05, -0.31025590488727117], "true"),
+    ([0.0001, 11.120378092855159, 0.5827859909843267, 1.3585494626946143e-05,
+      1.3696943579333265e-09, 7.247094063052925e-05, -0.27116854415574315], "true"),
+]
+
+
+def test_strip_values_match_the_record(tmp_path):
+    out = tmp_path / "strip.csv"
+    assert cli.main(GOLDEN["strip"][0] + ["--out", str(out)]) == cli.EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()
+            if not ln.startswith("#")][1:]
+    assert [row[8] for row in rows] == [verdict for _, verdict in STRIP_VALUES]
+    np.testing.assert_allclose([[float(cell) for cell in row[1:8]] for row in rows],
+                               [values for values, _ in STRIP_VALUES], rtol=1e-6, atol=1e-12)
 
 
 def test_library_strip_reproduces_the_cli_csv(tmp_path):

@@ -402,21 +402,19 @@ class TestPolishArithmetic:
             assert np.array_equal(_row_dot(a, b), want), dim
 
     @pytest.mark.parametrize("kind", ["euclidean", "p1.5", "p3", "p4", "plugin"])
-    def test_row_values_equal_one_vector_values(self, kind):
+    def test_rows_of_a_batch_equal_one_vector_calls(self, kind):
+        # A one-vector p-norm takes its root of a numpy scalar, a batch of an
+        # array: both must round as the batch's root does, on every layout.
         rng = np.random.default_rng(4)
-        differ = 0
         for dim in (1, 2, 3, 4):
             norm = norm_of(kind, dim)
             rows = rng.standard_normal((400 if kind == "plugin" else 4000, dim))
             rows[0] = 0.0
-            one = np.array([norm._value(row) for row in rows])
-            assert np.array_equal(norm._row_values(rows), one), dim
-            differ += np.count_nonzero(norm._value(rows) != one)
-        if kind not in ("euclidean", "plugin") and differ == 0:
-            # Where numpy's array pow is libm's pow (aarch64, or x86 without
-            # the AVX-512 loop), batch and one-vector roots never differ, and
-            # the equality above shows nothing about the scalar root.
-            pytest.skip("array pow rounds as scalar pow on this host")
+            value = np.array([norm._value(row) for row in rows])
+            normal = np.stack([norm.normal(row) for row in rows[1:]])
+            for batch, _ in layouts(rows):
+                assert norm._value(batch).tobytes() == value.tobytes(), dim
+                assert norm.normal(batch[1:]).tobytes() == normal.tobytes(), dim
 
 
 class TestHaltonDirections:
@@ -806,7 +804,6 @@ def layouts(a: np.ndarray) -> list:
 # and a large row.
 LAYOUT_KERNELS = {
     "value": lambda norm, x, n, v: norm._value(v),
-    "row_values": lambda norm, x, n, v: norm._row_values(v),
     "normal": lambda norm, x, n, v: norm._normal(x, norm._value(x)),
     "gap_at": lambda norm, x, n, v: _gap_at(norm, n, v),
     "unit_vectors": lambda norm, x, n, v: _unit_vectors(norm, v),

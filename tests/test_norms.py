@@ -65,6 +65,21 @@ class TestEvalNorm:
         with pytest.raises(ValueError):
             PNorm(np.inf, 2)
 
+    @pytest.mark.parametrize("make", [lambda: PNorm(3, 2.5), lambda: EuclideanNorm(True),
+                                      lambda: PNorm(3, "3"), lambda: EuclideanNorm(3.0),
+                                      lambda: PluginNorm(np.linalg.norm, np.float64(2.0)),
+                                      lambda: PNorm(3, 0)],
+                             ids=["float", "bool", "str", "integral-float", "numpy-float",
+                                  "zero"])
+    def test_dim_must_be_a_positive_integer(self, make):
+        # PNorm(3, 2.5) was a silent 2-d norm, EuclideanNorm(True) a 1-d one.
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            make()
+
+    def test_numpy_integer_dim_is_a_python_int(self):
+        norm = PNorm(3, np.int64(3))
+        assert norm.dim == 3 and type(norm.dim) is int
+
 
 class TestNormalMap:
     def test_euclidean_direction(self):

@@ -105,3 +105,18 @@ def test_holder_exponent_is_the_ratio_of_the_pair():
 def test_p3_cli_band(tmp_path, capsys):
     assert cli.main(["sharpness", "--p", "3", "--out", str(tmp_path / "s.csv")]) == cli.EXIT_OK
     assert "band=[2.884498820114775, 2.8844991414320824]" in capsys.readouterr().out
+
+
+def test_p_whose_window_cannot_hold_its_pull_in_is_refused(tmp_path, capsys):
+    # Below p - 1 of about 2.9e-9 the 1e-9 pull-in at each end is wider than
+    # the window [2^-p, 1/2]: the grid left it, and construct_plt2 refused
+    # its own grid point with "x^p = 0.5000000001534264 outside the window".
+    with pytest.raises(ValueError, match=r"p = 1\.000000001 is too close to 1"):
+        sharpness_grid(1.000000001, 40)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sharpness", "--p", "1.000000001", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: p = 1.000000001 is too close")
+    assert not out.exists()
+    # Just above it the grid stays inside the window, and every point builds.
+    for x in sharpness_grid(1.0000000029, 40):
+        construct_plt2(1.0000000029, x)
