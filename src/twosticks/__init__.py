@@ -1,18 +1,17 @@
 """Numerical geometry of Minkowski norms and the two-sticks problem.
 
-The library computes and verifies, at floating-point scale: norm normal
-maps, the gap function h(x, y) = ||y|| - <y, N(x)>, moduli of geometric
-convexity, empirical convexity/doubling/balance constants, Lipschitz and
-Hölder endpoint estimates for equal-length directed segments satisfying the
+The library computes and verifies, at floating-point scale, for the p-norms
+with 1 < p < inf (the Euclidean norm being p = 2): normal maps, the gap
+function h(x, y) = ||y|| - <y, N(x)>, moduli of geometric convexity,
+empirical convexity/doubling/balance constants, Lipschitz and Hölder
+endpoint estimates for equal-length directed segments satisfying the
 two-sticks condition, the parallel-strip confinement of terminal gaps, and
-the three-dimensional configurations showing the Hölder exponent for
-p-norms is tight.
+the three-dimensional configurations showing the Hölder exponent is tight.
 """
 
 from .norms import (
     EuclideanNorm,
     Norm,
-    PluginNorm,
     PNorm,
     ZeroVectorError,
 )
@@ -70,7 +69,7 @@ from .sharpness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EuclideanNorm", "Norm", "PluginNorm", "PNorm", "ZeroVectorError",
+    "EuclideanNorm", "Norm", "PNorm", "ZeroVectorError",
     "gap",
     "ConstantsReport", "DegenerateSampleError", "ModulusResult", "OnevScanResult",
     "PreconditionError", "TransferReport", "estimate_balanced", "estimate_doubling",

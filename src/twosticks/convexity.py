@@ -164,9 +164,7 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: np.ndarray, y0: np.ndarray,
     Each row of `neg` equals, bit for bit, what the objective gives on that
     row's vector alone, so a row's polish does not depend on its batch: dot
     products by `_row_dot`, every other step row by row.  A row with ||u||
-    below ZERO_THRESHOLD gives +0.0 and a zero gradient, and a zero row of z
-    takes N(e1) without recomputing the other rows' norms."""
-    e1 = np.eye(norm.dim)[0]
+    below ZERO_THRESHOLD gives +0.0 and a zero gradient."""
 
     def neg(index: np.ndarray, u: np.ndarray):
         f = np.zeros(len(u))
@@ -177,13 +175,7 @@ def _polish_on_sphere(norm: Norm, x: np.ndarray, t: np.ndarray, y0: np.ndarray,
             index, u, nu = index[live], u[live], nu[live]
         tl, n_x = t[index][:, None], n_of_x[index]
         z = x[index] + tl * u / nu[:, None]
-        vz = norm._value(z)
-        zero = vz < ZERO_THRESHOLD
-        if np.any(zero):
-            n_of_z = norm._normal(np.where(zero[:, None], e1, z),
-                                  np.where(zero, norm._value(e1), vz))
-        else:
-            n_of_z = norm._normal(z, vz)
+        vz, n_of_z = _value_and_normal(norm, z)
         g = n_of_z - n_x
         n_of_u = norm._normal(u, nu)
         f[live] = -(vz - _row_dot(z, n_x))
@@ -446,8 +438,8 @@ def _unit_vectors(norm: Norm, v: np.ndarray) -> np.ndarray:
     nv = norm._value(v)
     bad = nv < 1e-12
     if np.any(bad):
-        v = np.where(bad[:, None], np.eye(norm.dim)[0], v)
-        nv = norm._value(v)
+        e1 = np.eye(norm.dim)[0]
+        v, nv = np.where(bad[:, None], e1, v), np.where(bad, norm._value(e1), nv)
     return v / nv[:, None]
 
 
@@ -575,17 +567,10 @@ def estimate_balanced(norm: Norm, bound: float, mode: str = "full",
 def _convexity_extremum(norm: Norm, p: float, rng: np.random.Generator,
                         count: int) -> tuple[float, list]:
     """a_hat and its witness from `count` unit pairs (e, ebar) drawn from rng."""
-    e1 = np.eye(norm.dim)[0]
 
     def block(g, w, u):
         e = _unit_vectors(norm, g)
-        ebar = e + (10.0 ** u)[:, None] * w
-        nb = norm._value(ebar)
-        good = nb > 1e-12
-        if not np.all(good):
-            ebar = np.where(good[:, None], ebar, e + e1)
-            nb = norm._value(ebar)
-        ebar = ebar / nb[:, None]
+        ebar = _unit_vectors(norm, e + (10.0 ** u)[:, None] * w)
         d = norm._value(e - ebar)
         num = 2.0 - norm._value(e + ebar)
         ok = d > 1e-6
@@ -708,6 +693,8 @@ def onev_default_grid(points: int = 100000, z_min: float = 1e-6, z_max: float = 
     for name, bound in (("z_min", z_min), ("z_max", z_max)):
         if not bound > 0.0:
             raise ValueError(f"need {name} > 0, got {bound!r}")
+    if z_min > z_max:
+        raise ValueError(f"need z_min <= z_max, got {z_min!r} > {z_max!r}")
     half = points // 2
     mags = np.logspace(math.log10(z_min), math.log10(z_max), half)
     return np.concatenate([-mags[::-1], mags])

@@ -191,7 +191,8 @@ def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
     are evenly spaced over the window of `construct_plt2`, pulled in by
     1e-9 relative at each end and narrowed to [param_min^p, param_max^p]
     where given.  A bound lies in (0, 1), the deltas `construct_pgt2` takes,
-    or in [0, 1] for p < 2.
+    or in [0, 1] for p < 2.  Swapped bounds, and for p < 2 bounds that leave
+    the window empty, are refused.
     """
     p = _check_p(p)
     if points < 1:
@@ -203,16 +204,21 @@ def sharpness_grid(p: float, points: int, param_min: Optional[float] = None,
     if p >= 2.0:
         lo = param_min if param_min is not None else 1e-5
         hi = param_max if param_max is not None else 1e-2
+        if lo > hi:
+            raise ValueError(f"need param_min <= param_max, got {lo!r} > {hi!r}")
         return np.logspace(np.log10(lo), np.log10(hi), points)
     lo, hi = _plt2_window(p)
     lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
     if lo > hi:
         raise ValueError(f"p = {p!r} is too close to 1: the window [2^-p, 1/2] of x^p is "
                          "narrower than its 1e-9 pull-in at each end")
-    if param_min is not None:
-        lo = max(lo, float(param_min) ** p)
-    if param_max is not None:
-        hi = min(hi, float(param_max) ** p)
+    lo = max(lo, float(param_min or 0.0) ** p)
+    hi = min(hi, float(1.0 if param_max is None else param_max) ** p)
+    if lo > hi:
+        given = [f"{name} = {bound!r}" for name, bound in
+                 (("param_min", param_min), ("param_max", param_max)) if bound is not None]
+        raise ValueError(f"need param_min <= param_max with x^p meeting the window [2^-p, 1/2] "
+                         f"= [{2.0 ** -p!r}, 0.5] for p = {p!r}, got {', '.join(given)}")
     return np.linspace(lo, hi, points) ** (1.0 / p)
 
 

@@ -4,6 +4,10 @@
   search, independent of the ascent and polish of `convexity.moduli`.
 * `finite_diff_gradient`: a centered-difference gradient of the norm, the
   O(step^2) oracle for `Norm.normal`.
+* `PluginNorm`: a norm from a function of one vector, evaluated one row at
+  a time, whose normal map is Richardson-extrapolated central differences.
+  It shares no kernel with the library's norms, so the batched paths it
+  runs through must give, row for row, what they give on one vector.
 * `polish_objective` and `polish_one`: the modulus polish one start at a
   time, as it ran before `convexity._polish_on_sphere` polished every start
   in lockstep.  The objective takes one vector and its norms and dot
@@ -27,6 +31,7 @@
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 import scipy.optimize as scipy_optimize
@@ -38,7 +43,6 @@ from twosticks.norms import (
     ZERO_THRESHOLD,
     Norm,
     ZeroVectorError,
-    _central_difference,
     _value_and_normal,
     as_vector,
 )
@@ -46,6 +50,11 @@ from twosticks.sticks import Stick
 
 # The options of the modulus polish.
 GTOL, MAXITER = 1e-12, 200
+
+
+def _central_difference(norm: Norm, x: np.ndarray, step: float) -> np.ndarray:
+    eye = np.eye(norm.dim) * step
+    return (norm._value(x + eye) - norm._value(x - eye)) / (2.0 * step)
 
 
 def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
@@ -56,6 +65,36 @@ def finite_diff_gradient(norm: Norm, x, step: float = 1e-6) -> np.ndarray:
     if float(norm._value(x)) < ZERO_THRESHOLD:
         raise ZeroVectorError("gradient undefined at the origin")
     return _central_difference(norm, x, step)
+
+
+class PluginNorm(Norm):
+    """User-supplied norm.  `func` maps a single vector to a float.
+
+    The caller is responsible for `func` actually being a norm (positive
+    homogeneity, symmetry, triangle inequality); nothing here checks it.
+    """
+
+    def __init__(self, func: Callable[[np.ndarray], float], dim: int, name: str = "plugin"):
+        super().__init__(dim)
+        self.func = func
+        self.name = str(name)
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1, self.dim)
+        out = np.array([self.func(row) for row in flat], dtype=float)
+        return out.reshape(x.shape[:-1])
+
+    def _normal(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Richardson-extrapolated central differences, one row at a time."""
+        out = np.empty(x.shape)
+        for row, grad in zip(x.reshape(-1, self.dim), out.reshape(-1, self.dim)):
+            h = 1e-5 * (1.0 + float(np.max(np.abs(row))))
+            g1 = _central_difference(self, row, h)
+            grad[:] = (4.0 * _central_difference(self, row, h / 2.0) - g1) / 3.0
+        return out
+
+    def descriptor(self) -> dict:
+        return {"kind": "plugin", "name": self.name, "dim": self.dim}
 
 
 def polish_objective(norm: Norm, x, t: float, n_of_x):

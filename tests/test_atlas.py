@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from twosticks import (
     DegenerateSampleError,
     EuclideanNorm,
-    PluginNorm,
     PNorm,
     SiteSet,
     Stick,
@@ -24,6 +23,7 @@ from twosticks import atlas, sticks
 from twosticks.atlas import TIE_TOL
 
 import oracles
+from oracles import PluginNorm
 
 NORMS = [EuclideanNorm(2), EuclideanNorm(3), PNorm(3, 2), PNorm(3, 3), PNorm(1.5, 3)]
 coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)

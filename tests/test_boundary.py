@@ -15,7 +15,6 @@ import twosticks.norms as norms
 import twosticks.sticks as sticks
 from twosticks import (
     EuclideanNorm,
-    PluginNorm,
     PNorm,
     SiteSet,
     Stick,
@@ -38,6 +37,8 @@ from twosticks import (
 )
 from twosticks.convexity import TransferWindowError
 from twosticks import cli
+
+from oracles import PluginNorm
 
 ROOT = Path(__file__).resolve().parents[1]
 

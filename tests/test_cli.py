@@ -180,9 +180,17 @@ def test_exponents_that_overflow_are_config_errors(argv, message, tmp_path, caps
 @pytest.mark.parametrize("argv", [["sharpness", "--p", "1.5", "--param-min=-0.5"],
                                   ["sharpness", "--p", "1.5", "--param-max", "1e300"],
                                   ["sharpness", "--p", "3", "--param-min", "0"],
-                                  ["sharpness", "--p", "3", "--param-max", "1"]])
+                                  ["sharpness", "--p", "3", "--param-max", "1"],
+                                  ["sharpness", "--p", "1.5", "--param-min", "1"],
+                                  ["sharpness", "--p", "1.5", "--param-min", "0.9",
+                                   "--param-max", "0.8"],
+                                  ["sharpness", "--p", "1.5", "--param-max", "0"],
+                                  ["sharpness", "--p", "3", "--param-min", "0.005",
+                                   "--param-max", "0.001"]])
 def test_sharpness_bounds_are_checked_before_use(argv, tmp_path, capsys):
     # Checked before any log10 or power: no complex number, overflow or warning.
+    # Swapped bounds, and p < 2 bounds that leave no x^p in the window of
+    # `construct_plt2`, are refused before any construction, by flag name.
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: need param_")
@@ -196,8 +204,10 @@ def test_sharpness_bounds_are_checked_before_use(argv, tmp_path, capsys):
     (["onev", "--p", "3", "--points", "0"], "config error: need points >= 4, got 0"),
     (["onev", "--p", "3", "--points=-5"], "config error: need points >= 4, got -5"),
     (["sharpness", "--p", "3", "--points=-2"], "config error: need points >= 1, got -2"),
+    (["onev", "--p", "3", "--z-min", "10", "--z-max", "1"],
+     "config error: need z_min <= z_max, got 10.0 > 1.0"),
 ], ids=["onev-z-min-0", "onev-z-min-negative", "onev-z-max-0", "onev-points-0",
-        "onev-points-negative", "sharpness-points-negative"])
+        "onev-points-negative", "sharpness-points-negative", "onev-z-swapped"])
 def test_counts_and_log_bounds_are_checked_before_use(argv, message, tmp_path, capsys):
     # Not a math domain error from log10, a silent 4-point scan, or numpy's
     # message about sample counts: the error names the parameter.
@@ -449,6 +459,36 @@ def test_strip_writes_no_warning_where_the_polish_takes_numpy_values(tmp_path):
     code, numpy_runs = map(int, out.stdout.split()[-2:])
     assert out.stderr == ""
     assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION) and numpy_runs > 0
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["atlas", "--norm", "euclidean", "--length", "1e306"], cli.EXIT_OK, ""),
+    # Every ray end rounds onto its site near 1e200, so the family is empty.
+    (["sticks", "--norm", "euclidean", "--box", "1e200"], cli.EXIT_DEGENERATE,
+     "degenerate estimate: family has fewer than two sticks; enlarge --queries\n"),
+], ids=["atlas-length", "sticks-box"])
+def test_euclidean_norm_spans_the_float_range(argv, code, err, tmp_path, capsys):
+    # An unscaled sqrt(sum x^2) overflowed here with a numpy RuntimeWarning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert caught == []
+    assert capsys.readouterr().err == err
+
+
+def test_euclidean_certify_is_the_p2_certify(tmp_path):
+    # One kernel: the two specs differ only in the norm descriptor they record.
+    docs = []
+    for i, spec in enumerate(["euclidean", "p:2"]):
+        out = tmp_path / f"certify{i}.json"
+        argv = ["certify", "--norm", spec, "--dim", "3", "--samples", "20000",
+                "--uniform-p", "2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        for key in ("norm", "config", "timestamp"):
+            del doc[key]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 # Small versions of the benchmark's three calls, and the subcommands no

@@ -14,7 +14,6 @@ from twosticks import (
     DegenerateSampleError,
     EuclideanNorm,
     ModulusResult,
-    PluginNorm,
     PNorm,
     ZeroVectorError,
     estimate_balanced,
@@ -46,7 +45,7 @@ from twosticks.norms import ZERO_THRESHOLD, _row_dot, _value_and_normal
 from twosticks.reporting import to_jsonable
 
 import oracles
-from oracles import modulus_grid, polish_one
+from oracles import PluginNorm, modulus_grid, polish_one
 
 
 def unit(norm, seed):

@@ -9,13 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from twosticks import (
     EuclideanNorm,
-    PluginNorm,
     PNorm,
     ZeroVectorError,
 )
 from twosticks import norms
 
-from oracles import finite_diff_gradient
+from oracles import PluginNorm, finite_diff_gradient
 
 RNG = np.random.default_rng(20240901)
 
@@ -263,15 +262,37 @@ def _kernel_rows(dim: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 16])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 16, "euclidean"])
 def test_integer_p_value_is_within_four_u_of_a_decimal_oracle(p, dim):
     # Binary powering puts each term within (p - 1) u of its exact power.
+    # The Euclidean norm is the p = 2 kernel, scaled by the row max, so its
+    # rows near 1e+-300 neither overflow nor flush to zero.
+    norm = EuclideanNorm(dim) if p == "euclidean" else PNorm(p, dim)
     x = _kernel_rows(dim)
-    got = PNorm(p, dim)._value(x)
-    want = [_decimal_p_norm(row, p) for row in x]
+    got = norm._value(x)
+    want = [_decimal_p_norm(row, 2 if p == "euclidean" else p) for row in x]
     assert all(g == 0.0 for g, w in zip(got, want) if not w)   # dim 1's zero rows
     rel = [abs((Decimal(float(g)) - w) / w) for g, w in zip(got, want) if w]
     assert max(rel) <= Decimal(2) ** -51
+
+
+def test_euclidean_normal_holds_at_the_ends_of_the_float_range():
+    # An unscaled sqrt(sum x^2) flushes 1e-170 to a zero norm and keeps only
+    # five digits of ||(3e-160, 4e-160, 0)||, so that normal is not unit.
+    norm = EuclideanNorm(3)
+    assert norm.normal([1e-170, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
+    n = norm.normal([3e-160, 4e-160, 0.0])
+    np.testing.assert_allclose(n, [0.6, 0.8, 0.0], rtol=2.0 ** -51)
+    assert abs(float(norm.value(n)) - 1.0) <= 2.0 ** -51
+
+
+def test_pnorm_holds_the_only_kernels():
+    # One value kernel and one normal kernel: every other norm of the
+    # library, the Euclidean one included, inherits PNorm's.
+    owners = {cls for cls in vars(norms).values()
+              if isinstance(cls, type) and issubclass(cls, norms.Norm) and cls is not norms.Norm
+              and {"_value", "_normal"} & vars(cls).keys()}
+    assert owners == {PNorm}
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
